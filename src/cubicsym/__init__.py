@@ -43,7 +43,6 @@ from .autgrp import (
     OrderedPartition,
     automorphism_group,
     canonical_form,
-    canonical_labeling,
     extend_partial_map,
     is_isomorphic,
     refine_coloring,

@@ -4,27 +4,35 @@ One search engine backs four operations: equitable refinement, canonical
 forms (and hence isomorphism tests), full automorphism groups (optionally
 color-preserving), and extension of partial vertex maps to automorphisms.
 
-The canonical form is the lexicographically smallest leaf code over the
-whole refinement tree, with no automorphism pruning: every leaf whose
-determined prefix is not already beaten gets explored.  That costs a
-factor of |Aut| in leaf visits but buys a simple correctness argument,
-and all leaves achieving the minimum yield the full automorphism group
-as a by-product (compositions of equal-code leaf labelings).
+The canonical form is the lexicographically smallest leaf code of the
+refinement tree, taken at the first leaf reaching it in depth-first
+order.  Every other leaf with that code yields an automorphism, and the
+search prunes with them (McKay & Piperno, "Practical graph isomorphism,
+II", 2014): below a node, a child in the orbit of an explored child
+under the found automorphisms that fix the node's path roots an image of
+an explored subtree, so it is skipped.  An equal-code leaf also unwinds
+the search to the node where its path leaves the best leaf's: the
+automorphism it gives maps the best path's child there onto its own, so
+the rest of that child's subtree is skipped.  Pruned subtrees hold no earlier
+minimum leaf, so the canonical leaf is the one the full tree gives, and
+the found automorphisms generate the whole group, which is materialized
+by closing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
 from .graph6 import encode_graph6
 from .perm import (
     DEFAULT_GROUP_CAP,
-    GroupTooLargeError,
     Permutation,
     PermutationGroup,
+    close_generators,
+    extend_closure,
 )
 
 VertexColoring = Sequence[int]
@@ -112,17 +120,17 @@ def refine_coloring(graph: Graph, colors: VertexColoring) -> OrderedPartition:
 
 
 class _SearchResult:
-    __slots__ = ("code", "position_vertex", "auts")
+    __slots__ = ("code", "position_vertex", "generators")
 
-    def __init__(self, code, position_vertex, auts):
+    def __init__(self, code, position_vertex, generators):
         self.code = code
         self.position_vertex = position_vertex  # canonical position -> vertex
-        self.auts = auts  # dict images-tuple -> Permutation
+        self.generators = generators  # automorphisms from equal-code leaves
 
 
 def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _SearchResult:
-    """Explore the refinement tree; return the minimum leaf code, its
-    labeling, and every automorphism witnessed by equal-code leaves."""
+    """Explore the refinement tree with orbit pruning; return the minimum
+    leaf code, the first leaf reaching it, and generators of the group."""
     n = graph.n
     adj_bits = graph.adj_bits
     init_color = [0] * n
@@ -132,10 +140,14 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
 
     best_code: Optional[List[tuple]] = None
     best_posv: Optional[List[int]] = None
-    auts: Dict[Tuple[int, ...], Permutation] = {}
+    best_path: Tuple[int, ...] = ()
+    gens: List[Tuple[int, ...]] = []
 
-    def rec(cells: List[Tuple[int, ...]], items: List[tuple]) -> None:
-        nonlocal best_code, best_posv
+    def rec(
+        cells: List[Tuple[int, ...]], items: List[tuple], path: Tuple[int, ...]
+    ) -> Optional[int]:
+        """Explore below a node; a depth to unwind to, or None."""
+        nonlocal best_code, best_posv, best_path
         cells = _refine_cells(adj_bits, cells)
         t = 0
         for c in cells:
@@ -152,34 +164,55 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
                     colbits = (colbits << 1) | ((av >> cells[i][0]) & 1)
                 items.append((init_color[vj], colbits))
         if best_code is not None and items > best_code[: len(items)]:
-            return
+            return None
         if t == len(cells):  # discrete partition: a leaf
             posv = [c[0] for c in cells]
             if best_code is None or items < best_code:
                 best_code = items
                 best_posv = posv
+                best_path = path
             elif items == best_code:
                 assert best_posv is not None
                 images = [0] * n
                 for p in range(n):
                     images[posv[p]] = best_posv[p]
-                perm = Permutation(tuple(images))
-                auts.setdefault(perm.images, perm)
-            return
+                gens.append(tuple(images))
+                # its inverse fixes the paths' common prefix and maps the
+                # best path's next child onto this one's: unwind to there
+                k = 0
+                while path[k] == best_path[k]:
+                    k += 1
+                return k
+            return None
         sizes = [len(c) for c in cells]
         target_size = min(s for s in sizes if s > 1)
         ci = sizes.index(target_size)
         cell = cells[ci]
+        # children in one orbit of the found automorphisms fixing the path
+        # root isomorphic subtrees with equal leaf codes: explore one each
+        done: Set[int] = set()
         for v in cell:
+            if v in done:
+                continue
             rest = tuple(x for x in cell if x != v)
             child = cells[:ci] + [(v,), rest] + cells[ci + 1 :]
-            rec(child, items)
+            back = rec(child, items, path + (v,))
+            if back is not None and back < len(path):
+                return back
+            done.add(v)
+            fixing = [g for g in gens if all(g[x] == x for x in path)]
+            stack = list(done)
+            while stack:
+                x = stack.pop()
+                for g in fixing:
+                    if g[x] not in done:
+                        done.add(g[x])
+                        stack.append(g[x])
+        return None
 
-    rec(list(initial_cells), [])
+    rec(list(initial_cells), [], ())
     assert best_code is not None and best_posv is not None
-    ident = Permutation.identity(n)
-    auts.setdefault(ident.images, ident)
-    return _SearchResult(tuple(best_code), best_posv, auts)
+    return _SearchResult(tuple(best_code), best_posv, [Permutation(g) for g in gens])
 
 
 def _canonical_graph_from_leaf(graph: Graph, posv: Sequence[int]) -> Graph:
@@ -195,22 +228,14 @@ def _reduce_generators(
 ) -> Tuple[Permutation, ...]:
     """Greedy small generating set for a materialized element list."""
     gens: List[Permutation] = []
-    closed = {Permutation.identity(degree).images}
+    lookups: List = []
+    closed = {tuple(range(degree))}
     for p in elements:
         if p.images in closed:
             continue
         gens.append(p)
-        frontier = list(closed)
-        closed.add(p.images)
-        queue = [Permutation(im) for im in list(closed)]
-        # re-close under the enlarged generating set
-        while queue:
-            q = queue.pop()
-            for g in gens:
-                r = g * q
-                if r.images not in closed:
-                    closed.add(r.images)
-                    queue.append(r)
+        lookups.append(p.images.__getitem__)
+        extend_closure(closed, lookups, len(elements))
         if len(closed) == len(elements):
             break
     return tuple(gens) if gens else (Permutation.identity(degree),)
@@ -220,13 +245,24 @@ def _search_with_coloring(
     graph: Graph, coloring: Optional[VertexColoring]
 ) -> _SearchResult:
     if graph.n == 0:
-        res = _SearchResult((), [], {(): Permutation(())})
-        return res
+        return _SearchResult((), [], [])
     if coloring is None:
         cells: Tuple[Tuple[int, ...], ...] = (tuple(range(graph.n)),)
     else:
         cells = cells_from_coloring(graph.n, coloring)
     return _ir_search(graph, cells)
+
+
+# the last uncolored search, by graph identity: `analyze` and the claims
+# ask for a graph's canonical form and then for its group
+_last_uniform: tuple = (None, None)
+
+
+def _uniform_search(graph: Graph) -> _SearchResult:
+    global _last_uniform
+    if _last_uniform[0] is not graph:
+        _last_uniform = (graph, _search_with_coloring(graph, None))
+    return _last_uniform[1]
 
 
 def automorphism_group(
@@ -238,53 +274,30 @@ def automorphism_group(
     to preserve an initial coloring; materialized, deterministic."""
     if coloring is None:
         return _aut_group_uniform(graph, cap)
-    return _aut_group_colored(graph, tuple(coloring), cap)
+    return _closed_group(graph.n, _search_with_coloring(graph, coloring), cap)
 
 
 @lru_cache(maxsize=256)
 def _aut_group_uniform(graph: Graph, cap: int) -> PermutationGroup:
-    return _group_from_search(graph, None, cap)
+    return _closed_group(graph.n, _uniform_search(graph), cap)
 
 
-def _aut_group_colored(
-    graph: Graph, coloring: Tuple[int, ...], cap: int
+def _closed_group(
+    n: int, res: _SearchResult, cap: int = DEFAULT_GROUP_CAP
 ) -> PermutationGroup:
-    return _group_from_search(graph, coloring, cap)
-
-
-def _group_from_search(
-    graph: Graph, coloring: Optional[Tuple[int, ...]], cap: int
-) -> PermutationGroup:
-    res = _search_with_coloring(graph, coloring)
-    if len(res.auts) > cap:
-        raise GroupTooLargeError(cap)
-    elements = tuple(res.auts[k] for k in sorted(res.auts))
-    gens = _reduce_generators(graph.n, elements)
-    return PermutationGroup(graph.n, gens, elements)
+    """Close the found generators (the cap fires during the closure) and
+    reduce the sorted element list to the greedy generating set."""
+    elements = close_generators(res.generators, n, cap).elements
+    return PermutationGroup(n, _reduce_generators(n, elements), elements)
 
 
 def canonical_form(graph: Graph) -> bytes:
     """Relabeling-invariant byte form: graph6 of the canonical labeling."""
     if graph.n == 0:
         return encode_graph6(graph).encode("ascii")
-    res = _search_with_coloring(graph, None)
+    res = _uniform_search(graph)
     canon = _canonical_graph_from_leaf(graph, res.position_vertex)
     return encode_graph6(canon).encode("ascii")
-
-
-def canonical_labeling(graph: Graph) -> Permutation:
-    """Permutation sending each vertex to its canonical position."""
-    res = _search_with_coloring(graph, None)
-    label = [0] * graph.n
-    for p, v in enumerate(res.position_vertex):
-        label[v] = p
-    return Permutation(tuple(label))
-
-
-def aut_and_canonical(graph: Graph) -> Tuple[PermutationGroup, bytes]:
-    """One search pass yielding both the group and the canonical form."""
-    data = canonical_data(graph)
-    return data.group, data.canonical_g6
 
 
 @dataclass(frozen=True)
@@ -296,10 +309,8 @@ class CanonicalData:
 
 def canonical_data(graph: Graph) -> CanonicalData:
     """Group, canonical form, and canonical labeling from a single pass."""
-    res = _search_with_coloring(graph, None)
-    elements = tuple(res.auts[k] for k in sorted(res.auts))
-    gens = _reduce_generators(graph.n, elements)
-    group = PermutationGroup(graph.n, gens, elements)
+    res = _uniform_search(graph)
+    group = _closed_group(graph.n, res)
     canon = _canonical_graph_from_leaf(graph, res.position_vertex)
     label = [0] * graph.n
     for p, v in enumerate(res.position_vertex):

@@ -134,8 +134,9 @@ def _analysis_report(graph: Graph) -> dict:
         )
     else:
         report["note"] = "symmetry profile requires a connected graph"
-    report["distinguishing_number"] = distinguishing_number(graph)
     cost = distinguishing_cost(graph)
+    number = {"asymmetric": 1, "cost": 2}.get(cost.kind)
+    report["distinguishing_number"] = number or distinguishing_number(graph)
     report["distinguishing_cost"] = {
         "kind": cost.kind,
         "cost": cost.cost,

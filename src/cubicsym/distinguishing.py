@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .autgrp import automorphism_group
 from .graph import Graph
@@ -56,9 +56,8 @@ class CostResult:
 def _setwise_trivial(group: PermutationGroup, members: Sequence[int]) -> bool:
     s = frozenset(members)
     for p in group.elements:
-        if p.is_identity():
-            continue
-        if frozenset(p.images[v] for v in s) == s:
+        im = p.images
+        if all(im[v] in s for v in s) and not p.is_identity():
             return False
     return True
 
@@ -105,15 +104,31 @@ def distinguishing_cost(graph: Graph, budget: Optional[int] = None) -> CostResul
         return CostResult("asymmetric", 0, ())
     n = graph.n
     reps = sorted(min(block) for block in orbits(group, Action.VERTICES, graph))
+    # an element preserving a set maps its least member, a rep, into the
+    # set: index the non-identity elements by the image of each rep
+    moves: Dict[int, Dict[int, List[Tuple[int, ...]]]] = {r: {} for r in reps}
+    for p in group.non_identity():
+        for r in reps:
+            moves[r].setdefault(p.images[r], []).append(p.images)
     tested = 0
     for size in range(1, n // 2 + 1):
         for cand in _candidate_sets(reps, n, size):
             if budget is not None and tested >= budget:
                 raise SearchBudgetExceeded(budget, size - 1)
             tested += 1
-            if _setwise_trivial(group, cand):
+            if not _preserved(moves[cand[0]], cand):
                 return CostResult("cost", size, cand)
     return CostResult("not-two-distinguishable")
+
+
+def _preserved(moves: Dict[int, List[Tuple[int, ...]]], cand: Sequence[int]) -> bool:
+    """Whether an element of ``moves`` (by image of cand[0]) preserves cand."""
+    s = frozenset(cand)
+    for w in cand:
+        for im in moves.get(w, ()):
+            if all(im[v] in s for v in cand):
+                return True
+    return False
 
 
 def distinguishing_number(graph: Graph, color_cap: int = 8) -> int:

@@ -1,7 +1,7 @@
 """Permutations on vertex indices and fully materialized permutation groups.
 
 The groups encountered here are tiny (at most a few thousand elements),
-so the whole element set is materialized by breadth-first closure rather
+so the whole element set is materialized by coset enumeration rather
 than via stabilizer chains.  A hard cap guards against runaway input; the
 failure mode is an explicit error, never silent degradation.
 """
@@ -9,7 +9,7 @@ failure mode is an explicit error, never silent degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .graph import Graph, s_arcs
 
@@ -122,10 +122,35 @@ class PermutationGroup:
         return tuple(p for p in self.elements if not p.is_identity())
 
 
+def extend_closure(
+    seen: Set[Tuple[int, ...]], lookups: Sequence[Callable], cap: int
+) -> bool:
+    """Grow ``seen``, the group H of all but the last generator (as image
+    tuples; ``lookups`` holds each generator's ``images.__getitem__``), to
+    the group of all; False once it would outgrow ``cap``.  The new group
+    is a union of left cosets x H and g maps x H to (g x) H, so the step
+    costs about one product per element, however many generators."""
+    base = list(seen)
+    reps = [tuple(range(len(base[0])))]
+    while reps:
+        x = reps.pop()
+        for g in lookups:
+            y = tuple(map(g, x))
+            if y in seen:
+                continue
+            if len(seen) + len(base) > cap:
+                return False
+            at = y.__getitem__
+            seen.update(tuple(map(at, h)) for h in base)
+            reps.append(y)
+    return True
+
+
 def close_generators(
     gens: Iterable[Permutation], degree: Optional[int] = None, cap: int = DEFAULT_GROUP_CAP
 ) -> PermutationGroup:
-    """Materialize the group generated by ``gens`` by BFS closure.
+    """Materialize the group generated by ``gens``, one generator at a
+    time by coset enumeration (see :func:`extend_closure`).
 
     Degrees must agree; exceeding ``cap`` raises GroupTooLargeError.
     """
@@ -137,21 +162,16 @@ def close_generators(
     for g in gens:
         if g.degree != degree:
             raise ValueError("generator degree mismatch")
-    ident = Permutation.identity(degree)
-    seen = {ident.images: ident}
-    frontier = [ident]
-    while frontier:
-        nxt: List[Permutation] = []
-        for p in frontier:
-            for g in gens:
-                q = g * p
-                if q.images not in seen:
-                    if len(seen) >= cap:
-                        raise GroupTooLargeError(cap)
-                    seen[q.images] = q
-                    nxt.append(q)
-        frontier = nxt
-    elements = tuple(seen[k] for k in sorted(seen))
+    # image tuples: g * p is tuple(map(g.__getitem__, p))
+    lookups: List[Callable] = []
+    seen = {tuple(range(degree))}
+    for gen in gens:
+        if gen.images in seen:  # already generated: costs nothing more
+            continue
+        lookups.append(gen.images.__getitem__)
+        if not extend_closure(seen, lookups, cap):
+            raise GroupTooLargeError(cap)
+    elements = tuple(Permutation(k) for k in sorted(seen))
     return PermutationGroup(degree, gens, elements)
 
 

@@ -2,9 +2,10 @@
 consistent cycles.
 
 Everything is computed from the full materialized automorphism group;
-s-arc-transitivity is decided by the orbit of a single s-arc under the
-induced coordinatewise action, and s-regularity by filtering the group
-for arc-fixing elements.  The s iteration is capped at 7: the graphs at
+s-arc-transitivity is decided by the size of the orbit of a single s-arc
+under the induced coordinatewise action, |G| over the order of its
+stabilizer, and s-regularity by filtering the group for arc-fixing
+elements.  The s iteration is capped at 7: the graphs at
 desk scale satisfy s <= 5, and cycles (transitive on s-arcs for every s)
 should not loop forever.
 """
@@ -21,7 +22,6 @@ from .perm import (
     Permutation,
     PermutationGroup,
     StabilizerMode,
-    orbit_of,
     orbits,
     stabilizer,
 )
@@ -53,7 +53,11 @@ def _s_arc_transitive(group: PermutationGroup, graph: Graph, s: int) -> bool:
     if total == 0:
         return False
     first = next(iter(s_arcs(graph, s)))
-    return len(orbit_of(group, first, _tuple_image)) == total
+    # |orbit| = |G| / |G_first|: one pass, whatever generators G carries
+    h = first[0]
+    fixing = [p for p in group.elements
+              if p.images[h] == h and _tuple_image(p, first) == first]
+    return group.order == total * len(fixing)
 
 
 def transitivity_profile(graph: Graph) -> TransitivityProfile:
@@ -164,15 +168,18 @@ def edge_orbit_summary(graph: Graph) -> EdgeOrbitSummary:
 @dataclass(frozen=True)
 class StabilizerClass:
     vertex_stabilizer_order: int
-    kind: str  # "not-vertex-transitive" | "grr" | "rigid" | "flexible"
+    kind: str  # "not-vertex-transitive" | "grr" | "rigid" | "arc-regular" | "flexible"
 
 
 def stabilizer_class(graph: Graph) -> StabilizerClass:
     """Vertex-stabilizer order with the order-based class tag.
 
     The tag follows the stabilizer order alone (1 -> grr, 2 -> rigid,
-    >= 4 -> flexible); the edge-orbit count that usually accompanies the
-    trichotomy is reported separately by :func:`transitivity_profile`.
+    3 -> arc-regular, >= 4 -> flexible); the edge-orbit count that
+    usually accompanies the trichotomy is reported separately by
+    :func:`transitivity_profile`.  In a connected cubic vertex-transitive
+    graph order 3 means the graph is 1-arc-regular (|G_v| = 3 * 2^(s-1)
+    with s = 1); F26A is the smallest such graph.
     For a graph that is not vertex-transitive the order recorded is that
     of vertex 0.
     """
@@ -186,12 +193,9 @@ def stabilizer_class(graph: Graph) -> StabilizerClass:
         return StabilizerClass(order0, "grr")
     if order0 == 2:
         return StabilizerClass(order0, "rigid")
-    if order0 >= 4:
-        return StabilizerClass(order0, "flexible")
-    raise ValueError(
-        f"vertex stabilizer order {order0} falls outside the order-1/2/>=4 "
-        "classification"
-    )
+    if order0 == 3:
+        return StabilizerClass(order0, "arc-regular")
+    return StabilizerClass(order0, "flexible")
 
 
 def local_action_order(graph: Graph, v: int) -> int:

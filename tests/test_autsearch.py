@@ -1,10 +1,12 @@
 """Refinement, automorphism search, canonical forms, partial-map extension."""
 
 import random
+import time
 
 import pytest
 
 from cubicsym import (
+    GroupTooLargeError,
     automorphism_group,
     build_graph,
     canonical_form,
@@ -116,6 +118,28 @@ def test_heawood_group_order_336():
     assert group.order == 336 == s_arc_count(g, 4)
 
 
+def test_group_cap_fires_during_closure():
+    # Sym(7) has 5040 elements; the orbit-pruned search finds a few
+    # generators and the closure stops at the cap
+    with pytest.raises(GroupTooLargeError) as excinfo:
+        automorphism_group(build_graph(7, []), cap=1000)
+    assert excinfo.traceback[-1].name == "close_generators"
+
+
+def test_search_finds_few_generators_under_any_labelling(rng):
+    # an equal-code leaf unwinds the search to where its path leaves the
+    # best leaf's, so each relabelling yields a handful of generators
+    # (19 to 70 for these labellings without the unwinding)
+    from cubicsym.autgrp import _search_with_coloring
+
+    g = catalog_graph("tutte_coxeter")
+    for _ in range(10):
+        h = random_relabel(g, rng)
+        res = _search_with_coloring(h, None)
+        assert len(res.generators) <= 8
+        assert automorphism_group(h).order == 1440
+
+
 def test_colored_group_is_subgroup_of_plain_group():
     g = catalog_graph("petersen")
     full = set(p.images for p in automorphism_group(g).elements)
@@ -146,6 +170,15 @@ def test_is_isomorphic_examples():
     assert is_isomorphic(catalog_graph("desargues"), desargues_lcf)
     assert is_isomorphic(desargues_lcf, generalized_petersen(10, 3))
     assert not is_isomorphic(catalog_graph("k33"), build_graph(6, [(i, (i + 1) % 6) for i in range(6)]))
+
+
+def test_canonical_form_of_edgeless_graph_returns_at_once():
+    # an unpruned search visits all 12! leaves here; orbit pruning visits
+    # O(n^2) of them
+    start = time.perf_counter()
+    form = canonical_form(build_graph(12, []))
+    assert form == b"K" + b"?" * 11
+    assert time.perf_counter() - start < 5.0
 
 
 def test_canonical_form_is_a_graph6_string():

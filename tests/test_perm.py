@@ -92,6 +92,14 @@ def test_closure_of_petersen_generators_has_order_120():
     assert regen.elements == group.elements  # deterministic ordering
 
 
+def test_closure_skips_redundant_generators():
+    group = automorphism_group(catalog_graph("petersen"))
+    padded = [Permutation.identity(10)] + list(group.non_identity()) * 2
+    regen = close_generators(padded, degree=10)
+    assert regen.elements == group.elements
+    assert regen.generators == tuple(padded)
+
+
 def test_elements_are_sorted_lexicographically():
     group = automorphism_group(catalog_graph("k33"))
     images = [p.images for p in group.elements]

@@ -9,6 +9,7 @@ from cubicsym import (
     catalog_graph,
     consistent_cycles,
     consistent_girth_cycles,
+    distinguishing_cost,
     edge_orbit_summary,
     enumerate_cubic,
     girth,
@@ -18,7 +19,7 @@ from cubicsym import (
     stabilizer_class,
     transitivity_profile,
 )
-from cubicsym.catalog import icosahedron
+from cubicsym.catalog import _lcf, icosahedron
 
 
 def cycle(n):
@@ -132,6 +133,17 @@ def test_fig5_lambda_not_vertex_transitive_class():
 def test_arc_transitive_graphs_are_flexible_by_order():
     sc = stabilizer_class(catalog_graph("petersen"))
     assert sc.vertex_stabilizer_order == 12 and sc.kind == "flexible"
+
+
+def test_f26a_is_arc_regular_by_order():
+    g = _lcf(26, [-7, 7], 13)  # F26A, the smallest 1-arc-regular cubic graph
+    assert automorphism_group(g).order == 78
+    sc = stabilizer_class(g)
+    assert sc.vertex_stabilizer_order == 3 and sc.kind == "arc-regular"
+    assert girth(g).length == 6
+    assert len(consistent_girth_cycles(g)) == 13
+    cost = distinguishing_cost(g)
+    assert (cost.kind, cost.cost, cost.witness) == ("cost", 2, (0, 2))
 
 
 def test_stabilizer_order_times_n_is_group_order_for_vt():
