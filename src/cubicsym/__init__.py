@@ -6,14 +6,11 @@ isomorph-free enumeration of connected cubic graphs at desk scale.
 """
 
 from .graph import (
-    ArcSeq,
-    CoverageMode,
     CycleSeq,
     Graph,
     GraphConstructionError,
     GirthResult,
     build_graph,
-    cycle_coverage,
     cycles_of_length,
     every_3_arc_in_cycle,
     every_edge_in_cycle,
@@ -35,7 +32,6 @@ from .perm import (
     PermutationGroup,
     StabilizerMode,
     close_generators,
-    compose_apply,
     orbits,
     stabilizer,
 )
@@ -54,7 +50,6 @@ from .symmetry import (
     consistent_cycles,
     consistent_girth_cycles,
     edge_orbit_summary,
-    is_vertex_transitive,
     local_action_order,
     local_fixity_check,
     stabilizer_class,
@@ -91,14 +86,15 @@ from .enumeration import (
     enumerate_cubic,
     enumerate_cubic_bruteforce,
     enumerate_cubic_graph6,
-    filtered_enumeration,
     irreducible_seeds,
 )
 from .claims import (
     CLAIM_IDS,
     ClaimReport,
+    PREDICATES,
     UnknownClaimError,
     brbb_unique_path_property,
+    filtered_enumeration,
     verify_claim,
 )
 

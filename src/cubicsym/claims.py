@@ -1,11 +1,20 @@
 """Mechanical verification of the classification and cost statements over
 the enumerated census.
 
-Each claim tests hypothesis => conclusion for every graph in range and
-reports Pass or a reproducible graph6 counterexample.  Hypothesis
-predicates reuse the exact library operations (girth, coverage,
-consistent cycles, transitivity), so a failure is attributable to a
-single tested primitive.
+Each claim is one row of the table ``CLAIMS``: ordered hypothesis steps,
+the catalog graphs it allows, names or excludes, and one conclusion.
+A single scan tests hypothesis => conclusion for every graph in range
+(the census, or supplied inputs for ``INPUT_CLAIMS``) and reports Pass
+or a reproducible graph6 counterexample.
+
+Hypothesis steps are keys of the predicate registry ``PREDICATES``,
+which ``filtered_enumeration`` (``cubicsym enumerate --predicate``)
+shares.  Predicates test a ``Record``: one graph whose canonical form,
+girth, transitivity profile and distinguishing cost are each computed
+at most once, on demand, by the exact library operations, so a failure
+is attributable to a single tested primitive.  Census strings are
+canonical graph6 already, so a census record never searches for its
+form.
 
 Claim ids:
 
@@ -32,15 +41,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from .autgrp import automorphism_group, canonical_form
 from .catalog import catalog_graph
 from .distinguishing import distinguishing_cost
-from .enumeration import enumerate_cubic
+from .enumeration import enumerate_cubic_graph6
 from .graph import Graph, every_3_arc_in_cycle, every_edge_in_cycle, girth
+from .graph6 import decode_graph6
 from .perm import StabilizerMode, stabilizer
 from .symmetry import (
+    consistent_cycles,
     consistent_girth_cycles,
     edge_orbit_summary,
     transitivity_profile,
@@ -95,243 +108,291 @@ class ClaimReport:
         return "\n".join(lines)
 
 
-def _census(n_max: int, jobs: int):
-    for n in range(4, n_max + 1, 2):
-        yield from enumerate_cubic(n, jobs)
+class Record:
+    """One graph under test: a census graph6 string or a named input.
+
+    Every invariant is computed on first use and kept; the library
+    functions are looked up in this module's namespace at call time.
+    """
+
+    def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
+                 name: Optional[str] = None):
+        if graph is not None:
+            self.graph = graph
+        self.g6 = g6
+        self.name = name
+
+    @cached_property
+    def graph(self) -> Graph:
+        return decode_graph6(self.g6)
+
+    @cached_property
+    def form(self) -> bytes:
+        # census strings are canonical forms already
+        if self.g6 is not None:
+            return self.g6.encode("ascii")
+        return canonical_form(self.graph)
+
+    @cached_property
+    def girth(self) -> Optional[int]:
+        return girth(self.graph).length
+
+    @cached_property
+    def profile(self):
+        return transitivity_profile(self.graph)
+
+    @cached_property
+    def cost(self):
+        return distinguishing_cost(self.graph)
 
 
-def _named_canonical(names: Sequence[str]) -> Dict[str, bytes]:
-    return {name: canonical_form(catalog_graph(name)) for name in names}
+# ---------------------------------------------------------------------------
+# predicate registry
 
 
-def _girth_classification(
-    report: ClaimReport,
-    n_max: int,
-    jobs: int,
-    target_girth: int,
-    allowed: Sequence[str],
-    arc_check: bool = False,
+class Predicate(NamedTuple):
+    rank: int  # cheap tests first in filtered_enumeration
+    metavar: str  # name of the "=value" argument, "" for none
+    test: Callable[[Record, Optional[int]], bool]
+
+
+PREDICATES: Dict[str, Predicate] = {
+    "girth": Predicate(0, "G", lambda r, v: r.girth == v),
+    "cubic-girth": Predicate(0, "G", lambda r, v: (
+        r.graph.is_cubic() and r.graph.is_connected() and r.girth == v)),
+    "every-edge-in-girth-cycle": Predicate(1, "", lambda r, _: (
+        r.girth is not None and every_edge_in_cycle(r.graph, r.girth))),
+    "every-3-arc-in-6-cycle": Predicate(
+        2, "", lambda r, _: every_3_arc_in_cycle(r.graph, 6)),
+    "consistent-girth-cycle": Predicate(
+        3, "", lambda r, _: len(consistent_girth_cycles(r.graph)) > 0),
+    "vertex-transitive": Predicate(4, "", lambda r, _: r.profile.vertex_transitive),
+    "arc-transitive": Predicate(4, "", lambda r, _: r.profile.arc_transitive),
+    "edge-orbits": Predicate(4, "T", lambda r, v: r.profile.edge_orbit_count == v),
+    "s-arc-transitive": Predicate(4, "S", lambda r, v: r.profile.max_s >= v),
+    "s-arc-transitive-of-girth-s+2": Predicate(4, "", lambda r, _: (
+        r.girth is not None and r.girth >= 5 and r.profile.max_s >= r.girth - 2)),
+}
+
+
+def _parse_predicate(spec) -> Tuple[str, Optional[int]]:
+    if isinstance(spec, tuple):
+        name, value = spec
+        name, value = str(name), int(value)
+    elif "=" in str(spec):
+        name, text = str(spec).split("=", 1)
+        name, value = name.strip(), int(text)
+    else:
+        name, value = str(spec).strip(), None
+    if name not in PREDICATES:
+        raise ValueError(f"unknown predicate {name!r}")
+    return name, value
+
+
+def _failed_step(record: Record, steps) -> Optional[int]:
+    """Index of the first step the record fails, None if it passes all."""
+    for i, (name, value) in enumerate(steps):
+        if not PREDICATES[name].test(record, value):
+            return i
+    return None
+
+
+def filtered_enumeration(
+    n: int, predicates: Sequence, jobs: int = 1
+) -> Iterator[Graph]:
+    """Stream of census graphs passing every predicate, cheap tests first.
+
+    Predicates are keys of ``PREDICATES``, with "=value" where the entry
+    has a metavar ("girth=6", "vertex-transitive", "edge-orbits=2"), or
+    (name, value) tuples.
+    """
+    steps = sorted(map(_parse_predicate, predicates),
+                   key=lambda step: PREDICATES[step[0]].rank)
+    for g6 in enumerate_cubic_graph6(n, jobs):
+        record = Record(g6=g6)
+        if _failed_step(record, steps) is None:
+            yield record.graph
+
+
+# ---------------------------------------------------------------------------
+# the claim table
+
+Verdict = Tuple[Optional[str], Optional[str]]  # (failure reason, note)
+
+
+@dataclass(frozen=True)
+class Claim:
+    hypothesis: Tuple[str, ...]  # registry specs, tested in this order
+    # (record, forms of the allowed and named graphs) -> (failure, note)
+    conclusion: Callable[[Record, Dict[str, bytes]], Verdict]
+    allowed: Tuple[str, ...] = ()  # catalog graphs a hit must be one of
+    named: Tuple[str, ...] = ()  # further catalog graphs the conclusion names
+    excluded: Tuple[str, ...] = ()  # catalog graphs left out of the hypothesis
+    # for claims over supplied inputs: the note printed for an input that
+    # fails the step at the same index
+    skip_notes: Tuple[str, ...] = ()
+
+
+def _one_of_allowed(r: Record, forms: Dict[str, bytes]) -> Verdict:
+    if r.form in forms.values():
+        return None, None
+    return f"hypothesis hit is not one of {sorted(forms)}", None
+
+
+def _lem45(r: Record, _forms) -> Verdict:
+    if consistent_girth_cycles(r.graph):
+        return None, None
+    return (f"{r.girth - 2}-arc-transitive, girth {r.girth}, but no "
+            "consistent girth cycle"), None
+
+
+def _lem46(r: Record, _forms) -> Verdict:
+    if consistent_cycles(r.graph, 6):
+        return None, None
+    return "3-arc-transitive of girth 6 without a consistent 6-cycle", None
+
+
+def _cor49(r: Record, forms: Dict[str, bytes]) -> Verdict:
+    s = r.profile.max_s
+    if s > 4:
+        return (f"arc-transitive girth-6 graph is {s}-arc-transitive (> 4)",
+                None)
+    if not r.profile.s_regular_at_max:
+        return ("arc-transitive girth-6 graph is not s-regular at its "
+                f"maximal s = {s}"), None
+    cost = r.cost
+    if s == 2:
+        if cost.is_cost and cost.cost <= 3:
+            return None, None
+        return f"2-arc-regular: cost {cost.cost} not <= 3", None
+    if s == 3 and r.form not in (forms["desargues"], forms["pappus"]):
+        return ("3-arc-regular girth-6 graph is neither the Desargues nor "
+                "the Pappus graph"), None
+    if s == 4 and r.form != forms["heawood"]:
+        return "4-arc-regular girth-6 graph is not the Heawood graph", None
+    expected = {1: 2, 3: 3, 4: 5}[s]
+    if cost.cost != expected:
+        return f"{s}-arc-regular: cost {cost.cost} != {expected}", None
+    return None, None
+
+
+def _cost_text(cost) -> str:
+    return str(cost.cost) if cost.is_cost else cost.kind
+
+
+def _cor410(r: Record, _forms) -> Verdict:
+    if r.cost.is_cost and r.cost.cost <= 4:
+        return None, None
+    return f"arc-transitive non-exception with cost {_cost_text(r.cost)} > 4", None
+
+
+def _thm34(r: Record, _forms) -> Verdict:
+    if r.cost.cost != 2:
+        return f"{r.name}: distinguishing cost {_cost_text(r.cost)} != 2", None
+    if not brbb_unique_path_property(r.graph):
+        return f"{r.name}: BRBB unique-path property failed", None
+    return None, f"{r.name}: cost 2, BRBB uniqueness holds on every matching edge"
+
+
+def _cor33(r: Record, _forms) -> Verdict:
+    group = automorphism_group(r.graph)
+    order = stabilizer(group, 0, StabilizerMode.POINTWISE_VERTEX).order
+    if order not in (1, 2, 4):
+        return f"{r.name}: vertex stabilizer order {order} not in {{1, 2, 4}}", None
+    return None, f"{r.name}: |G_v| = {order}"
+
+
+_NOT_CUBIC_GIRTH_5 = "not a connected cubic girth-5 graph"
+
+CLAIMS: Dict[str, Claim] = {
+    "thm41-g4": Claim(
+        ("girth=4", "every-edge-in-girth-cycle", "consistent-girth-cycle"),
+        _one_of_allowed, allowed=("k33", "cube")),
+    "thm41-g5": Claim(
+        ("girth=5", "every-edge-in-girth-cycle", "consistent-girth-cycle"),
+        _one_of_allowed, allowed=("petersen", "dodecahedron")),
+    "thm44-g6": Claim(
+        ("girth=6", "every-3-arc-in-6-cycle", "consistent-girth-cycle"),
+        _one_of_allowed, allowed=("heawood", "pappus", "desargues")),
+    "lem45": Claim(("s-arc-transitive-of-girth-s+2",), _lem45),
+    "lem46": Claim(("girth=6", "s-arc-transitive=3"), _lem46),
+    "cor49": Claim(("girth=6", "arc-transitive"), _cor49,
+                   named=("desargues", "pappus", "heawood")),
+    "cor410": Claim(("arc-transitive",), _cor410,
+                    excluded=("k4", "k33", "cube", "petersen", "heawood")),
+    "thm34": Claim(
+        ("cubic-girth=5", "vertex-transitive", "edge-orbits=2"), _thm34,
+        skip_notes=(_NOT_CUBIC_GIRTH_5,)
+        + ("not vertex-transitive with two edge orbits",) * 2),
+    "cor33": Claim(
+        ("cubic-girth=5", "vertex-transitive"), _cor33,
+        excluded=("petersen", "dodecahedron"),
+        skip_notes=(_NOT_CUBIC_GIRTH_5, "not vertex-transitive")),
+}
+
+CLAIM_IDS = tuple(sorted(CLAIMS))
+
+# claims that scan supplied inputs instead of the enumerated census
+INPUT_CLAIMS = tuple(key for key, claim in CLAIMS.items() if claim.skip_notes)
+
+
+def _scan(claim: Claim, report: ClaimReport,
+          records: Iterable[Record]) -> ClaimReport:
+    """Test hypothesis => conclusion on every record; stop at a failure."""
+    steps = [_parse_predicate(spec) for spec in claim.hypothesis]
+    forms = {name: canonical_form(catalog_graph(name))
+             for name in claim.allowed + claim.named}
+    excluded = {canonical_form(catalog_graph(name)) for name in claim.excluded}
+    for record in records:
+        report.graphs_scanned += 1
+        failed = _failed_step(record, steps)
+        if failed is not None or record.form in excluded:
+            if claim.skip_notes:
+                why = ("excluded exception" if failed is None
+                       else claim.skip_notes[failed])
+                report.notes.append(f"{record.name}: skipped, {why}")
+            continue
+        report.hypothesis_hits.append(record.form.decode("ascii"))
+        why, note = claim.conclusion(record, forms)
+        if why is not None:
+            report.fail(record.graph, why)
+            return report
+        if note is not None:
+            report.notes.append(note)
+    return report
+
+
+def verify_claim(
+    claim_id: str,
+    n_max: int = 14,
+    jobs: int = 1,
+    inputs: Optional[Sequence[Tuple[str, Graph]]] = None,
 ) -> ClaimReport:
-    allowed_forms = _named_canonical(allowed)
-    oversize = [
-        name
-        for name, form in allowed_forms.items()
-        if catalog_graph(name).n > n_max
-    ]
+    """Scan the census (or the supplied inputs) and test one claim."""
+    key = claim_id.strip().lower()
+    if key not in CLAIMS:
+        raise UnknownClaimError(
+            f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
+        )
+    claim = CLAIMS[key]
+    if key in INPUT_CLAIMS:
+        pairs = inputs or [("truncated_icosahedron",
+                            catalog_graph("truncated_icosahedron"))]
+        orders = [g.n for _, g in pairs]
+        report = ClaimReport(key, (min(orders), max(orders)), 0)
+        return _scan(claim, report, (Record(g, name=name) for name, g in pairs))
+    n_max -= n_max % 2
+    if n_max < 4:
+        raise ValueError("n_max must be at least 4")
+    report = ClaimReport(key, (4, n_max), 0)
+    oversize = [name for name in claim.allowed if catalog_graph(name).n > n_max]
     if oversize:
         report.notes.append(
             "allowed graphs beyond the scanned range: " + ", ".join(oversize)
         )
-    for g in _census(n_max, jobs):
-        report.graphs_scanned += 1
-        res = girth(g)
-        if res.length != target_girth:
-            continue
-        if arc_check:
-            if not every_3_arc_in_cycle(g, 6):
-                continue
-        else:
-            if not every_edge_in_cycle(g, target_girth):
-                continue
-        if not consistent_girth_cycles(g):
-            continue
-        form = canonical_form(g)
-        report.hypothesis_hits.append(form.decode("ascii"))
-        if form not in allowed_forms.values():
-            report.fail(g, f"hypothesis hit is not one of {sorted(allowed)}")
-            return report
-    return report
-
-
-def _verify_thm41_g4(n_max: int, jobs: int, _inputs) -> ClaimReport:
-    report = ClaimReport("thm41-g4", (4, n_max), 0)
-    return _girth_classification(report, n_max, jobs, 4, ["k33", "cube"])
-
-
-def _verify_thm41_g5(n_max: int, jobs: int, _inputs) -> ClaimReport:
-    report = ClaimReport("thm41-g5", (4, n_max), 0)
-    return _girth_classification(
-        report, n_max, jobs, 5, ["petersen", "dodecahedron"]
-    )
-
-
-def _verify_thm44_g6(n_max: int, jobs: int, _inputs) -> ClaimReport:
-    report = ClaimReport("thm44-g6", (4, n_max), 0)
-    return _girth_classification(
-        report, n_max, jobs, 6, ["heawood", "pappus", "desargues"], arc_check=True
-    )
-
-
-def _verify_lem45(n_max: int, jobs: int, _inputs) -> ClaimReport:
-    report = ClaimReport("lem45", (4, n_max), 0)
-    for g in _census(n_max, jobs):
-        report.graphs_scanned += 1
-        res = girth(g)
-        if res.length is None or res.length < 5:
-            continue  # s >= 3 and girth = s + 2
-        s = res.length - 2
-        profile = transitivity_profile(g)
-        if profile.max_s < s:
-            continue
-        report.hypothesis_hits.append(canonical_form(g).decode("ascii"))
-        if not consistent_girth_cycles(g):
-            report.fail(g, f"{s}-arc-transitive, girth {res.length}, but no "
-                           "consistent girth cycle")
-            return report
-    return report
-
-
-def _verify_lem46(n_max: int, jobs: int, _inputs) -> ClaimReport:
-    report = ClaimReport("lem46", (4, n_max), 0)
-    for g in _census(n_max, jobs):
-        report.graphs_scanned += 1
-        if girth(g).length != 6:
-            continue
-        profile = transitivity_profile(g)
-        if profile.max_s < 3:
-            continue
-        report.hypothesis_hits.append(canonical_form(g).decode("ascii"))
-        from .symmetry import consistent_cycles
-
-        if not consistent_cycles(g, 6):
-            report.fail(g, "3-arc-transitive of girth 6 without a consistent "
-                           "6-cycle")
-            return report
-    return report
-
-
-def _verify_cor49(n_max: int, jobs: int, _inputs) -> ClaimReport:
-    report = ClaimReport("cor49", (4, n_max), 0)
-    named = _named_canonical(["desargues", "pappus", "heawood"])
-    for g in _census(n_max, jobs):
-        report.graphs_scanned += 1
-        if girth(g).length != 6:
-            continue
-        profile = transitivity_profile(g)
-        if not profile.arc_transitive:
-            continue
-        form = canonical_form(g)
-        report.hypothesis_hits.append(form.decode("ascii"))
-        if profile.max_s > 4:
-            report.fail(g, f"arc-transitive girth-6 graph is {profile.max_s}-"
-                           "arc-transitive (> 4)")
-            return report
-        if not profile.s_regular_at_max:
-            report.fail(g, "arc-transitive girth-6 graph is not s-regular at "
-                           f"its maximal s = {profile.max_s}")
-            return report
-        s = profile.max_s
-        cost = distinguishing_cost(g)
-        if s == 1 and cost.cost != 2:
-            report.fail(g, f"1-arc-regular: cost {cost.cost} != 2")
-            return report
-        if s == 2 and not (cost.is_cost and cost.cost <= 3):
-            report.fail(g, f"2-arc-regular: cost {cost.cost} not <= 3")
-            return report
-        if s == 3:
-            if form not in (named["desargues"], named["pappus"]):
-                report.fail(g, "3-arc-regular girth-6 graph is neither the "
-                               "Desargues nor the Pappus graph")
-                return report
-            if cost.cost != 3:
-                report.fail(g, f"3-arc-regular: cost {cost.cost} != 3")
-                return report
-        if s == 4:
-            if form != named["heawood"]:
-                report.fail(g, "4-arc-regular girth-6 graph is not the "
-                               "Heawood graph")
-                return report
-            if cost.cost != 5:
-                report.fail(g, f"4-arc-regular: cost {cost.cost} != 5")
-                return report
-    return report
-
-
-def _verify_cor410(n_max: int, jobs: int, _inputs) -> ClaimReport:
-    report = ClaimReport("cor410", (4, n_max), 0)
-    excluded = set(
-        _named_canonical(["k4", "k33", "cube", "petersen", "heawood"]).values()
-    )
-    for g in _census(n_max, jobs):
-        report.graphs_scanned += 1
-        profile = transitivity_profile(g)
-        if not profile.arc_transitive:
-            continue
-        form = canonical_form(g)
-        if form in excluded:
-            continue
-        report.hypothesis_hits.append(form.decode("ascii"))
-        cost = distinguishing_cost(g)
-        if not (cost.is_cost and cost.cost <= 4):
-            report.fail(g, f"arc-transitive non-exception with cost "
-                           f"{cost.cost if cost.is_cost else cost.kind} > 4")
-            return report
-    return report
-
-
-def _default_inputs() -> List[Tuple[str, Graph]]:
-    return [("truncated_icosahedron", catalog_graph("truncated_icosahedron"))]
-
-
-def _verify_thm34(n_max: int, jobs: int, inputs) -> ClaimReport:
-    pairs = inputs if inputs else _default_inputs()
-    lo = min(g.n for _, g in pairs)
-    hi = max(g.n for _, g in pairs)
-    report = ClaimReport("thm34", (lo, hi), 0)
-    for name, g in pairs:
-        report.graphs_scanned += 1
-        if not (g.is_cubic() and g.is_connected() and girth(g).length == 5):
-            report.notes.append(f"{name}: skipped, not a connected cubic "
-                                "girth-5 graph")
-            continue
-        profile = transitivity_profile(g)
-        if not (profile.vertex_transitive and profile.edge_orbit_count == 2):
-            report.notes.append(f"{name}: skipped, not vertex-transitive with "
-                                "two edge orbits")
-            continue
-        report.hypothesis_hits.append(canonical_form(g).decode("ascii"))
-        cost = distinguishing_cost(g)
-        if cost.cost != 2:
-            report.fail(g, f"{name}: distinguishing cost "
-                           f"{cost.cost if cost.is_cost else cost.kind} != 2")
-            return report
-        if not brbb_unique_path_property(g):
-            report.fail(g, f"{name}: BRBB unique-path property failed")
-            return report
-        report.notes.append(f"{name}: cost 2, BRBB uniqueness holds on every "
-                            "matching edge")
-    return report
-
-
-def _verify_cor33(n_max: int, jobs: int, inputs) -> ClaimReport:
-    pairs = inputs if inputs else _default_inputs()
-    lo = min(g.n for _, g in pairs)
-    hi = max(g.n for _, g in pairs)
-    report = ClaimReport("cor33", (lo, hi), 0)
-    skip = set(_named_canonical(["petersen", "dodecahedron"]).values())
-    for name, g in pairs:
-        report.graphs_scanned += 1
-        if not (g.is_cubic() and g.is_connected() and girth(g).length == 5):
-            report.notes.append(f"{name}: skipped, not a connected cubic "
-                                "girth-5 graph")
-            continue
-        form = canonical_form(g)
-        if form in skip:
-            report.notes.append(f"{name}: skipped, excluded exception")
-            continue
-        profile = transitivity_profile(g)
-        if not profile.vertex_transitive:
-            report.notes.append(f"{name}: skipped, not vertex-transitive")
-            continue
-        report.hypothesis_hits.append(form.decode("ascii"))
-        group = automorphism_group(g)
-        order = stabilizer(group, 0, StabilizerMode.POINTWISE_VERTEX).order
-        if order not in (1, 2, 4):
-            report.fail(g, f"{name}: vertex stabilizer order {order} not in "
-                           "{1, 2, 4}")
-            return report
-        report.notes.append(f"{name}: |G_v| = {order}")
-    return report
+    census = (Record(g6=g6) for n in range(4, n_max + 1, 2)
+              for g6 in enumerate_cubic_graph6(n, jobs))
+    return _scan(claim, report, census)
 
 
 def brbb_unique_path_property(graph: Graph) -> bool:
@@ -431,41 +492,3 @@ def _count_brbb_paths(graph: Graph, start: int, end: int, is_red) -> int:
             if is_red(v, w) == pattern[i]:
                 stack.append((w, path + (w,)))
     return count
-
-
-_CLAIMS: Dict[str, Callable] = {
-    "thm41-g4": _verify_thm41_g4,
-    "thm41-g5": _verify_thm41_g5,
-    "thm44-g6": _verify_thm44_g6,
-    "lem45": _verify_lem45,
-    "lem46": _verify_lem46,
-    "cor49": _verify_cor49,
-    "cor410": _verify_cor410,
-    "thm34": _verify_thm34,
-    "cor33": _verify_cor33,
-}
-
-CLAIM_IDS = tuple(sorted(_CLAIMS))
-
-# claims that scan supplied inputs instead of the enumerated census
-INPUT_CLAIMS = ("thm34", "cor33")
-
-
-def verify_claim(
-    claim_id: str,
-    n_max: int = 14,
-    jobs: int = 1,
-    inputs: Optional[Sequence[Tuple[str, Graph]]] = None,
-) -> ClaimReport:
-    """Scan the census (or the supplied inputs) and test one claim."""
-    key = claim_id.strip().lower()
-    if key not in _CLAIMS:
-        raise UnknownClaimError(
-            f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
-        )
-    if key not in INPUT_CLAIMS:
-        if n_max % 2:
-            n_max -= 1
-        if n_max < 4:
-            raise ValueError("n_max must be at least 4")
-    return _CLAIMS[key](n_max, jobs, inputs)

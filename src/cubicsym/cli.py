@@ -16,13 +16,15 @@ from typing import Optional
 
 from .autgrp import automorphism_group, canonical_form
 from .catalog import CatalogError, catalog_build, catalog_names
-from .claims import CLAIM_IDS, UnknownClaimError, verify_claim
-from .distinguishing import SearchBudgetExceeded, distinguishing_cost, distinguishing_number
-from .enumeration import (
-    EnumerationRangeError,
-    enumerate_cubic_graph6,
+from .claims import (
+    CLAIM_IDS,
+    PREDICATES,
+    UnknownClaimError,
     filtered_enumeration,
+    verify_claim,
 )
+from .distinguishing import SearchBudgetExceeded, distinguishing_cost, distinguishing_number
+from .enumeration import EnumerationRangeError, enumerate_cubic_graph6
 from .graph import Graph, girth
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .symmetry import (
@@ -379,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--predicate", action="append", metavar="PRED",
-                   help="filter, e.g. girth=6, vertex-transitive, "
-                        "every-3-arc-in-6-cycle (repeatable)")
+                   help="filter (repeatable), one of: " + ", ".join(
+                       f"{name}={pred.metavar}" if pred.metavar else name
+                       for name, pred in PREDICATES.items()))
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("cost", help="exact distinguishing cost")

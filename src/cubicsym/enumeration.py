@@ -419,70 +419,3 @@ def enumerate_cubic_bruteforce(n: int) -> Tuple[str, ...]:
 
     rec(1, 0, 4)
     return tuple(sorted(out))
-
-
-# ---------------------------------------------------------------------------
-# predicate filtering
-
-_PREDICATE_COSTS = {
-    "girth": 0,
-    "every-edge-in-girth-cycle": 1,
-    "every-3-arc-in-6-cycle": 2,
-    "consistent-girth-cycle": 3,
-    "vertex-transitive": 4,
-    "arc-transitive": 4,
-    "edge-orbits": 4,
-}
-
-
-def _parse_predicate(spec) -> Tuple[str, Optional[int]]:
-    if isinstance(spec, tuple):
-        name, value = spec
-        return str(name), int(value)
-    text = str(spec)
-    if "=" in text:
-        name, value = text.split("=", 1)
-        return name.strip(), int(value)
-    return text.strip(), None
-
-
-def _predicate_holds(graph: Graph, name: str, value: Optional[int]) -> bool:
-    from .graph import every_3_arc_in_cycle, every_edge_in_cycle, girth
-    from .symmetry import consistent_girth_cycles, transitivity_profile
-
-    if name == "girth":
-        res = girth(graph)
-        return res.length == value
-    if name == "every-edge-in-girth-cycle":
-        res = girth(graph)
-        return res.length is not None and every_edge_in_cycle(graph, res.length)
-    if name == "every-3-arc-in-6-cycle":
-        return every_3_arc_in_cycle(graph, 6)
-    if name == "consistent-girth-cycle":
-        return len(consistent_girth_cycles(graph)) > 0
-    if name == "vertex-transitive":
-        return transitivity_profile(graph).vertex_transitive
-    if name == "arc-transitive":
-        return transitivity_profile(graph).arc_transitive
-    if name == "edge-orbits":
-        return transitivity_profile(graph).edge_orbit_count == value
-    raise ValueError(f"unknown predicate {name!r}")
-
-
-def filtered_enumeration(
-    n: int, predicates: Sequence, jobs: int = 1
-) -> Iterator[Graph]:
-    """Stream of census graphs passing every predicate, cheap tests first.
-
-    Predicates: "girth=G", "vertex-transitive", "arc-transitive",
-    "consistent-girth-cycle", "every-edge-in-girth-cycle",
-    "every-3-arc-in-6-cycle", "edge-orbits=T" (or (name, value) tuples).
-    """
-    parsed = [_parse_predicate(p) for p in predicates]
-    for name, _ in parsed:
-        if name not in _PREDICATE_COSTS:
-            raise ValueError(f"unknown predicate {name!r}")
-    parsed.sort(key=lambda nv: _PREDICATE_COSTS[nv[0]])
-    for g in enumerate_cubic(n, jobs):
-        if all(_predicate_holds(g, name, value) for name, value in parsed):
-            yield g

@@ -114,30 +114,6 @@ def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     return Graph(n, [sorted(s) for s in adj])
 
 
-@dataclass(frozen=True)
-class ArcSeq:
-    """An s-arc: vertices x0..xs, consecutive adjacent, no backtracking."""
-
-    vertices: Tuple[int, ...]
-
-    @property
-    def s(self) -> int:
-        return len(self.vertices) - 1
-
-    @staticmethod
-    def from_vertices(graph: Graph, vertices: Sequence[int]) -> "ArcSeq":
-        vs = tuple(vertices)
-        if len(vs) < 2:
-            raise ValueError("an s-arc needs s >= 1")
-        for i in range(len(vs) - 1):
-            if not graph.has_edge(vs[i], vs[i + 1]):
-                raise ValueError(f"non-adjacent step {vs[i]}-{vs[i+1]}")
-        for i in range(len(vs) - 2):
-            if vs[i] == vs[i + 2]:
-                raise ValueError(f"backtracking at position {i}")
-        return ArcSeq(vs)
-
-
 def _canonical_cycle(vertices: Sequence[int]) -> Tuple[int, ...]:
     """Lexicographically least sequence among all rotations and reflections."""
     vs = tuple(vertices)
@@ -372,30 +348,6 @@ def every_3_arc_in_cycle(graph: Graph, length: int) -> bool:
         if arc not in covered:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class CoverageMode:
-    """Cycle-coverage test selector: which objects must lie on L-cycles."""
-
-    kind: str  # "edge" or "3-arc"
-    length: int
-
-    @staticmethod
-    def every_edge_in_cycle(length: int) -> "CoverageMode":
-        return CoverageMode("edge", length)
-
-    @staticmethod
-    def every_3_arc_in_cycle(length: int) -> "CoverageMode":
-        return CoverageMode("3-arc", length)
-
-
-def cycle_coverage(graph: Graph, mode: CoverageMode) -> bool:
-    if mode.kind == "edge":
-        return every_edge_in_cycle(graph, mode.length)
-    if mode.kind == "3-arc":
-        return every_3_arc_in_cycle(graph, mode.length)
-    raise ValueError(f"unknown coverage mode {mode.kind!r}")
 
 
 def bridges(graph: Graph) -> set[Tuple[int, int]]:

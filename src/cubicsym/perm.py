@@ -9,9 +9,10 @@ failure mode is an explicit error, never silent degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graph import Graph, s_arcs
+from .graph import Graph
 
 DEFAULT_GROUP_CAP = 2**20
 
@@ -90,13 +91,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation{self.cycle_notation()}"
-
-
-def compose_apply(p: Permutation, q_or_v):
-    """Compose two permutations, or apply one to a vertex."""
-    if isinstance(q_or_v, Permutation):
-        return p * q_or_v
-    return p.apply(q_or_v)
 
 
 @dataclass(frozen=True)
@@ -188,48 +182,27 @@ def group_from_elements(
 # group actions
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Enum):
     """Selector for the induced action in :func:`orbits`."""
 
-    kind: str  # "vertices" | "edges" | "arcs" | "s-arcs"
-    s: int = 0
-
-    VERTICES: "Action" = None  # type: ignore[assignment]
-    EDGES: "Action" = None  # type: ignore[assignment]
-    ARCS: "Action" = None  # type: ignore[assignment]
-
-    @staticmethod
-    def s_arcs(s: int) -> "Action":
-        return Action("s-arcs", s)
-
-
-Action.VERTICES = Action("vertices")
-Action.EDGES = Action("edges")
-Action.ARCS = Action("arcs")
+    VERTICES = "vertices"
+    EDGES = "edges"
 
 
 def _acted_set(action: Action, host: Graph):
-    if action.kind == "vertices":
+    if action is Action.VERTICES:
         return list(range(host.n))
-    if action.kind == "edges":
-        return list(host.edges())
-    if action.kind == "arcs":
-        return [(u, w) for u in range(host.n) for w in host.adj[u]]
-    if action.kind == "s-arcs":
-        return list(s_arcs(host, action.s))
-    raise ValueError(f"unknown action {action.kind!r}")
+    return list(host.edges())
 
 
 def _image_fn(action: Action) -> Callable[[Permutation, object], object]:
-    if action.kind == "vertices":
+    if action is Action.VERTICES:
         return lambda p, v: p.images[v]
-    if action.kind == "edges":
-        def edge_image(p: Permutation, e):
-            a, b = p.images[e[0]], p.images[e[1]]
-            return (a, b) if a < b else (b, a)
-        return edge_image
-    return lambda p, t: tuple(p.images[v] for v in t)
+
+    def edge_image(p: Permutation, e):
+        a, b = p.images[e[0]], p.images[e[1]]
+        return (a, b) if a < b else (b, a)
+    return edge_image
 
 
 def orbits(group: PermutationGroup, action: Action, host: Graph):
@@ -259,36 +232,14 @@ def orbits(group: PermutationGroup, action: Action, host: Graph):
     return tuple(sorted(blocks, key=lambda b: b[0]))
 
 
-def orbit_of(group: PermutationGroup, start, image) -> set:
-    """Single orbit of ``start`` under the group generators."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for g in group.generators:
-            y = image(g, x)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 # ---------------------------------------------------------------------------
 # stabilizers
 
 
-@dataclass(frozen=True)
-class StabilizerMode:
-    kind: str
-
-    POINTWISE_VERTEX: "StabilizerMode" = None  # type: ignore[assignment]
-    SETWISE_SET: "StabilizerMode" = None  # type: ignore[assignment]
-    POINTWISE_SET: "StabilizerMode" = None  # type: ignore[assignment]
-
-
-StabilizerMode.POINTWISE_VERTEX = StabilizerMode("pointwise-vertex")
-StabilizerMode.SETWISE_SET = StabilizerMode("setwise-set")
-StabilizerMode.POINTWISE_SET = StabilizerMode("pointwise-set")
+class StabilizerMode(Enum):
+    POINTWISE_VERTEX = "pointwise-vertex"
+    SETWISE_SET = "setwise-set"
+    POINTWISE_SET = "pointwise-set"
 
 
 def stabilizer(
@@ -297,17 +248,17 @@ def stabilizer(
     """Exact stabilizer subgroup by exhaustive filter of the element set."""
     if not group.elements:
         raise ValueError("group is not materialized")
-    if mode.kind == "pointwise-vertex":
+    if mode is StabilizerMode.POINTWISE_VERTEX:
         v = int(target)
         if not 0 <= v < group.degree:
             raise ValueError("target vertex outside degree")
         keep = [p for p in group.elements if p.images[v] == v]
-    elif mode.kind == "setwise-set":
+    elif mode is StabilizerMode.SETWISE_SET:
         s = frozenset(target)
         keep = [p for p in group.elements if frozenset(p.images[v] for v in s) == s]
-    elif mode.kind == "pointwise-set":
+    elif mode is StabilizerMode.POINTWISE_SET:
         s = tuple(target)
         keep = [p for p in group.elements if all(p.images[v] == v for v in s)]
     else:
-        raise ValueError(f"unknown stabilizer mode {mode.kind!r}")
+        raise ValueError(f"unknown stabilizer mode {mode!r}")
     return PermutationGroup(group.degree, tuple(keep), tuple(keep))

@@ -252,9 +252,3 @@ def local_fixity_check(graph: Graph, edge: Tuple[int, int]) -> bool:
     fixed = {u, w} | set(graph.adj[u]) | set(graph.adj[w])
     stab = stabilizer(group, sorted(fixed), StabilizerMode.POINTWISE_SET)
     return stab.order == 1
-
-
-def is_vertex_transitive(graph: Graph) -> bool:
-    _require_connected(graph)
-    group = automorphism_group(graph)
-    return len(orbits(group, Action.VERTICES, graph)) <= 1

@@ -3,7 +3,17 @@ the full stated ranges)."""
 
 import pytest
 
-from cubicsym import UnknownClaimError, canonical_form, catalog_graph, verify_claim
+from cubicsym import (
+    CLAIM_IDS,
+    UnknownClaimError,
+    canonical_form,
+    catalog_graph,
+    enumerate_cubic_graph6,
+    filtered_enumeration,
+    verify_claim,
+)
+from cubicsym import claims
+from cubicsym.claims import CLAIMS, INPUT_CLAIMS
 
 
 def forms(*names):
@@ -93,3 +103,35 @@ def test_fail_reports_carry_a_reproducible_witness():
     assert report.verdict == "Fail"
     assert is_isomorphic(decode_graph6(report.counterexample), g)
     assert "counterexample" in report.summary()
+
+
+# ---------------------------------------------------------------------------
+# one predicate registry for the claims and the enumeration filter
+
+@pytest.mark.parametrize(
+    "claim_id", [c for c in CLAIM_IDS if c not in INPUT_CLAIMS]
+)
+def test_census_hits_equal_filtered_enumeration(claim_id):
+    claim = CLAIMS[claim_id]
+    excluded = {canonical_form(catalog_graph(n)) for n in claim.excluded}
+    expected = []
+    for n in range(4, 13, 2):
+        for g in filtered_enumeration(n, claim.hypothesis):
+            form = canonical_form(g)
+            if form not in excluded:
+                expected.append(form.decode("ascii"))
+    assert verify_claim(claim_id, n_max=12).hypothesis_hits == expected
+
+
+def test_filtered_enumeration_profiles_each_graph_once(monkeypatch):
+    calls = []
+    profile = claims.transitivity_profile
+
+    def counting(graph):
+        calls.append(graph)
+        return profile(graph)
+
+    monkeypatch.setattr(claims, "transitivity_profile", counting)
+    hits = list(filtered_enumeration(8, ["vertex-transitive", "edge-orbits=2"]))
+    assert hits
+    assert len(calls) == len(enumerate_cubic_graph6(8))

@@ -2,8 +2,11 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 from cubicsym import catalog_graph, decode_graph6, is_isomorphic
 from cubicsym.cli import main
@@ -207,3 +210,41 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "petersen" in proc.stdout
+
+
+def test_verify_reports_match_golden_bytes(capsys):
+    # recorded before the claims became one table over one record stream
+    with open(os.path.join(GOLDEN, "verify_reports.json")) as fh:
+        entries = json.load(fh)
+    for entry in entries:
+        rc, out, _ = run_cli(entry["argv"], capsys)
+        assert (rc, out) == (entry["exit"], entry["stdout"]), entry["argv"]
+
+
+def _readme_paragraph(start):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    para = text[text.index(start) + len(start):].split("\n\n")[0]
+    first_sentence = re.sub(r"\([^)]*\)", "", para).split(". ")[0]
+    return re.findall(r"`([^`]+)`", first_sentence)
+
+
+def test_readme_lists_the_claim_ids_and_predicates():
+    from cubicsym import CLAIM_IDS, PREDICATES
+
+    assert sorted(_readme_paragraph("Claim ids for `verify`:")) == list(CLAIM_IDS)
+    named = _readme_paragraph("Predicates for `enumerate --predicate`:")
+    assert sorted(p.split("=")[0] for p in named) == sorted(PREDICATES)
+
+
+def test_predicate_help_lists_the_registry(capsys):
+    from cubicsym import PREDICATES
+
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--help"])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0
+    listed = "".join(out.split()).split("oneof:")[1]  # wrapping adds spaces
+    for name in PREDICATES:
+        assert f",{name}" in "," + listed

@@ -5,13 +5,11 @@ import itertools
 import pytest
 
 from cubicsym import (
-    CoverageMode,
     CycleSeq,
     GraphConstructionError,
     build_graph,
     canonical_form,
     catalog_graph,
-    cycle_coverage,
     cycles_of_length,
     every_3_arc_in_cycle,
     every_edge_in_cycle,
@@ -193,21 +191,16 @@ def test_s_arcs_are_valid():
 
 def test_coverage_examples():
     heawood = catalog_graph("heawood")
-    assert cycle_coverage(heawood, CoverageMode.every_3_arc_in_cycle(6))
+    assert every_3_arc_in_cycle(heawood, 6)
     lam = catalog_graph("fig5_lambda")
-    assert cycle_coverage(lam, CoverageMode.every_3_arc_in_cycle(6)) is False
-    assert cycle_coverage(path(7), CoverageMode.every_edge_in_cycle(6)) is False
+    assert every_3_arc_in_cycle(lam, 6) is False
+    assert every_edge_in_cycle(path(7), 6) is False
 
 
 def test_fig5_lambda_coverage_split():
     lam = catalog_graph("fig5_lambda")
     assert every_edge_in_cycle(lam, 6)
     assert not every_3_arc_in_cycle(lam, 6)
-
-
-def test_unknown_coverage_mode_rejected():
-    with pytest.raises(ValueError):
-        cycle_coverage(k4(), CoverageMode("nonsense", 3))
 
 
 # ---------------------------------------------------------------------------
