@@ -30,7 +30,6 @@ from .perm import (
     GroupTooLargeError,
     Permutation,
     PermutationGroup,
-    StabilizerMode,
     close_generators,
     orbits,
     stabilizer,

@@ -22,7 +22,6 @@ by closing them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
@@ -215,14 +214,6 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
     return _SearchResult(tuple(best_code), best_posv, [Permutation(g) for g in gens])
 
 
-def _canonical_graph_from_leaf(graph: Graph, posv: Sequence[int]) -> Graph:
-    n = graph.n
-    label = [0] * n
-    for p, v in enumerate(posv):
-        label[v] = p
-    return graph.relabel(label)
-
-
 def _reduce_generators(
     degree: int, elements: Sequence[Permutation]
 ) -> Tuple[Permutation, ...]:
@@ -253,16 +244,16 @@ def _search_with_coloring(
     return _ir_search(graph, cells)
 
 
-# the last uncolored search, by graph identity: `analyze` and the claims
-# ask for a graph's canonical form and then for its group
-_last_uniform: tuple = (None, None)
+# One memo for the last uncolored graph, by identity: its search and, closed
+# on first request, its group.  `analyze` and the claims ask one graph for
+# its canonical form and then, often more than once, for its group.
+_memo: list = [None, None, None]  # graph, search result, group or None
 
 
-def _uniform_search(graph: Graph) -> _SearchResult:
-    global _last_uniform
-    if _last_uniform[0] is not graph:
-        _last_uniform = (graph, _search_with_coloring(graph, None))
-    return _last_uniform[1]
+def _uniform(graph: Graph) -> list:
+    if _memo[0] is not graph:
+        _memo[:] = [graph, _search_with_coloring(graph, None), None]
+    return _memo
 
 
 def automorphism_group(
@@ -272,14 +263,12 @@ def automorphism_group(
 ) -> PermutationGroup:
     """Full group of adjacency-preserving bijections, optionally required
     to preserve an initial coloring; materialized, deterministic."""
-    if coloring is None:
-        return _aut_group_uniform(graph, cap)
-    return _closed_group(graph.n, _search_with_coloring(graph, coloring), cap)
-
-
-@lru_cache(maxsize=256)
-def _aut_group_uniform(graph: Graph, cap: int) -> PermutationGroup:
-    return _closed_group(graph.n, _uniform_search(graph), cap)
+    if coloring is not None or cap != DEFAULT_GROUP_CAP:
+        return _closed_group(graph.n, _search_with_coloring(graph, coloring), cap)
+    memo = _uniform(graph)
+    if memo[2] is None:
+        memo[2] = _closed_group(graph.n, memo[1])
+    return memo[2]
 
 
 def _closed_group(
@@ -291,13 +280,17 @@ def _closed_group(
     return PermutationGroup(n, _reduce_generators(n, elements), elements)
 
 
+def _labeling(graph: Graph) -> Tuple[int, ...]:
+    """Vertex -> canonical position, from the memoized search."""
+    label = [0] * graph.n
+    for p, v in enumerate(_uniform(graph)[1].position_vertex):
+        label[v] = p
+    return tuple(label)
+
+
 def canonical_form(graph: Graph) -> bytes:
     """Relabeling-invariant byte form: graph6 of the canonical labeling."""
-    if graph.n == 0:
-        return encode_graph6(graph).encode("ascii")
-    res = _uniform_search(graph)
-    canon = _canonical_graph_from_leaf(graph, res.position_vertex)
-    return encode_graph6(canon).encode("ascii")
+    return encode_graph6(graph.relabel(_labeling(graph))).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -308,15 +301,12 @@ class CanonicalData:
 
 
 def canonical_data(graph: Graph) -> CanonicalData:
-    """Group, canonical form, and canonical labeling from a single pass."""
-    res = _uniform_search(graph)
-    group = _closed_group(graph.n, res)
-    canon = _canonical_graph_from_leaf(graph, res.position_vertex)
-    label = [0] * graph.n
-    for p, v in enumerate(res.position_vertex):
-        label[v] = p
+    """Group, canonical form, and canonical labeling from a single search."""
+    label = _labeling(graph)
     return CanonicalData(
-        group, encode_graph6(canon).encode("ascii"), Permutation(tuple(label))
+        automorphism_group(graph),
+        encode_graph6(graph.relabel(label)).encode("ascii"),
+        Permutation(label),
     )
 
 

@@ -48,10 +48,11 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
 from .autgrp import automorphism_group, canonical_form
 from .catalog import catalog_graph
 from .distinguishing import distinguishing_cost
-from .enumeration import enumerate_cubic_graph6
-from .graph import Graph, every_3_arc_in_cycle, every_edge_in_cycle, girth
+from .enumeration import _check_order, enumerate_cubic_graph6
+from .graph import (Graph, edge_components, every_3_arc_in_cycle,
+                    every_edge_in_cycle, girth)
 from .graph6 import decode_graph6
-from .perm import StabilizerMode, stabilizer
+from .perm import stabilizer
 from .symmetry import (
     consistent_cycles,
     consistent_girth_cycles,
@@ -186,6 +187,11 @@ def _parse_predicate(spec) -> Tuple[str, Optional[int]]:
         name, value = str(spec).strip(), None
     if name not in PREDICATES:
         raise ValueError(f"unknown predicate {name!r}")
+    metavar = PREDICATES[name].metavar
+    if metavar and value is None:
+        raise ValueError(f"predicate {name!r} needs a value: {name}={metavar}")
+    if not metavar and value is not None:
+        raise ValueError(f"predicate {name!r} takes no value")
     return name, value
 
 
@@ -295,8 +301,7 @@ def _thm34(r: Record, _forms) -> Verdict:
 
 
 def _cor33(r: Record, _forms) -> Verdict:
-    group = automorphism_group(r.graph)
-    order = stabilizer(group, 0, StabilizerMode.POINTWISE_VERTEX).order
+    order = stabilizer(automorphism_group(r.graph), [0]).order
     if order not in (1, 2, 4):
         return f"{r.name}: vertex stabilizer order {order} not in {{1, 2, 4}}", None
     return None, f"{r.name}: |G_v| = {order}"
@@ -382,8 +387,7 @@ def verify_claim(
         report = ClaimReport(key, (min(orders), max(orders)), 0)
         return _scan(claim, report, (Record(g, name=name) for name, g in pairs))
     n_max -= n_max % 2
-    if n_max < 4:
-        raise ValueError("n_max must be at least 4")
+    _check_order(n_max)  # before any order is generated
     report = ClaimReport(key, (4, n_max), 0)
     oversize = [name for name in claim.allowed if catalog_graph(name).n > n_max]
     if oversize:
@@ -412,28 +416,13 @@ def brbb_unique_path_property(graph: Graph) -> bool:
         return False
     red_set = set(red)
     black = set(black_orbit)
-    # map each vertex to its black cycle (vertex set)
-    cycle_of: Dict[int, frozenset] = {}
+    cycle_of = edge_components(graph.n, black)  # each vertex's black cycle
+    if -1 in cycle_of:  # the black cycles must cover every vertex
+        return False
     incident: Dict[int, List[int]] = {}
     for u, w in black:
         incident.setdefault(u, []).append(w)
         incident.setdefault(w, []).append(u)
-    seen = set()
-    for start in incident:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            seen.add(x)
-            for y in incident[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        fs = frozenset(comp)
-        for x in comp:
-            cycle_of[x] = fs
 
     def edge_color_is_red(a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in red_set
@@ -443,7 +432,7 @@ def brbb_unique_path_property(graph: Graph) -> bool:
         between = [
             (a, b)
             for a, b in graph.edges()
-            if (a in c1 and b in c2) or (a in c2 and b in c1)
+            if (cycle_of[a], cycle_of[b]) in ((c1, c2), (c2, c1))
         ]
         if len(between) != 1:
             return False

@@ -318,7 +318,7 @@ def _cmd_verify(args) -> int:
     try:
         report = verify_claim(args.claim, n_max=args.max_n, jobs=args.jobs,
                               inputs=inputs)
-    except UnknownClaimError as exc:
+    except (UnknownClaimError, EnumerationRangeError) as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     if args.json:
         payload = dict(report.to_dict())

@@ -30,7 +30,7 @@ import itertools
 from multiprocessing import get_context
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .autgrp import canonical_data, canonical_form
+from .autgrp import automorphism_group, canonical_data, canonical_form
 from .graph import Graph, build_graph, bridges
 from .graph6 import decode_graph6
 
@@ -195,7 +195,7 @@ def _edge_pair_reps(graph: Graph) -> List[Tuple[Tuple[int, int], Tuple[int, int]
     """Unordered pairs of distinct edges, one per automorphism orbit."""
     edges = list(graph.edges())
     pairs = list(itertools.combinations(edges, 2))
-    group = canonical_data(graph).group
+    group = automorphism_group(graph)
     if group.order == 1:
         return pairs
     seen: Set[frozenset] = set()

@@ -323,6 +323,29 @@ def s_arc_count(graph: Graph, s: int) -> int:
     return sum(counts.values())
 
 
+def edge_components(n: int, edges: Iterable[Tuple[int, int]]) -> list[int]:
+    """Component index of each vertex in the subgraph spanned by ``edges``,
+    numbered in order of least vertex; -1 where no edge touches the vertex."""
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for u, w in edges:
+        incident[u].append(w)
+        incident[w].append(u)
+    comp = [-1] * n
+    count = 0
+    for v in range(n):
+        if comp[v] >= 0 or not incident[v]:
+            continue
+        comp[v] = count
+        stack = [v]
+        while stack:
+            for y in incident[stack.pop()]:
+                if comp[y] < 0:
+                    comp[y] = count
+                    stack.append(y)
+        count += 1
+    return comp
+
+
 def every_edge_in_cycle(graph: Graph, length: int) -> bool:
     """True iff every edge lies on at least one cycle of the given length."""
     if graph.m == 0:

@@ -109,9 +109,6 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in set(self.elements)
-
     def non_identity(self) -> Tuple[Permutation, ...]:
         return tuple(p for p in self.elements if not p.is_identity())
 
@@ -167,15 +164,6 @@ def close_generators(
             raise GroupTooLargeError(cap)
     elements = tuple(Permutation(k) for k in sorted(seen))
     return PermutationGroup(degree, gens, elements)
-
-
-def group_from_elements(
-    degree: int, elements: Iterable[Permutation]
-) -> PermutationGroup:
-    """Package an already-closed element set (sorted, deduplicated)."""
-    uniq = {p.images: p for p in elements}
-    elems = tuple(uniq[k] for k in sorted(uniq))
-    return PermutationGroup(degree, elems, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +224,14 @@ def orbits(group: PermutationGroup, action: Action, host: Graph):
 # stabilizers
 
 
-class StabilizerMode(Enum):
-    POINTWISE_VERTEX = "pointwise-vertex"
-    SETWISE_SET = "setwise-set"
-    POINTWISE_SET = "pointwise-set"
-
-
-def stabilizer(
-    group: PermutationGroup, target, mode: StabilizerMode
-) -> PermutationGroup:
-    """Exact stabilizer subgroup by exhaustive filter of the element set."""
+def stabilizer(group: PermutationGroup, points: Iterable[int]) -> PermutationGroup:
+    """Pointwise stabilizer of the given vertices, by filtering the element
+    set one point at a time (each pass scans only the survivors)."""
     if not group.elements:
         raise ValueError("group is not materialized")
-    if mode is StabilizerMode.POINTWISE_VERTEX:
-        v = int(target)
+    keep = group.elements
+    for v in points:
         if not 0 <= v < group.degree:
             raise ValueError("target vertex outside degree")
-        keep = [p for p in group.elements if p.images[v] == v]
-    elif mode is StabilizerMode.SETWISE_SET:
-        s = frozenset(target)
-        keep = [p for p in group.elements if frozenset(p.images[v] for v in s) == s]
-    elif mode is StabilizerMode.POINTWISE_SET:
-        s = tuple(target)
-        keep = [p for p in group.elements if all(p.images[v] == v for v in s)]
-    else:
-        raise ValueError(f"unknown stabilizer mode {mode!r}")
-    return PermutationGroup(group.degree, tuple(keep), tuple(keep))
+        keep = tuple(p for p in keep if p.images[v] == v)
+    return PermutationGroup(group.degree, keep, keep)

@@ -1,30 +1,25 @@
 """Transitivity profiles, edge-orbit structure, stabilizers, and
 consistent cycles.
 
-Everything is computed from the full materialized automorphism group;
-s-arc-transitivity is decided by the size of the orbit of a single s-arc
-under the induced coordinatewise action, |G| over the order of its
-stabilizer, and s-regularity by filtering the group for arc-fixing
-elements.  The s iteration is capped at 7: the graphs at
+Everything is computed from the full materialized automorphism group and
+the pointwise stabilizers of its vertex tuples; s-arc-transitivity is
+decided by the size of the orbit of a single s-arc, |G| over the order of
+its stabilizer, and s-regularity at the maximal s by |G| equal to the
+number of s-arcs.  The s iteration is capped at 7: the graphs at
 desk scale satisfy s <= 5, and cycles (transitive on s-arcs for every s)
 should not loop forever.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .autgrp import automorphism_group, extend_partial_map
-from .graph import CycleSeq, Graph, cycles_of_length, girth, s_arc_count, s_arcs
-from .perm import (
-    Action,
-    Permutation,
-    PermutationGroup,
-    StabilizerMode,
-    orbits,
-    stabilizer,
-)
+from .graph import (CycleSeq, Graph, cycles_of_length, edge_components, girth,
+                    s_arc_count, s_arcs)
+from .perm import Action, Permutation, PermutationGroup, orbits, stabilizer
 
 MAX_S = 7
 
@@ -44,20 +39,13 @@ class TransitivityProfile:
     edge_orbit_count: int
 
 
-def _tuple_image(p: Permutation, t):
-    return tuple(p.images[v] for v in t)
-
-
 def _s_arc_transitive(group: PermutationGroup, graph: Graph, s: int) -> bool:
     total = s_arc_count(graph, s)
     if total == 0:
         return False
     first = next(iter(s_arcs(graph, s)))
-    # |orbit| = |G| / |G_first|: one pass, whatever generators G carries
-    h = first[0]
-    fixing = [p for p in group.elements
-              if p.images[h] == h and _tuple_image(p, first) == first]
-    return group.order == total * len(fixing)
+    # |orbit| = |G| / |G_first|, whatever generators G carries
+    return group.order == total * stabilizer(group, first).order
 
 
 def transitivity_profile(graph: Graph) -> TransitivityProfile:
@@ -73,20 +61,14 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
         while s <= MAX_S and _s_arc_transitive(group, graph, s):
             max_s = s
             s += 1
-    at = max_s >= 1
-    s_regular = False
-    if max_s >= 1:
-        arc = next(iter(s_arcs(graph, max_s)))
-        fixing = [
-            p for p in group.elements if _tuple_image(p, arc) == arc
-        ]
-        s_regular = len(fixing) == 1
+    # transitive on max_s-arcs: an arc's stabilizer is trivial exactly
+    # when |G| equals the number of arcs
     return TransitivityProfile(
         vertex_transitive=vt,
         edge_transitive=et,
-        arc_transitive=at,
+        arc_transitive=max_s >= 1,
         max_s=max_s,
-        s_regular_at_max=s_regular,
+        s_regular_at_max=max_s >= 1 and group.order == s_arc_count(graph, max_s),
         edge_orbit_count=len(edge_orbs),
     )
 
@@ -119,24 +101,9 @@ def _tag_orbit(graph: Graph, orbit: Sequence[Tuple[int, int]]) -> EdgeOrbitTag:
     if nonzero and all(d == 1 for d in nonzero) and len(nonzero) == graph.n:
         return EdgeOrbitTag("perfect-matching")
     if nonzero and all(d == 2 for d in nonzero):
-        # trace the cycle lengths
-        incident = {}
-        for u, w in orbit:
-            incident.setdefault(u, []).append(w)
-            incident.setdefault(w, []).append(u)
-        seen = set()
-        lengths: List[int] = []
-        for start in sorted(incident):
-            if start in seen:
-                continue
-            length = 0
-            prev, cur = None, start
-            while cur not in seen:
-                seen.add(cur)
-                length += 1
-                a, b = incident[cur]
-                prev, cur = cur, (b if a == prev else a)
-            lengths.append(length)
+        # each component is a cycle: its length is its vertex count
+        comp = edge_components(graph.n, orbit)
+        lengths = Counter(c for c in comp if c >= 0).values()
         return EdgeOrbitTag("disjoint-cycles", tuple(sorted(lengths)))
     return EdgeOrbitTag("other", tuple(sorted(nonzero)))
 
@@ -185,7 +152,7 @@ def stabilizer_class(graph: Graph) -> StabilizerClass:
     """
     _require_connected(graph)
     group = automorphism_group(graph)
-    order0 = stabilizer(group, 0, StabilizerMode.POINTWISE_VERTEX).order
+    order0 = stabilizer(group, [0]).order
     vt = len(orbits(group, Action.VERTICES, graph)) <= 1
     if not vt:
         return StabilizerClass(order0, "not-vertex-transitive")
@@ -201,14 +168,8 @@ def stabilizer_class(graph: Graph) -> StabilizerClass:
 def local_action_order(graph: Graph, v: int) -> int:
     """Order of the group induced by the vertex stabilizer on N(v)."""
     _require_connected(graph)
-    group = automorphism_group(graph)
-    stab = stabilizer(group, v, StabilizerMode.POINTWISE_VERTEX)
-    kernel = [
-        p
-        for p in stab.elements
-        if all(p.images[w] == w for w in graph.adj[v])
-    ]
-    return stab.order // len(kernel)
+    stab = stabilizer(automorphism_group(graph), [v])
+    return stab.order // stabilizer(stab, graph.adj[v]).order
 
 
 def consistent_cycles(
@@ -248,7 +209,5 @@ def local_fixity_check(graph: Graph, edge: Tuple[int, int]) -> bool:
     u, w = edge
     if not graph.has_edge(u, w):
         raise ValueError(f"({u}, {w}) is not an edge")
-    group = automorphism_group(graph)
     fixed = {u, w} | set(graph.adj[u]) | set(graph.adj[w])
-    stab = stabilizer(group, sorted(fixed), StabilizerMode.POINTWISE_SET)
-    return stab.order == 1
+    return stabilizer(automorphism_group(graph), sorted(fixed)).order == 1

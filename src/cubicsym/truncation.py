@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .graph import Graph, build_graph
+from .graph import Graph, build_graph, edge_components
 from .catalog import RotationSystem
 
 
@@ -158,25 +158,7 @@ def cycle_quotient(graph: Graph, cycle_orbit) -> Graph:
         deg[w] += 1
     if any(d != 2 for d in deg):
         raise QuotientError("edge orbit does not induce disjoint cycles covering V")
-    # trace the cycles to assign component ids, smallest-vertex order
-    comp = [-1] * n
-    ncomp = 0
-    incident: Dict[int, list] = {v: [] for v in range(n)}
-    for u, w in orbit:
-        incident[u].append(w)
-        incident[w].append(u)
-    for v in range(n):
-        if comp[v] >= 0:
-            continue
-        stack = [v]
-        comp[v] = ncomp
-        while stack:
-            x = stack.pop()
-            for y in incident[x]:
-                if comp[y] < 0:
-                    comp[y] = ncomp
-                    stack.append(y)
-        ncomp += 1
+    comp = edge_components(n, orbit)  # quotient vertex ids, smallest-vertex order
     new_edges = set()
     for u, w in graph.edges():
         if (u, w) in orbit:
@@ -188,4 +170,4 @@ def cycle_quotient(graph: Graph, cycle_orbit) -> Graph:
         if key in new_edges:
             raise QuotientError(f"contraction repeats quotient edge {key}")
         new_edges.add(key)
-    return build_graph(ncomp, sorted(new_edges))
+    return build_graph(max(comp, default=-1) + 1, sorted(new_edges))

@@ -33,7 +33,6 @@ from cubicsym import (
     setwise_stabilizer_trivial,
     stabilizer,
     stabilizer_class,
-    StabilizerMode,
     transitivity_profile,
     verify_claim,
 )
@@ -151,7 +150,7 @@ def test_criterion_08_stabilizer_order_checks():
     with _Timer("criterion 8 [stabilizer orders 10 and 2]", 10):
         ico = catalog_graph("icosahedron")
         group = automorphism_group(ico)
-        assert stabilizer(group, 0, StabilizerMode.POINTWISE_VERTEX).order == 10
+        assert stabilizer(group, [0]).order == 10
         assert local_action_order(ico, 0) == 10
         tico = catalog_graph("truncated_icosahedron")
         assert stabilizer_class(tico).vertex_stabilizer_order in (1, 2, 4)
@@ -200,7 +199,7 @@ def test_criterion_11_property_suites():
             g = catalog_graph(name)
             group = automorphism_group(g)
             for block in orbits(group, Action.VERTICES, g):
-                st = stabilizer(group, block[0], StabilizerMode.POINTWISE_VERTEX)
+                st = stabilizer(group, [block[0]])
                 assert len(block) * st.order == group.order
         # colored-aut search vs exhaustive filter on 200 random pairs
         for _ in range(200):

@@ -148,6 +148,47 @@ def test_colored_group_is_subgroup_of_plain_group():
     assert colored.order == 12  # vertex stabilizer
 
 
+def _count_calls(monkeypatch, name):
+    from cubicsym import autgrp
+
+    calls = []
+    original = getattr(autgrp, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(autgrp, name, counted)
+    return calls
+
+
+def test_one_search_and_one_closure_per_uncolored_graph(monkeypatch):
+    g = catalog_graph("petersen")
+    searches = _count_calls(monkeypatch, "_ir_search")
+    closures = _count_calls(monkeypatch, "close_generators")
+    form = canonical_form(g)
+    group = automorphism_group(g)
+    assert automorphism_group(g) is group
+    assert (len(searches), len(closures)) == (1, 1)
+    # a colored call bypasses the memo: it searches and closes once more,
+    # and g keeps its group
+    assert automorphism_group(g, [0] + [1] * 9).order == 12
+    assert (len(searches), len(closures)) == (2, 2)
+    assert automorphism_group(g) is group and canonical_form(g) == form
+    assert (len(searches), len(closures)) == (2, 2)
+
+
+def test_memo_keeps_one_graph(monkeypatch):
+    g, h = catalog_graph("petersen"), catalog_graph("heawood")
+    group = automorphism_group(g)
+    searches = _count_calls(monkeypatch, "_ir_search")
+    assert automorphism_group(h).order == 336
+    # h evicted g: g is searched and closed again, into an equal group
+    again = automorphism_group(g)
+    assert len(searches) == 2
+    assert again is not group and again == group
+
+
 # ---------------------------------------------------------------------------
 # canonical forms
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +120,14 @@ def test_enumerate_odd_order_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("spec", ["vertex-transitive=7", "girth"])
+def test_enumerate_malformed_predicate_exit_2(spec, capsys):
+    # a value on a predicate that takes none, or none on one that needs it
+    rc, out, err = run_cli(["enumerate", "8", "--predicate", spec], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cost_command(capsys):
     rc, out, _ = run_cli(["cost", "--catalog", "pappus", "--json"], capsys)
     assert rc == 0
@@ -176,6 +185,22 @@ def test_verify_thm34_catalog_input(capsys):
 def test_verify_unknown_claim_exit_2(capsys):
     rc, _, err = run_cli(["verify", "nosuch"], capsys)
     assert rc == 2
+
+
+def test_verify_max_n_below_range_exit_2(capsys):
+    rc, out, err = run_cli(["verify", "lem45", "--max-n", "2"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_verify_max_n_above_range_exit_2_before_generating(capsys):
+    start = time.perf_counter()
+    rc, out, err = run_cli(["verify", "lem45", "--max-n", "22"], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_verify_json(capsys):

@@ -101,6 +101,11 @@ def test_truncated_icosahedron_cost_2_and_brbb_witness():
     assert brbb_unique_path_property(g)
 
 
+def test_brbb_false_when_the_black_cycles_miss_a_vertex():
+    # GP(7, 2): the first disjoint-cycles orbit is the outer 7-cycle only
+    assert not brbb_unique_path_property(catalog_graph("gp(7,2)"))
+
+
 def test_budget_exhaustion_reports_progress():
     g = catalog_graph("heawood")
     with pytest.raises(SearchBudgetExceeded) as err:

@@ -17,7 +17,7 @@ from cubicsym import (
     s_arc_count,
     s_arcs,
 )
-from cubicsym.graph import bridges
+from cubicsym.graph import bridges, edge_components
 
 from conftest import random_cubic, random_graph
 
@@ -211,3 +211,10 @@ def test_bridges(rng):
                         (5, 6)])
     assert bridges(g) == {(2, 3), (5, 6)}
     assert bridges(catalog_graph("petersen")) == set()
+
+
+def test_edge_components_numbered_by_least_vertex():
+    # two triangles, 5-1-6 and 2-3-4, and the untouched vertices 0 and 7
+    edges = [(2, 3), (3, 4), (2, 4), (5, 6), (1, 5), (1, 6)]
+    assert edge_components(8, edges) == [-1, 0, 1, 1, 1, 0, 0, -1]
+    assert edge_components(3, []) == [-1, -1, -1]

@@ -18,6 +18,7 @@ from cubicsym import (
     automorphism_group,
     catalog_graph,
     cycles_of_length,
+    decode_graph6,
     encode_graph6,
     enumerate_cubic,
     extend_partial_map,
@@ -164,10 +165,17 @@ def assert_same_witnesses(graph, count: int, monkeypatch) -> None:
     assert pruned == unpruned
 
 
+# an order-10 cubic graph (|Aut| = 6) in a labelling whose search finds
+# automorphisms that do not fix the path of a later node: pruning there
+# with every found automorphism, not only those fixing the path, loses half
+# of the group
+OFF_PATH_G6 = "I?cuDPQX?"
+
+
 def test_census_to_12_matches_unpruned_search(monkeypatch):
     census = [g for n in (4, 6, 8, 10, 12) for g in enumerate_cubic(n)]
     assert len(census) == 112
-    for g in census:
+    for g in census + [decode_graph6(OFF_PATH_G6)]:
         assert_same_search(g)
         assert_same_search(g, tuple(v % 2 for v in range(g.n)))
         assert_same_witnesses(g, 2, monkeypatch)
