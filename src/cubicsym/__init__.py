@@ -9,9 +9,9 @@ from .graph import (
     CycleSeq,
     Graph,
     GraphConstructionError,
-    GirthResult,
     build_graph,
     cycles_of_length,
+    distance_profiles,
     every_3_arc_in_cycle,
     every_edge_in_cycle,
     girth,

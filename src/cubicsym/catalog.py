@@ -86,10 +86,6 @@ def cycle_graph(n: int) -> Graph:
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def edgeless_graph(n: int) -> Graph:
     return build_graph(n, [])
 

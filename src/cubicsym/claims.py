@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
@@ -136,7 +136,7 @@ class Record:
 
     @cached_property
     def girth(self) -> Optional[int]:
-        return girth(self.graph).length
+        return girth(self.graph)
 
     @cached_property
     def profile(self):
@@ -341,13 +341,18 @@ CLAIM_IDS = tuple(sorted(CLAIMS))
 INPUT_CLAIMS = tuple(key for key, claim in CLAIMS.items() if claim.skip_notes)
 
 
+@cache
+def _catalog_form(name: str) -> bytes:
+    """Canonical form of a fixed catalog graph, searched once per process."""
+    return canonical_form(catalog_graph(name))
+
+
 def _scan(claim: Claim, report: ClaimReport,
           records: Iterable[Record]) -> ClaimReport:
     """Test hypothesis => conclusion on every record; stop at a failure."""
     steps = [_parse_predicate(spec) for spec in claim.hypothesis]
-    forms = {name: canonical_form(catalog_graph(name))
-             for name in claim.allowed + claim.named}
-    excluded = {canonical_form(catalog_graph(name)) for name in claim.excluded}
+    forms = {name: _catalog_form(name) for name in claim.allowed + claim.named}
+    excluded = {_catalog_form(name) for name in claim.excluded}
     for record in records:
         report.graphs_scanned += 1
         failed = _failed_step(record, steps)

@@ -108,8 +108,7 @@ def _analysis_report(graph: Graph) -> dict:
         "connected": graph.is_connected(),
         "cubic": graph.is_cubic(),
     }
-    res = girth(graph)
-    report["girth"] = res.length  # null for a forest
+    report["girth"] = girth(graph)  # null for a forest
     group = automorphism_group(graph)
     report["aut_order"] = group.order
     report["aut_generators"] = [p.cycle_notation() for p in group.generators]
@@ -132,7 +131,7 @@ def _analysis_report(graph: Graph) -> dict:
         if summary.findings:
             report["findings"] = list(summary.findings)
         report["consistent_girth_cycles"] = (
-            0 if res.acyclic else len(consistent_girth_cycles(graph))
+            0 if report["girth"] is None else len(consistent_girth_cycles(graph))
         )
     else:
         report["note"] = "symmetry profile requires a connected graph"
@@ -205,8 +204,8 @@ def _cmd_catalog(args) -> int:
                 print(f"{name:24s} {'-':>5s} {'-':>5s} parametric")
                 continue
             g = catalog_build(name).graph
-            res = girth(g)
-            gtext = str(res.length) if res.length is not None else "acyclic"
+            length = girth(g)
+            gtext = "acyclic" if length is None else str(length)
             print(f"{name:24s} {g.n:5d} {g.m:5d} {gtext}")
         return EXIT_OK
     entry = catalog_build(args.name)

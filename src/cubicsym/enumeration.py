@@ -31,8 +31,9 @@ from multiprocessing import get_context
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .autgrp import automorphism_group, canonical_data, canonical_form
-from .graph import Graph, build_graph, bridges
+from .graph import Graph, build_graph, bridges, distance_profiles
 from .graph6 import decode_graph6
+from .perm import Action, orbits
 
 MIN_ORDER = 4
 MAX_ORDER = 20
@@ -116,35 +117,10 @@ def insert_on_edges(
 # ---------------------------------------------------------------------------
 # cheap relabeling-invariant edge score
 
-def _vertex_profiles(graph: Graph) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
-    n = graph.n
-    dists: List[List[int]] = []
-    profiles: List[Tuple[int, ...]] = []
-    for root in range(n):
-        dist = [-1] * n
-        dist[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                dx = dist[x]
-                for y in graph.adj[x]:
-                    if dist[y] < 0:
-                        dist[y] = dx + 1
-                        nxt.append(y)
-            frontier = nxt
-        dists.append(dist)
-        hist: Dict[int, int] = {}
-        for dv in dist:
-            hist[dv] = hist.get(dv, 0) + 1
-        profiles.append(tuple(sorted(hist.items())))
-    return profiles, dists
-
-
 def _edge_scores(
     graph: Graph, edges: Sequence[Tuple[int, int]]
 ) -> Dict[Tuple[int, int], tuple]:
-    profiles, dists = _vertex_profiles(graph)
+    dists, profiles = distance_profiles(graph)
     n = graph.n
     scores = {}
     for u, v in edges:
@@ -183,33 +159,15 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
         x, y = label[e[0]], label[e[1]]
         return (x, y) if x < y else (y, x)
 
-    target = min(image(e) for e in cls)
-    for p in data.group.elements:
-        x, y = p.images[inserted[0]], p.images[inserted[1]]
-        if image((x, y)) == target:
-            return data.canonical_g6.decode("ascii")
-    return None
+    target = min(cls, key=image)
+    block = next(b for b in orbits(data.group, Action.EDGES, child) if target in b)
+    return data.canonical_g6.decode("ascii") if inserted in block else None
 
 
 def _edge_pair_reps(graph: Graph) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
     """Unordered pairs of distinct edges, one per automorphism orbit."""
-    edges = list(graph.edges())
-    pairs = list(itertools.combinations(edges, 2))
     group = automorphism_group(graph)
-    if group.order == 1:
-        return pairs
-    seen: Set[frozenset] = set()
-    reps = []
-    for e1, e2 in pairs:
-        key = frozenset((e1, e2))
-        if key in seen:
-            continue
-        reps.append((e1, e2))
-        for p in group.elements:
-            f1 = tuple(sorted((p.images[e1[0]], p.images[e1[1]])))
-            f2 = tuple(sorted((p.images[e2[0]], p.images[e2[1]])))
-            seen.add(frozenset((f1, f2)))
-    return reps
+    return [b[0] for b in orbits(group, Action.EDGE_PAIRS, graph)]
 
 
 def _expand_parent(parent_g6: str) -> List[str]:

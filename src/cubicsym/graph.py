@@ -165,80 +165,68 @@ class CycleSeq:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class GirthResult:
-    """Shortest cycle length with a witness, or the acyclic sentinel.
-
-    ``length is None`` exactly when the graph is a forest; no magic
-    numbers stand in for "no cycle".
-    """
-
-    length: Optional[int]
-    witness: Optional[CycleSeq]
-
-    @property
-    def acyclic(self) -> bool:
-        return self.length is None
-
-
-def _bfs_distances(graph: Graph, root: int) -> list[int]:
-    dist = [-1] * graph.n
-    dist[root] = 0
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        dv = dist[v]
-        for w in graph.adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                q.append(w)
-    return dist
-
-
-def girth(graph: Graph) -> GirthResult:
-    """Girth via one BFS per root, with a reconstructed witness cycle.
-
-    From each root the first non-tree edge (u, w) gives the candidate
-    length dist(u) + dist(w) + 1; the global minimum over roots is the
-    girth, and at the minimum the two tree paths are internally disjoint,
-    so the witness is a genuine simple cycle.
-    """
+def distance_profiles(
+    graph: Graph,
+) -> Tuple[list[list[int]], list[Tuple[Tuple[int, int], ...]]]:
+    """BFS distances from every root (-1 where unreachable) and, per root,
+    the sorted (distance, count) histogram of its row."""
     n = graph.n
-    best = -1
-    best_data: Optional[Tuple[int, int, int, list[int]]] = None  # root, u, w, parent
+    dists: list[list[int]] = []
+    profiles: list[Tuple[Tuple[int, int], ...]] = []
     for root in range(n):
         dist = [-1] * n
-        parent = [-1] * n
+        dist[root] = 0
+        frontier = [root]
+        hist = [(0, 1)]
+        reached = 1
+        while frontier:
+            nxt = []
+            for x in frontier:
+                dx = dist[x] + 1
+                for y in graph.adj[x]:
+                    if dist[y] < 0:
+                        dist[y] = dx
+                        nxt.append(y)
+            if nxt:
+                hist.append((len(hist), len(nxt)))
+                reached += len(nxt)
+            frontier = nxt
+        if reached < n:
+            hist.insert(0, (-1, n - reached))
+        dists.append(dist)
+        profiles.append(tuple(hist))
+    return dists, profiles
+
+
+def girth(graph: Graph) -> Optional[int]:
+    """Length of a shortest cycle, or None for a forest.
+
+    One BFS per root: an edge from v to an already-reached w with
+    dist(w) >= dist(v) closes a cycle of length at most dist(v) + dist(w)
+    + 1, and the minimum over all roots is the girth.  An edge to a w with
+    dist(w) < dist(v) is either v's tree edge or closes a cycle already
+    counted from w.  A root stops once no shorter cycle can close.
+    """
+    n = graph.n
+    best: Optional[int] = None
+    for root in range(n):
+        dist = [-1] * n
         dist[root] = 0
         q = deque([root])
         while q:
             v = q.popleft()
             dv = dist[v]
-            if best > 0 and 2 * dv + 1 > best:
+            if best is not None and 2 * dv + 1 > best:
                 break
             for w in graph.adj[v]:
                 if dist[w] < 0:
                     dist[w] = dv + 1
-                    parent[w] = v
                     q.append(w)
-                elif w != parent[v]:
+                elif dist[w] >= dv:
                     cand = dv + dist[w] + 1
-                    if best < 0 or cand < best:
+                    if best is None or cand < best:
                         best = cand
-                        best_data = (root, v, w, list(parent))
-    if best_data is None:
-        return GirthResult(None, None)
-    root, u, w, parent = best_data
-    path_u = [u]
-    while path_u[-1] != root:
-        path_u.append(parent[path_u[-1]])
-    path_w = [w]
-    while path_w[-1] != root:
-        path_w.append(parent[path_w[-1]])
-    # root..u followed by w..back toward root, omitting the repeated root
-    cycle = path_u[::-1] + path_w[:-1]
-    assert len(cycle) == best and len(set(cycle)) == best
-    return GirthResult(best, CycleSeq.from_vertices(graph, cycle))
+    return best
 
 
 def cycles_of_length(graph: Graph, length: int) -> Tuple[CycleSeq, ...]:
@@ -254,8 +242,9 @@ def cycles_of_length(graph: Graph, length: int) -> Tuple[CycleSeq, ...]:
     n = graph.n
     found: list[CycleSeq] = []
     adj = graph.adj
+    dists = distance_profiles(graph)[0]
     for root in range(n):
-        dist = _bfs_distances(graph, root)
+        dist = dists[root]
         path = [root]
         on_path = 1 << root
 

@@ -8,6 +8,7 @@ failure mode is an explicit error, never silent degradation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
@@ -175,12 +176,16 @@ class Action(Enum):
 
     VERTICES = "vertices"
     EDGES = "edges"
+    EDGE_PAIRS = "edge pairs"  # unordered pairs of distinct edges
 
 
 def _acted_set(action: Action, host: Graph):
+    """The acted-on points in ascending order."""
     if action is Action.VERTICES:
-        return list(range(host.n))
-    return list(host.edges())
+        return range(host.n)
+    if action is Action.EDGES:
+        return host.edges()
+    return itertools.combinations(host.edges(), 2)
 
 
 def _image_fn(action: Action) -> Callable[[Permutation, object], object]:
@@ -190,34 +195,35 @@ def _image_fn(action: Action) -> Callable[[Permutation, object], object]:
     def edge_image(p: Permutation, e):
         a, b = p.images[e[0]], p.images[e[1]]
         return (a, b) if a < b else (b, a)
-    return edge_image
+    if action is Action.EDGES:
+        return edge_image
+
+    def pair_image(p: Permutation, pair):
+        f, g = edge_image(p, pair[0]), edge_image(p, pair[1])
+        return (f, g) if f < g else (g, f)
+    return pair_image
 
 
 def orbits(group: PermutationGroup, action: Action, host: Graph):
     """Orbit partition of the acted-on set; blocks sorted by least member."""
     if group.degree != host.n:
         raise ValueError("group degree does not match host order")
-    points = _acted_set(action, host)
     img = _image_fn(action)
-    index = {x: i for i, x in enumerate(points)}
-    unassigned = set(range(len(points)))
+    seen: Set[object] = set()
     blocks = []
-    while unassigned:
-        start = min(unassigned)
-        block = {start}
-        stack = [points[start]]
-        unassigned.discard(start)
-        while stack:
-            x = stack.pop()
+    for start in _acted_set(action, host):
+        if start in seen:
+            continue
+        seen.add(start)
+        block = [start]
+        for x in block:  # grows while it is scanned
             for g in group.generators:
                 y = img(g, x)
-                yi = index[y]
-                if yi in unassigned:
-                    unassigned.discard(yi)
-                    block.add(yi)
-                    stack.append(y)
-        blocks.append(tuple(sorted(points[i] for i in block)))
-    return tuple(sorted(blocks, key=lambda b: b[0]))
+                if y not in seen:
+                    seen.add(y)
+                    block.append(y)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

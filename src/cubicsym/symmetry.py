@@ -196,11 +196,8 @@ def consistent_cycles(
 def consistent_girth_cycles(
     graph: Graph,
 ) -> Tuple[Tuple[CycleSeq, Permutation], ...]:
-    res = girth(graph)
-    if res.acyclic:
-        return ()
-    assert res.length is not None
-    return consistent_cycles(graph, res.length)
+    length = girth(graph)
+    return () if length is None else consistent_cycles(graph, length)
 
 
 def local_fixity_check(graph: Graph, edge: Tuple[int, int]) -> bool:

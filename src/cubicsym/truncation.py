@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from .graph import Graph, build_graph, edge_components
 from .catalog import RotationSystem
@@ -37,7 +37,7 @@ class LabelingStrategy:
     rotation: Optional[RotationSystem] = None
     seed: Optional[int] = None
 
-    ADJACENCY: "LabelingStrategy" = None  # type: ignore[assignment]
+    ADJACENCY: ClassVar["LabelingStrategy"]
 
     @staticmethod
     def from_rotation(rotation: RotationSystem) -> "LabelingStrategy":
@@ -131,26 +131,11 @@ def cycle_quotient(graph: Graph, cycle_orbit) -> Graph:
     """Contract each cycle of a disjoint-cycles edge orbit to a vertex.
 
     ``cycle_orbit`` is an edge set whose spanning subgraph is a disjoint
-    union of cycles covering every vertex, or an edge-orbit summary from
-    which the covering disjoint-cycles orbit is taken.  Edges outside the
-    orbit project to the quotient; a projected loop or repeated edge is
-    an error, since the toolkit works with simple graphs only.
+    union of cycles covering every vertex.  Edges outside the orbit
+    project to the quotient; a projected loop or repeated edge is an
+    error, since the toolkit works with simple graphs only.
     """
     n = graph.n
-    if hasattr(cycle_orbit, "orbits") and hasattr(cycle_orbit, "tags"):
-        chosen = None
-        for orb, tag in zip(cycle_orbit.orbits, cycle_orbit.tags):
-            if tag.kind != "disjoint-cycles":
-                continue
-            touched = {v for e in orb for v in e}
-            if len(touched) == n:
-                chosen = orb
-                break
-        if chosen is None:
-            raise QuotientError(
-                "summary has no disjoint-cycles orbit covering every vertex"
-            )
-        cycle_orbit = chosen
     orbit = {tuple(sorted(e)) for e in cycle_orbit}
     deg = [0] * n
     for u, w in orbit:

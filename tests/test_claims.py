@@ -135,3 +135,19 @@ def test_filtered_enumeration_profiles_each_graph_once(monkeypatch):
     hits = list(filtered_enumeration(8, ["vertex-transitive", "edge-orbits=2"]))
     assert hits
     assert len(calls) == len(enumerate_cubic_graph6(8))
+
+
+def test_catalog_forms_are_searched_once_per_process(monkeypatch):
+    from cubicsym import autgrp
+
+    verify_claim("cor49", n_max=4)
+    searches = []
+    search = autgrp._ir_search
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(autgrp, "_ir_search", counting)
+    assert verify_claim("cor49", n_max=4).verdict == "Pass"
+    assert searches == []

@@ -112,7 +112,7 @@ def test_enumerate_with_predicates(capsys):
     for line in out.strip().splitlines():
         from cubicsym import girth
 
-        assert girth(decode_graph6(line)).length == 5
+        assert girth(decode_graph6(line)) == 5
 
 
 def test_enumerate_odd_order_usage_error(capsys):
@@ -246,10 +246,14 @@ def test_verify_reports_match_golden_bytes(capsys):
         assert (rc, out) == (entry["exit"], entry["stdout"]), entry["argv"]
 
 
-def _readme_paragraph(start):
+def _readme_text():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _readme_paragraph(start):
+    text = _readme_text()
     para = text[text.index(start) + len(start):].split("\n\n")[0]
     first_sentence = re.sub(r"\([^)]*\)", "", para).split(". ")[0]
     return re.findall(r"`([^`]+)`", first_sentence)
@@ -261,6 +265,12 @@ def test_readme_lists_the_claim_ids_and_predicates():
     assert sorted(_readme_paragraph("Claim ids for `verify`:")) == list(CLAIM_IDS)
     named = _readme_paragraph("Predicates for `enumerate --predicate`:")
     assert sorted(p.split("=")[0] for p in named) == sorted(PREDICATES)
+
+
+def test_readme_library_tour_runs():
+    tour = _readme_text().split("## Library tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_predicate_help_lists_the_registry(capsys):

@@ -10,7 +10,10 @@ from cubicsym import (
     build_graph,
     canonical_form,
     catalog_graph,
+    catalog_names,
     cycles_of_length,
+    distance_profiles,
+    enumerate_cubic,
     every_3_arc_in_cycle,
     every_edge_in_cycle,
     girth,
@@ -40,7 +43,7 @@ def cycle(n):
 def test_single_vertex_graph_is_acyclic():
     g = build_graph(1, [])
     assert g.n == 1 and g.m == 0
-    assert girth(g).acyclic
+    assert girth(g) is None
 
 
 def test_k4_all_degrees_three():
@@ -82,29 +85,38 @@ def test_adjacency_is_sorted_and_symmetric(rng):
 # girth
 
 def test_girth_examples():
-    assert girth(catalog_graph("petersen")).length == 5
-    assert girth(catalog_graph("heawood")).length == 6
-    assert girth(path(5)).acyclic
-
-
-def test_girth_witness_is_a_shortest_cycle():
-    for name in ("k4", "k33", "petersen", "heawood", "fig5_lambda"):
-        res = girth(catalog_graph(name))
-        assert res.witness is not None
-        assert res.witness.length == res.length
+    assert girth(catalog_graph("petersen")) == 5
+    assert girth(catalog_graph("heawood")) == 6
+    assert girth(path(5)) is None
 
 
 def test_girth_agrees_with_cycle_enumeration(rng):
-    for _ in range(30):
-        g = random_graph(10, 0.25, rng)
-        res = girth(g)
-        if res.acyclic:
-            for length in range(3, 11):
-                assert not cycles_of_length(g, length)
+    graphs = [random_graph(10, 0.25, rng) for _ in range(30)]
+    graphs += [g for n in range(4, 11, 2) for g in enumerate_cubic(n)]
+    graphs += [catalog_graph(name) for name in catalog_names()
+               if not name.endswith("(...)")]
+    for g in graphs:
+        length = girth(g)
+        if length is None:
+            for size in range(3, g.n + 1):
+                assert not cycles_of_length(g, size)
         else:
-            assert cycles_of_length(g, res.length)
-            for length in range(3, res.length):
-                assert not cycles_of_length(g, length)
+            assert cycles_of_length(g, length)
+            for shorter in range(3, length):
+                assert not cycles_of_length(g, shorter)
+
+
+def test_distance_profiles_histogram_counts_each_row(rng):
+    graphs = [random_graph(9, 0.2, rng) for _ in range(20)] + [path(5)]
+    for g in graphs:
+        dists, profiles = distance_profiles(g)
+        for v in range(g.n):
+            assert dists[v][v] == 0
+            counts = {}
+            for d in dists[v]:
+                counts[d] = counts.get(d, 0) + 1
+            assert profiles[v] == tuple(sorted(counts.items()))
+    assert distance_profiles(path(5))[0][1] == [1, 0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +158,7 @@ def test_cycles_against_brute_force_random(rng):
 def test_no_duplicate_cycles_up_to_rotation_reflection():
     for name in ("petersen", "heawood", "pappus"):
         g = catalog_graph(name)
-        seqs = cycles_of_length(g, girth(g).length)
+        seqs = cycles_of_length(g, girth(g))
         # canonical representatives are unique per cycle
         assert len(seqs) == len(set(seqs))
         for c in seqs:

@@ -1,5 +1,7 @@
 """Permutations, group closure, orbits, and stabilizers."""
 
+import itertools
+
 import pytest
 
 from cubicsym import (
@@ -8,7 +10,9 @@ from cubicsym import (
     Permutation,
     automorphism_group,
     catalog_graph,
+    catalog_names,
     close_generators,
+    enumerate_cubic,
     orbits,
     stabilizer,
 )
@@ -135,6 +139,34 @@ def test_orbit_blocks_are_a_partition_closed_under_generators(rng):
         s = set(block)
         for gen in group.generators:
             assert {gen.images[v] for v in s} == s
+
+
+def _edge_pair_reps_by_elements(graph, group):
+    """Reference: the least pair of each orbit, found by applying every
+    group element to each new representative."""
+    seen = set()
+    reps = []
+    for e1, e2 in itertools.combinations(graph.edges(), 2):
+        if frozenset((e1, e2)) in seen:
+            continue
+        reps.append((e1, e2))
+        for p in group.elements:
+            f1 = tuple(sorted((p.images[e1[0]], p.images[e1[1]])))
+            f2 = tuple(sorted((p.images[e2[0]], p.images[e2[1]])))
+            seen.add(frozenset((f1, f2)))
+    return reps
+
+
+def test_edge_pair_orbits_match_the_element_walk():
+    graphs = [g for n in range(4, 11, 2) for g in enumerate_cubic(n)]
+    graphs += [catalog_graph(name) for name in catalog_names()
+               if not name.endswith("(...)")]
+    for g in graphs:
+        group = automorphism_group(g)
+        blocks = orbits(group, Action.EDGE_PAIRS, g)
+        pairs = list(itertools.combinations(g.edges(), 2))
+        assert sorted(p for b in blocks for p in b) == pairs
+        assert [b[0] for b in blocks] == _edge_pair_reps_by_elements(g, group)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def partial_maps(graph, count: int) -> List[Dict[int, int]]:
     """Single-vertex maps from vertex 0 and one-step rotations of the
     first few girth cycles: the maps the consistent-cycle code asks for."""
     maps = [{0: v} for v in range(min(graph.n, count))]
-    length = girth(graph).length
+    length = girth(graph)
     for cyc in cycles_of_length(graph, length)[:count]:
         vs = cyc.vertices
         maps.append({vs[i]: vs[(i + 1) % len(vs)] for i in range(len(vs))})

@@ -140,7 +140,7 @@ def test_f26a_is_arc_regular_by_order():
     assert automorphism_group(g).order == 78
     sc = stabilizer_class(g)
     assert sc.vertex_stabilizer_order == 3 and sc.kind == "arc-regular"
-    assert girth(g).length == 6
+    assert girth(g) == 6
     assert len(consistent_girth_cycles(g)) == 13
     cost = distinguishing_cost(g)
     assert (cost.kind, cost.cost, cost.witness) == ("cost", 2, (0, 2))
