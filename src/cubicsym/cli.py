@@ -408,6 +408,8 @@ def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise _CliError(f"--jobs must be at least 1, got {args.jobs}", EXIT_USAGE)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

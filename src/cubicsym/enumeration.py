@@ -8,9 +8,15 @@ connected simple cubic graph again) iff it is not a bridge, neither
 endpoint lies in a triangle avoiding the other, and the endpoints do not
 share both remaining neighbors.  A child produced by inserting edge uv is
 accepted only when uv lies in the canonical reducible-edge orbit of the
-child (argmin of a cheap relabeling-invariant edge score, ties broken by
-canonical labeling and automorphism orbits), so every isomorphism class
-with a reducible edge is produced exactly once from its canonical parent.
+child, so every isomorphism class with a reducible edge is produced
+exactly once from its canonical parent.  The canonical orbit is the
+argmin of a relabeling-invariant edge score in two stages, compared
+lexicographically: first the numbers of 3-, 4- and 5-cycles through the
+edge (more first), read off neighbour bitmasks; then BFS distance
+profiles of the endpoints.  Ties are broken by canonical labeling and
+automorphism orbits.  Most children lose at stage 1 to an edge on more
+short cycles, which is never a bridge, so they are rejected before any
+BFS or bridge search.
 
 Graphs with no reducible edge cannot be reached that way and are seeded
 directly.  They have a rigid shape: every triangle sits inside a diamond
@@ -27,8 +33,9 @@ oracle at small orders and against the published census counts.
 from __future__ import annotations
 
 import itertools
+import os
 from multiprocessing import get_context
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .autgrp import automorphism_group, canonical_data, canonical_form
 from .graph import Graph, build_graph, bridges, distance_profiles
@@ -62,21 +69,28 @@ def _check_order(n: int) -> None:
 # ---------------------------------------------------------------------------
 # edge reduction / insertion
 
+def _is_reducible(
+    graph: Graph, edge: Tuple[int, int], bridge_set: Collection[Tuple[int, int]]
+) -> bool:
+    """True iff contracting the edge yields a connected simple cubic graph.
+
+    ``bridge_set`` holds the graph's bridges; it may be left empty for an
+    edge known to lie on a cycle, which is never a bridge.
+    """
+    if edge in bridge_set:
+        return False
+    u, v = edge
+    a, b = (x for x in graph.adj[u] if x != v)
+    c, d = (x for x in graph.adj[v] if x != u)
+    if graph.has_edge(a, b) or graph.has_edge(c, d):
+        return False  # a triangle at one endpoint avoiding the other
+    return {a, b} != {c, d}  # else both new edges would coincide
+
+
 def reducible_edges(graph: Graph) -> List[Tuple[int, int]]:
     """Edges whose contraction yields a connected simple cubic graph."""
     bridge_set = bridges(graph)
-    out = []
-    for u, v in graph.edges():
-        if (u, v) in bridge_set:
-            continue
-        a, b = (x for x in graph.adj[u] if x != v)
-        c, d = (x for x in graph.adj[v] if x != u)
-        if graph.has_edge(a, b) or graph.has_edge(c, d):
-            continue  # a triangle at one endpoint avoiding the other
-        if {a, b} == {c, d}:
-            continue  # both new edges would coincide
-        out.append((u, v))
-    return out
+    return [e for e in graph.edges() if _is_reducible(graph, e, bridge_set)]
 
 
 def reduce_edge(graph: Graph, edge: Tuple[int, int]) -> Graph:
@@ -115,20 +129,51 @@ def insert_on_edges(
 
 
 # ---------------------------------------------------------------------------
-# cheap relabeling-invariant edge score
+# relabeling-invariant edge score, in two stages
+
+_NO_SHORT_CYCLE = (0, 0, 0)
+
+
+def _short_cycle_key(graph: Graph, u: int, v: int) -> Tuple[int, int, int]:
+    """Stage 1: the negated numbers of 3-, 4- and 5-cycles through the
+    edge uv, so that edges on more short cycles sort first.
+
+    With x a neighbour of v and y a neighbour of u off the edge, the
+    cycles are u-v-x-u (x = y), u-v-x-y-u (x ~ y) and u-v-x-z-y-u (z a
+    common neighbour of x and y other than u and v), each counted once.
+    """
+    bits = graph.adj_bits
+    out_u = bits[u] & ~(1 << v)
+    out_v = bits[v] & ~(1 << u)
+    off_edge = ~((1 << u) | (1 << v))
+    c4 = c5 = 0
+    for x in graph.adj[v]:
+        if x == u:
+            continue
+        bx = bits[x]
+        c4 += (bx & out_u).bit_count()
+        for y in graph.adj[u]:
+            if y != v and y != x:
+                c5 += (bx & bits[y] & off_edge).bit_count()
+    return (-(out_u & out_v).bit_count(), -c4, -c5)
+
 
 def _edge_scores(
     graph: Graph, edges: Sequence[Tuple[int, int]]
 ) -> Dict[Tuple[int, int], tuple]:
+    """Stage 2: BFS distance sums and vertex profiles of the endpoints.
+
+    It only ranks edges tied at stage 1, which share their number of
+    common neighbours (triangles), so that count is not repeated here.
+    """
     dists, profiles = distance_profiles(graph)
     n = graph.n
     scores = {}
     for u, v in edges:
         du, dv = dists[u], dists[v]
         joint = sorted(du[w] + dv[w] for w in range(n))
-        common = (graph.adj_bits[u] & graph.adj_bits[v]).bit_count()
         pair = sorted((profiles[u], profiles[v]))
-        scores[(u, v)] = (tuple(joint), common, pair[0], pair[1])
+        scores[(u, v)] = (tuple(joint), pair[0], pair[1])
     return scores
 
 
@@ -139,18 +184,37 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
     """Canonical graph6 of the child if the inserted edge sits in the
     canonical reduction orbit, else None.
 
-    The canonical reduction edge minimizes (cheap score, canonical image);
-    the score is relabeling-invariant, so when the argmin score class is a
-    single edge no canonical labeling is needed at all, which is the
-    common case and keeps rejected children cheap.
+    The canonical reduction edge minimizes (short-cycle key, BFS score,
+    canonical image) over the reducible edges; the inserted edge is
+    always reducible (its contraction gives back the parent).  An edge
+    whose key beats the inserted edge's lies on a short cycle, so it is
+    no bridge, and the first reducible one rejects the child.  The bridge
+    DFS runs only for a tie on no short cycle, and the BFS score only
+    ranks the reducible edges tied with the inserted edge at stage 1.
     """
-    red = reducible_edges(child)
-    scores = _edge_scores(child, red)
-    best = min(scores.values())
-    cls = [e for e in red if scores[e] == best]
-    if inserted not in cls:
-        return None
-    if len(cls) == 1:
+    key = _short_cycle_key(child, *inserted)
+    bridge_set: Optional[Set[Tuple[int, int]]] = None
+    tied = [inserted]
+    for e in child.edges():
+        if e == inserted:
+            continue
+        other = _short_cycle_key(child, *e)
+        if other > key:
+            continue
+        if other == _NO_SHORT_CYCLE and bridge_set is None:
+            bridge_set = bridges(child)  # a tie on no short cycle
+        if not _is_reducible(child, e, bridge_set or ()):
+            continue
+        if other < key:
+            return None
+        tied.append(e)
+    if len(tied) > 1:
+        scores = _edge_scores(child, tied)
+        best = min(scores.values())
+        if scores[inserted] != best:
+            return None
+        tied = [e for e in tied if scores[e] == best]
+    if len(tied) == 1:
         return canonical_form(child).decode("ascii")
     data = canonical_data(child)
     label = data.labeling.images
@@ -159,7 +223,7 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
         x, y = label[e[0]], label[e[1]]
         return (x, y) if x < y else (y, x)
 
-    target = min(cls, key=image)
+    target = min(tied, key=image)
     block = next(b for b in orbits(data.group, Action.EDGES, child) if target in b)
     return data.canonical_g6.decode("ascii") if inserted in block else None
 
@@ -278,10 +342,11 @@ def _build_level(n: int, jobs: int) -> Tuple[str, ...]:
         k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
         return (canonical_form(k4).decode("ascii"),)
     parents = _level(n - 2, jobs)
-    if jobs > 1 and len(parents) > 1:
+    workers = min(jobs, len(parents), os.cpu_count() or 1)
+    if workers > 1:
         ctx = get_context("fork")
-        chunk = max(1, len(parents) // (jobs * 8))
-        with ctx.Pool(jobs) as pool:
+        chunk = max(1, len(parents) // (workers * 8))
+        with ctx.Pool(workers) as pool:
             results = pool.map(_expand_parent, parents, chunksize=chunk)
     else:
         results = [_expand_parent(p) for p in parents]
@@ -305,7 +370,8 @@ def _level(n: int, jobs: int) -> Tuple[str, ...]:
 def enumerate_cubic_graph6(n: int, jobs: int = 1) -> Tuple[str, ...]:
     """Canonical graph6 strings of all connected cubic graphs of order n,
     exactly one per isomorphism class, sorted (hence deterministic and
-    independent of the worker count)."""
+    independent of the worker count).  Each level forks at most
+    min(jobs, parents, cores) workers."""
     _check_order(n)
     return _level(n, jobs)
 

@@ -203,6 +203,15 @@ def test_verify_max_n_above_range_exit_2_before_generating(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", [["enumerate", "8"], ["verify", "lem45"]])
+def test_jobs_below_one_exit_2(command, jobs, capsys):
+    rc, out, err = run_cli(command + ["--jobs", jobs], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_verify_json(capsys):
     rc, out, _ = run_cli(
         ["verify", "thm41-g4", "--max-n", "10", "--json"], capsys

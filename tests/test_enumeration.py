@@ -1,5 +1,7 @@
 """Isomorph-free generation: counts, seeds, determinism, filtering."""
 
+import hashlib
+
 import pytest
 
 from cubicsym import (
@@ -7,6 +9,7 @@ from cubicsym import (
     KNOWN_COUNTS,
     canonical_form,
     catalog_graph,
+    cycles_of_length,
     decode_graph6,
     enumerate_cubic,
     enumerate_cubic_bruteforce,
@@ -15,7 +18,15 @@ from cubicsym import (
     irreducible_seeds,
     is_isomorphic,
 )
+from cubicsym import enumeration
+from cubicsym.autgrp import canonical_data
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
+from cubicsym.perm import Action, orbits
+
+from conftest import random_cubic
+
+# sha256 of the sorted census strings for n = 4..14, each followed by "\n"
+CENSUS_14_SHA256 = "b68745dbc048cffd55c6f9b50e939ae1a4b5e5ca78b48ad228dd046eb93095b5"
 
 
 def test_counts_match_bruteforce_oracle():
@@ -32,6 +43,12 @@ def test_count_at_12_matches_published_census():
 
 def test_count_at_14_matches_published_census():
     assert len(enumerate_cubic_graph6(14)) == KNOWN_COUNTS[14]
+
+
+def test_census_to_14_is_byte_identical():
+    strings = sorted(g6 for n in range(4, 15, 2) for g6 in enumerate_cubic_graph6(n))
+    text = "".join(g6 + "\n" for g6 in strings)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == CENSUS_14_SHA256
 
 
 def test_streams_are_connected_cubic_and_canonical():
@@ -55,6 +72,39 @@ def test_determinism_and_jobs_invariance():
     _LEVEL_CACHE.clear()
     b = enumerate_cubic_graph6(10, jobs=2)
     assert a == b
+
+
+class _SerialContext:
+    """Stands in for the fork context: records each pool size and maps
+    in-process, so no worker is ever started."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items, chunksize=1):
+        assert chunksize >= 1
+        return [func(x) for x in items]
+
+
+def test_pool_size_is_bounded_by_parents_and_cores(monkeypatch):
+    expected = enumerate_cubic_graph6(10)
+    ctx = _SerialContext()
+    monkeypatch.setattr(enumeration, "get_context", lambda method: ctx)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    assert enumerate_cubic_graph6(10, jobs=10**6) == expected
+    # one parent at n = 6 runs serially; 2 parents at n = 8, 5 at n = 10
+    assert ctx.sizes == [2, 4]
 
 
 def test_range_errors():
@@ -83,6 +133,53 @@ def test_insert_then_reduce_round_trip():
 def test_reducible_edges_of_petersen_all():
     g = catalog_graph("petersen")
     assert len(reducible_edges(g)) == 15  # triangle-free, 3-connected
+
+
+def _brute_short_cycle_key(g, edge):
+    return tuple(
+        -sum(edge in c.edges() for c in cycles_of_length(g, length))
+        for length in (3, 4, 5)
+    )
+
+
+def test_short_cycle_key_matches_brute_force(rng):
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
+    graphs += [random_cubic(n, rng) for n in (8, 12, 16, 20) for _ in range(3)]
+    for g in graphs:
+        for u, v in g.edges():
+            key = enumeration._short_cycle_key(g, u, v)
+            assert key == _brute_short_cycle_key(g, (u, v))
+            assert key == enumeration._short_cycle_key(g, v, u)
+
+
+def _reference_accept(child, inserted):
+    """The acceptance rule spelled out: score every reducible edge by
+    (short-cycle key, BFS score), break ties by canonical image, accept
+    iff the inserted edge shares an automorphism orbit with the winner."""
+    red = reducible_edges(child)
+    bfs = enumeration._edge_scores(child, red)
+    score = {e: (enumeration._short_cycle_key(child, *e), bfs[e]) for e in red}
+    best = min(score.values())
+    data = canonical_data(child)
+    label = data.labeling.images
+    target = min(
+        (e for e in red if score[e] == best),
+        key=lambda e: tuple(sorted((label[e[0]], label[e[1]]))),
+    )
+    for block in orbits(data.group, Action.EDGES, child):
+        if target in block:
+            return data.canonical_g6.decode("ascii") if inserted in block else None
+
+
+def test_accept_child_matches_reference_rule():
+    for n in (4, 6, 8, 10):
+        for parent in enumerate_cubic(n):
+            for e1, e2 in enumeration._edge_pair_reps(parent):
+                child = insert_on_edges(parent, e1, e2)
+                inserted = (child.n - 2, child.n - 1)
+                assert enumeration._accept_child(child, inserted) == (
+                    _reference_accept(child, inserted)
+                )
 
 
 def test_reduction_yields_connected_cubic(rng):
