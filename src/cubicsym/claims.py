@@ -16,6 +16,13 @@ is attributable to a single tested primitive.  Census strings are
 canonical graph6 already, so a census record never searches for its
 form.
 
+A record also caches one necessary condition for vertex-transitivity:
+every vertex has the same BFS distance histogram.  The predicates whose
+truth implies vertex-transitivity (``vertex-transitive``,
+``arc-transitive``, ``s-arc-transitive=S`` for S >= 1 and
+``s-arc-transitive-of-girth-s+2``) test it first and build the group
+only when it holds, so most census graphs never reach the group.
+
 Claim ids:
 
 * thm41-g4   girth-4 graphs with a consistent girth cycle and every edge
@@ -49,8 +56,8 @@ from .autgrp import automorphism_group, canonical_form
 from .catalog import catalog_graph
 from .distinguishing import distinguishing_cost
 from .enumeration import _check_order, enumerate_cubic_graph6
-from .graph import (Graph, edge_components, every_3_arc_in_cycle,
-                    every_edge_in_cycle, girth)
+from .graph import (Graph, distance_profiles, edge_components,
+                    every_3_arc_in_cycle, every_edge_in_cycle, girth)
 from .graph6 import decode_graph6
 from .perm import stabilizer
 from .symmetry import (
@@ -114,6 +121,9 @@ class Record:
 
     Every invariant is computed on first use and kept; the library
     functions are looked up in this module's namespace at call time.
+    ``histograms_agree`` is the cheap necessary condition for
+    vertex-transitivity that the transitivity predicates test before
+    ``profile``, which builds the automorphism group.
     """
 
     def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
@@ -137,6 +147,12 @@ class Record:
     @cached_property
     def girth(self) -> Optional[int]:
         return girth(self.graph)
+
+    @cached_property
+    def histograms_agree(self) -> bool:
+        # an automorphism preserves distances, so a vertex-transitive graph
+        # has one BFS distance histogram at every vertex
+        return len(set(distance_profiles(self.graph)[1])) <= 1
 
     @cached_property
     def profile(self):
@@ -167,12 +183,18 @@ PREDICATES: Dict[str, Predicate] = {
         2, "", lambda r, _: every_3_arc_in_cycle(r.graph, 6)),
     "consistent-girth-cycle": Predicate(
         3, "", lambda r, _: len(consistent_girth_cycles(r.graph)) > 0),
-    "vertex-transitive": Predicate(4, "", lambda r, _: r.profile.vertex_transitive),
-    "arc-transitive": Predicate(4, "", lambda r, _: r.profile.arc_transitive),
+    # on a connected graph, s-arc-transitivity with s >= 1 implies
+    # vertex-transitivity, so these entries may test the histograms first
+    "vertex-transitive": Predicate(4, "", lambda r, _: (
+        r.histograms_agree and r.profile.vertex_transitive)),
+    "arc-transitive": Predicate(4, "", lambda r, _: (
+        r.histograms_agree and r.profile.arc_transitive)),
     "edge-orbits": Predicate(4, "T", lambda r, v: r.profile.edge_orbit_count == v),
-    "s-arc-transitive": Predicate(4, "S", lambda r, v: r.profile.max_s >= v),
+    "s-arc-transitive": Predicate(4, "S", lambda r, v: (
+        (v < 1 or r.histograms_agree) and r.profile.max_s >= v)),
     "s-arc-transitive-of-girth-s+2": Predicate(4, "", lambda r, _: (
-        r.girth is not None and r.girth >= 5 and r.profile.max_s >= r.girth - 2)),
+        r.girth is not None and r.girth >= 5 and r.histograms_agree
+        and r.profile.max_s >= r.girth - 2)),
 }
 
 

@@ -8,12 +8,21 @@ from cubicsym import (
     UnknownClaimError,
     canonical_form,
     catalog_graph,
+    catalog_names,
+    decode_graph6,
+    distance_profiles,
+    encode_graph6,
     enumerate_cubic_graph6,
     filtered_enumeration,
+    girth,
+    transitivity_profile,
     verify_claim,
 )
 from cubicsym import claims
-from cubicsym.claims import CLAIMS, INPUT_CLAIMS
+from cubicsym.claims import CLAIMS, INPUT_CLAIMS, PREDICATES, Record
+from cubicsym.symmetry import MAX_S
+
+from conftest import random_relabel
 
 
 def forms(*names):
@@ -123,18 +132,77 @@ def test_census_hits_equal_filtered_enumeration(claim_id):
     assert verify_claim(claim_id, n_max=12).hypothesis_hits == expected
 
 
-def test_filtered_enumeration_profiles_each_graph_once(monkeypatch):
+def _histograms_agree(graph):
+    return len(set(distance_profiles(graph)[1])) == 1
+
+
+def _census_g6(n_max):
+    return [g6 for n in range(4, n_max + 1, 2) for g6 in enumerate_cubic_graph6(n)]
+
+
+def _counting_profiles(monkeypatch):
+    """Graphs passed to the profile the records compute, in call order."""
     calls = []
     profile = claims.transitivity_profile
 
     def counting(graph):
-        calls.append(graph)
+        calls.append(encode_graph6(graph))
         return profile(graph)
 
     monkeypatch.setattr(claims, "transitivity_profile", counting)
+    return calls
+
+
+def test_filtered_enumeration_profiles_each_graph_once(monkeypatch):
+    # only the census graphs whose distance histograms agree reach the
+    # group, each once: 3 of the 5 graphs at n = 8
+    calls = _counting_profiles(monkeypatch)
     hits = list(filtered_enumeration(8, ["vertex-transitive", "edge-orbits=2"]))
     assert hits
-    assert len(calls) == len(enumerate_cubic_graph6(8))
+    expected = [g6 for g6 in enumerate_cubic_graph6(8)
+                if _histograms_agree(decode_graph6(g6))]
+    assert calls == expected
+    assert len(calls) == 3
+
+
+def test_cor410_profiles_only_graphs_whose_histograms_agree(monkeypatch):
+    calls = _counting_profiles(monkeypatch)
+    assert verify_claim("cor410", n_max=12).verdict == "Pass"
+    census = _census_g6(12)
+    expected = [g6 for g6 in census if _histograms_agree(decode_graph6(g6))]
+    assert calls == expected
+    assert (len(calls), len(census)) == (17, 112)
+
+
+def test_histogram_condition_is_necessary_for_vertex_transitivity(rng):
+    graphs = [decode_graph6(g6) for g6 in _census_g6(12)]
+    graphs += [catalog_graph(name) for name in catalog_names()
+               if not name.endswith("(...)")]
+    graphs += [random_relabel(g, rng) for g in graphs]
+    transitive = 0
+    for g in graphs:
+        if transitivity_profile(g).vertex_transitive:
+            transitive += 1
+            assert Record(g).histograms_agree, encode_graph6(g)
+    assert transitive > 0
+
+
+def test_prefiltered_predicates_agree_with_the_profile():
+    for g6 in _census_g6(12):
+        graph = decode_graph6(g6)
+        profile = transitivity_profile(graph)
+        g = girth(graph)
+        expected = {
+            ("vertex-transitive", None): profile.vertex_transitive,
+            ("arc-transitive", None): profile.arc_transitive,
+            ("s-arc-transitive-of-girth-s+2", None): (
+                g is not None and g >= 5 and profile.max_s >= g - 2),
+        }
+        for s in range(MAX_S + 2):
+            expected["s-arc-transitive", s] = profile.max_s >= s
+        for (name, value), truth in expected.items():
+            assert PREDICATES[name].test(Record(g6=g6), value) == truth, (
+                g6, name, value)
 
 
 def test_catalog_forms_are_searched_once_per_process(monkeypatch):

@@ -10,9 +10,11 @@ import time
 import pytest
 
 from cubicsym import catalog_graph, decode_graph6, is_isomorphic
+from cubicsym import cli
 from cubicsym.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(args, capsys):
@@ -292,3 +294,14 @@ def test_predicate_help_lists_the_registry(capsys):
     listed = "".join(out.split()).split("oneof:")[1]  # wrapping adds spaces
     for name in PREDICATES:
         assert f",{name}" in "," + listed
+
+
+def test_readme_exit_codes_are_the_cli_constants():
+    with open(README) as fh:
+        paragraphs = fh.read().split("\n\n")
+    text = next(p for p in paragraphs if p.startswith("Exit codes:"))
+    listing = " ".join(text.split()).split(". ", 1)[0][len("Exit codes:"):]
+    documented = [int(item.split()[0]) for item in listing.split(", ")]
+    constants = [value for name, value in vars(cli).items()
+                 if name.startswith("EXIT_")]
+    assert documented == sorted(constants) == sorted(set(constants))

@@ -7,6 +7,7 @@ import pytest
 from cubicsym import (
     EnumerationRangeError,
     KNOWN_COUNTS,
+    build_graph,
     canonical_form,
     catalog_graph,
     cycles_of_length,
@@ -20,6 +21,7 @@ from cubicsym import (
 )
 from cubicsym import enumeration
 from cubicsym.autgrp import canonical_data
+from cubicsym.graph import bridges
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
 from cubicsym.perm import Action, orbits
 
@@ -180,6 +182,40 @@ def test_accept_child_matches_reference_rule():
                 assert enumeration._accept_child(child, inserted) == (
                     _reference_accept(child, inserted)
                 )
+
+
+def _heawood_pair_joined_by_a_bridge():
+    """Two Heawood copies, each with one edge x-y replaced by the path
+    x-z-y, and the two new vertices z joined: cubic on 30 vertices, with
+    no 3-, 4- or 5-cycle and one bridge."""
+    heawood = catalog_graph("heawood")
+    x, y = heawood.edges()[0]
+    edges = []
+    for offset in (0, 15):
+        edges += [(u + offset, w + offset) for u, w in heawood.edges()
+                  if (u, w) != (x, y)]
+        edges += [(x + offset, 14 + offset), (y + offset, 14 + offset)]
+    edges.append((14, 29))
+    return build_graph(30, edges), (14, 29)
+
+
+def test_accept_child_never_ranks_a_bridge(monkeypatch):
+    # every edge ties at stage 1 on no short cycle, so only the bridge
+    # check keeps the bridge out of the BFS score
+    graph, bridge = _heawood_pair_joined_by_a_bridge()
+    assert graph.is_cubic() and bridges(graph) == {bridge}
+    ranked = []
+    scores = enumeration._edge_scores
+
+    def recording(child, edges):
+        ranked.extend(edges)
+        return scores(child, edges)
+
+    monkeypatch.setattr(enumeration, "_edge_scores", recording)
+    for e in reducible_edges(graph):
+        enumeration._accept_child(graph, e)
+    assert ranked
+    assert bridge not in ranked
 
 
 def test_reduction_yields_connected_cubic(rng):
