@@ -17,6 +17,18 @@ the rest of that child's subtree is skipped.  Pruned subtrees hold no earlier
 minimum leaf, so the canonical leaf is the one the full tree gives, and
 the found automorphisms generate the whole group, which is materialized
 by closing them.
+
+Refinement is incremental, yet it gives the fragments, in the same order,
+that counting every vertex against every cell gives.  A vertex weighs B ** (n - p), where p is
+the position at which its cell starts and B is a power of two above
+every degree; the sum of its neighbors' weights is its count vector
+against the cells, read as base-B digits with the first cell highest, so
+integer order is count-vector order and fragments keep their order.  A
+pass re-splits only the cells that hold a neighbor of a vertex whose
+weight the previous pass changed, and a child of a search node, whose
+parent partition is equitable, starts from the neighbors of the cell
+it splits.  The leaf code is compared with the best one item by item,
+so a node stops at the first item that exceeds it.
 """
 
 from __future__ import annotations
@@ -75,47 +87,82 @@ def cells_from_coloring(n: int, colors: VertexColoring) -> Tuple[Tuple[int, ...]
 
 
 def _refine_cells(
-    adj_bits: Sequence[int], cells: List[Tuple[int, ...]]
+    adj: Sequence[Sequence[int]],
+    cells: List[Tuple[int, ...]],
+    check: Optional[Set[int]] = None,
 ) -> List[Tuple[int, ...]]:
     """Coarsest equitable refinement of an ordered cell list.
 
-    Signature of a vertex: neighbor counts against every cell, in cell
-    order.  Fragments replace their parent cell in place, ordered by
+    Signature of a vertex: its neighbor counts against every cell, in
+    cell order.  Fragments replace their parent cell in place, ordered by
     descending signature, so a vertex individualized in a cubic graph is
     followed by its neighbors before the rest (the distance partition).
     The signature is a function of cell positions only, never of raw
     vertex ids, which keeps the search tree automorphism-closed.
+
+    The count vector is read as one integer: a vertex weighs B ** (n - p),
+    where p is the position at which its cell starts and B = 2 ** shift
+    exceeds every degree, and the signature is the sum of the neighbors'
+    weights.  Its base-B digits are the counts, the first cell's highest,
+    so integers order as the count vectors do.  Each pass splits every
+    cell by the partition the pass began with, and only then gives the
+    moved fragments (all but the first of a split cell) their new weights.
+    A signature changes only if a neighbor's weight does, so a pass
+    re-splits only the cells holding a neighbor of a moved vertex; the
+    others cannot split.  `check`, when given, is that vertex set for the
+    first pass: the caller vouches that no cell avoiding it can split.
     """
+    n = len(adj)
+    if len(cells) == n:
+        return cells
+    shift = max(map(len, adj)).bit_length()
+    weight = [0] * n
+    p = n  # n - (start position of the cell)
+    for cell in cells:
+        w = 1 << shift * p
+        for v in cell:
+            weight[v] = w
+        p -= len(cell)
+    if check is None:
+        check = set(range(n))
     while True:
-        if all(len(c) == 1 for c in cells):
-            return cells
-        masks = [sum(1 << v for v in c) for c in cells]
-        changed = False
         new_cells: List[Tuple[int, ...]] = []
+        moved: List[Tuple[List[int], int]] = []  # fragment, its new weight
         for cell in cells:
-            if len(cell) == 1:
+            if len(cell) == 1 or check.isdisjoint(cell):
                 new_cells.append(cell)
                 continue
-            groups: Dict[tuple, List[int]] = {}
+            groups: Dict[int, List[int]] = {}
             for v in cell:
-                av = adj_bits[v]
-                sig = tuple((av & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
+                sig = sum(map(weight.__getitem__, adj[v]))
+                if sig in groups:
+                    groups[sig].append(v)
+                else:
+                    groups[sig] = [v]
             if len(groups) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(groups, reverse=True):
-                    new_cells.append(tuple(groups[sig]))
+                continue
+            w = weight[cell[0]]
+            for k, sig in enumerate(sorted(groups, reverse=True)):
+                fragment = groups[sig]
+                if k:
+                    moved.append((fragment, w))
+                new_cells.append(tuple(fragment))
+                w >>= shift * len(fragment)
+        if not moved or len(new_cells) == n:
+            return new_cells
         cells = new_cells
-        if not changed:
-            return cells
+        check = set()
+        for fragment, w in moved:
+            for v in fragment:
+                weight[v] = w
+                check.update(adj[v])
 
 
 def refine_coloring(graph: Graph, colors: VertexColoring) -> OrderedPartition:
     """Coarsest equitable partition refining the given coloring."""
     cells = list(cells_from_coloring(graph.n, colors))
-    return OrderedPartition(tuple(_refine_cells(graph.adj_bits, cells)))
+    return OrderedPartition(tuple(_refine_cells(graph.adj, cells)))
 
 
 class _SearchResult:
@@ -131,11 +178,14 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
     """Explore the refinement tree with orbit pruning; return the minimum
     leaf code, the first leaf reaching it, and generators of the group."""
     n = graph.n
-    adj_bits = graph.adj_bits
+    adj = graph.adj
     init_color = [0] * n
     for ci, cell in enumerate(initial_cells):
         for v in cell:
             init_color[v] = ci
+    # vertex -> position in the discrete prefix of the current path; an
+    # entry left by another path is told apart by `cells[i][0] != w`
+    pos = [0] * n
 
     best_code: Optional[List[tuple]] = None
     best_posv: Optional[List[int]] = None
@@ -143,34 +193,46 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
     gens: List[Tuple[int, ...]] = []
 
     def rec(
-        cells: List[Tuple[int, ...]], items: List[tuple], path: Tuple[int, ...]
+        cells: List[Tuple[int, ...]],
+        items: List[tuple],
+        path: Tuple[int, ...],
+        check: Optional[Set[int]],
     ) -> Optional[int]:
         """Explore below a node; a depth to unwind to, or None."""
         nonlocal best_code, best_posv, best_path
-        cells = _refine_cells(adj_bits, cells)
-        t = 0
-        for c in cells:
-            if len(c) != 1:
-                break
+        cells = _refine_cells(adj, cells, check)
+        # the parent's discrete prefix is a prefix of this one
+        k = len(items)
+        t = k
+        while t < len(cells) and len(cells[t]) == 1:
             t += 1
-        if t > len(items):
+        # the parent's items never exceed the best code's prefix: they are
+        # either equal to it (a tie, compared on below) or less
+        tie = best_code is not None and items == best_code[:k]
+        if t > k:
             items = list(items)
-            for j in range(len(items), t):
+            for j in range(k, t):
                 vj = cells[j][0]
-                av = adj_bits[vj]
+                pos[vj] = j
                 colbits = 0
-                for i in range(j):
-                    colbits = (colbits << 1) | ((av >> cells[i][0]) & 1)
-                items.append((init_color[vj], colbits))
-        if best_code is not None and items > best_code[: len(items)]:
-            return None
+                for w in adj[vj]:
+                    i = pos[w]
+                    if i < j and cells[i][0] == w:
+                        colbits |= 1 << (j - 1 - i)
+                item = (init_color[vj], colbits)
+                if tie:
+                    ref = best_code[j]
+                    if item > ref:
+                        return None
+                    tie = item == ref
+                items.append(item)
         if t == len(cells):  # discrete partition: a leaf
             posv = [c[0] for c in cells]
-            if best_code is None or items < best_code:
+            if not tie:
                 best_code = items
                 best_posv = posv
                 best_path = path
-            elif items == best_code:
+            else:
                 assert best_posv is not None
                 images = [0] * n
                 for p in range(n):
@@ -178,15 +240,20 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
                 gens.append(tuple(images))
                 # its inverse fixes the paths' common prefix and maps the
                 # best path's next child onto this one's: unwind to there
-                k = 0
-                while path[k] == best_path[k]:
-                    k += 1
-                return k
+                d = 0
+                while path[d] == best_path[d]:
+                    d += 1
+                return d
             return None
         sizes = [len(c) for c in cells]
         target_size = min(s for s in sizes if s > 1)
         ci = sizes.index(target_size)
         cell = cells[ci]
+        # this partition is equitable, so in a child only the cells holding
+        # a neighbor of the split cell can split on the first pass
+        seed: Set[int] = set()
+        for x in cell:
+            seed.update(adj[x])
         # children in one orbit of the found automorphisms fixing the path
         # root isomorphic subtrees with equal leaf codes: explore one each
         done: Set[int] = set()
@@ -195,7 +262,7 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
                 continue
             rest = tuple(x for x in cell if x != v)
             child = cells[:ci] + [(v,), rest] + cells[ci + 1 :]
-            back = rec(child, items, path + (v,))
+            back = rec(child, items, path + (v,), seed)
             if back is not None and back < len(path):
                 return back
             done.add(v)
@@ -209,7 +276,7 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
                         stack.append(g[x])
         return None
 
-    rec(list(initial_cells), [], ())
+    rec(list(initial_cells), [], (), None)
     assert best_code is not None and best_posv is not None
     return _SearchResult(tuple(best_code), best_posv, [Permutation(g) for g in gens])
 
