@@ -1,8 +1,9 @@
 """Colored-graph refinement and individualization-refinement search.
 
-One search engine backs four operations: equitable refinement, canonical
-forms (and hence isomorphism tests), full automorphism groups (optionally
-color-preserving), and extension of partial vertex maps to automorphisms.
+One search engine backs three operations: equitable refinement, canonical
+forms (and hence isomorphism tests), and full automorphism groups
+(optionally color-preserving).  Partial vertex maps are extended to
+automorphisms by filtering the materialized group, not by a search.
 
 The canonical form is the lexicographically smallest leaf code of the
 refinement tree, taken at the first leaf reaching it in depth-first
@@ -54,13 +55,6 @@ class OrderedPartition:
     """Ordered sequence of disjoint vertex cells covering [0, n)."""
 
     cells: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return sum(len(c) for c in self.cells)
-
-    def is_discrete(self) -> bool:
-        return all(len(c) == 1 for c in self.cells)
 
     def is_equitable(self, graph: Graph) -> bool:
         masks = [sum(1 << v for v in c) for c in self.cells]
@@ -324,26 +318,22 @@ def _uniform(graph: Graph) -> list:
 
 
 def automorphism_group(
-    graph: Graph,
-    coloring: Optional[VertexColoring] = None,
-    cap: int = DEFAULT_GROUP_CAP,
+    graph: Graph, coloring: Optional[VertexColoring] = None
 ) -> PermutationGroup:
     """Full group of adjacency-preserving bijections, optionally required
     to preserve an initial coloring; materialized, deterministic."""
-    if coloring is not None or cap != DEFAULT_GROUP_CAP:
-        return _closed_group(graph.n, _search_with_coloring(graph, coloring), cap)
+    if coloring is not None:
+        return _closed_group(graph.n, _search_with_coloring(graph, coloring))
     memo = _uniform(graph)
     if memo[2] is None:
         memo[2] = _closed_group(graph.n, memo[1])
     return memo[2]
 
 
-def _closed_group(
-    n: int, res: _SearchResult, cap: int = DEFAULT_GROUP_CAP
-) -> PermutationGroup:
+def _closed_group(n: int, res: _SearchResult) -> PermutationGroup:
     """Close the found generators (the cap fires during the closure) and
     reduce the sorted element list to the greedy generating set."""
-    elements = close_generators(res.generators, n, cap).elements
+    elements = close_generators(res.generators, n, DEFAULT_GROUP_CAP).elements
     return PermutationGroup(n, _reduce_generators(n, elements), elements)
 
 
@@ -386,11 +376,12 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def extend_partial_map(
     graph: Graph, partial: Mapping[int, int]
 ) -> Optional[Permutation]:
-    """Some automorphism agreeing with the partial vertex map, or None.
+    """The least automorphism (by image sequence) agreeing with the partial
+    vertex map, or None.
 
-    Sources and targets are individualized with matching colors and the
-    two colored canonical forms are compared; equal codes compose the two
-    canonical labelings into a witness.  The witness is deterministic.
+    Filters the memoized group's sorted element list one pair at a time,
+    so it materializes the group and raises GroupTooLargeError above the
+    cap, as `automorphism_group` does.
     """
     n = graph.n
     sources = sorted(partial)
@@ -400,29 +391,7 @@ def extend_partial_map(
     for x in sources + targets:
         if not 0 <= x < n:
             raise ValueError("partial map endpoint outside vertex range")
-    colors_a = [0] * n
-    colors_b = [0] * n
-    for i, (s, t) in enumerate(zip(sources, targets), start=1):
-        colors_a[s] = i
-        colors_b[t] = i
-    # recompact to contiguous ranges (color 0 is absent for full maps, and
-    # then for both sides at once, so the shift stays aligned)
-    colors_a = _compact(colors_a)
-    colors_b = _compact(colors_b)
-    res_a = _search_with_coloring(graph, tuple(colors_a))
-    res_b = _search_with_coloring(graph, tuple(colors_b))
-    if res_a.code != res_b.code:
-        return None
-    images = [0] * n
-    for p in range(n):
-        images[res_a.position_vertex[p]] = res_b.position_vertex[p]
-    perm = Permutation(tuple(images))
+    keep = automorphism_group(graph).elements
     for s, t in zip(sources, targets):
-        assert perm.images[s] == t
-    return perm
-
-
-def _compact(colors: List[int]) -> List[int]:
-    present = sorted(set(colors))
-    remap = {c: i for i, c in enumerate(present)}
-    return [remap[c] for c in colors]
+        keep = [p for p in keep if p.images[s] == t]
+    return keep[0] if keep else None

@@ -235,13 +235,14 @@ _PARAMETRIC: Dict[str, Callable[..., Graph]] = {
 }
 
 _COMPOSITE: Dict[str, Callable[[], CatalogEntry]] = {
+    "icosahedron": lambda: CatalogEntry("icosahedron", *icosahedron()),
     "truncated_icosahedron": _entry_truncated_icosahedron,
     "truncated_k4": _entry_truncated_k4,
 }
 
 
 def catalog_names() -> List[str]:
-    names = sorted(_PLAIN) + ["icosahedron"] + sorted(_COMPOSITE)
+    names = sorted(_PLAIN) + sorted(_COMPOSITE)
     names += [f"{k}(...)" for k in sorted(_PARAMETRIC)]
     return names
 
@@ -262,11 +263,6 @@ def catalog_build(name: str, *params: int) -> CatalogEntry:
         except ValueError as exc:
             raise CatalogError(f"non-integer parameter in {name!r}") from exc
         key = base.strip()
-    if key == "icosahedron":
-        if params:
-            raise CatalogError("icosahedron takes no parameters")
-        g, rot = icosahedron()
-        return CatalogEntry("icosahedron", g, rot)
     if key in _PLAIN:
         if params:
             raise CatalogError(f"{key} takes no parameters")

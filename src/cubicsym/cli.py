@@ -208,7 +208,12 @@ def _cmd_catalog(args) -> int:
             gtext = "acyclic" if length is None else str(length)
             print(f"{name:24s} {g.n:5d} {g.m:5d} {gtext}")
         return EXIT_OK
-    entry = catalog_build(args.name)
+    if args.name is None:
+        raise _CliError("`catalog get` needs a catalog name", EXIT_USAGE)
+    try:
+        entry = catalog_build(args.name)
+    except CatalogError as exc:
+        raise _CliError(str(exc), EXIT_USAGE) from exc
     sys.stdout.write(_emit_graph(entry.graph, args.format))
     return EXIT_OK
 

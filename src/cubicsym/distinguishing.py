@@ -22,6 +22,8 @@ from .autgrp import automorphism_group
 from .graph import Graph
 from .perm import Action, PermutationGroup, orbits
 
+COLOR_CAP = 8  # most colors `distinguishing_number` tries
+
 
 class SearchBudgetExceeded(RuntimeError):
     """Cost search ran out of its node budget; carries partial progress."""
@@ -131,12 +133,12 @@ def _preserved(moves: Dict[int, List[Tuple[int, ...]]], cand: Sequence[int]) -> 
     return False
 
 
-def distinguishing_number(graph: Graph, color_cap: int = 8) -> int:
+def distinguishing_number(graph: Graph) -> int:
     """Smallest number of colors in a coloring preserved only by the
     identity.
 
     D = 1 iff the graph is asymmetric; D = 2 iff a distinguishing set
-    exists; beyond that, colorings with d <= cap colors are searched as
+    exists; beyond that, colorings with d <= COLOR_CAP colors are searched as
     set partitions (restricted-growth strings), which enumerates
     colorings once per color-permutation class.
     """
@@ -148,10 +150,10 @@ def distinguishing_number(graph: Graph, color_cap: int = 8) -> int:
         return 2
     n = graph.n
     moving = group.non_identity()
-    for d in range(3, color_cap + 1):
+    for d in range(3, COLOR_CAP + 1):
         if _distinguishing_coloring_exists(n, moving, d):
             return d
-    raise ValueError(f"distinguishing number exceeds the color cap {color_cap}")
+    raise ValueError(f"distinguishing number exceeds the color cap {COLOR_CAP}")
 
 
 def _distinguishing_coloring_exists(

@@ -9,6 +9,13 @@ import pytest
 
 from cubicsym import Graph, build_graph
 
+# every catalog graph that takes no parameters
+FIXED_CATALOG = (
+    "k4", "k33", "cube", "petersen", "dodecahedron", "desargues", "heawood",
+    "pappus", "tutte_coxeter", "icosahedron", "base_graph", "omega18",
+    "fig5_lambda", "truncated_k4", "truncated_icosahedron",
+)
+
 
 def naive_aut_order(g: Graph) -> int:
     """All-bijections automorphism count; usable up to n ~ 8."""

@@ -11,12 +11,15 @@ from cubicsym import (
     build_graph,
     canonical_form,
     catalog_graph,
+    cycles_of_length,
     enumerate_cubic,
     extend_partial_map,
+    girth,
     is_isomorphic,
     refine_coloring,
     s_arc_count,
 )
+from cubicsym import autgrp
 from cubicsym.catalog import generalized_petersen, _lcf
 
 from conftest import (
@@ -118,11 +121,12 @@ def test_heawood_group_order_336():
     assert group.order == 336 == s_arc_count(g, 4)
 
 
-def test_group_cap_fires_during_closure():
+def test_group_cap_fires_during_closure(monkeypatch):
     # Sym(7) has 5040 elements; the orbit-pruned search finds a few
     # generators and the closure stops at the cap
+    monkeypatch.setattr(autgrp, "DEFAULT_GROUP_CAP", 1000)
     with pytest.raises(GroupTooLargeError) as excinfo:
-        automorphism_group(build_graph(7, []), cap=1000)
+        automorphism_group(build_graph(7, []))
     assert excinfo.traceback[-1].name == "close_generators"
 
 
@@ -258,26 +262,28 @@ def test_petersen_pentagon_rotation_has_witness():
 
 
 def test_extension_agrees_with_exhaustive_filter(rng):
+    cases = []
     for trial in range(30):
         n = rng.choice((8, 10, 12, 14))
         g = random_cubic(n, rng, connected=True)
-        group = automorphism_group(g)
         k = rng.randrange(1, 4)
         sources = rng.sample(range(n), k)
         targets = rng.sample(range(n), k)
-        partial = dict(zip(sources, targets))
-        witness = extend_partial_map(g, partial)
+        cases.append((g, dict(zip(sources, targets))))
+    for name in ("heawood", "tutte_coxeter"):
+        g = catalog_graph(name)
+        for cyc in cycles_of_length(g, girth(g)):
+            vs = cyc.vertices
+            rotation = {vs[i]: vs[(i + 1) % len(vs)] for i in range(len(vs))}
+            cases.append((g, rotation))
+    for g, partial in cases:
         matches = [
             p
-            for p in group.elements
+            for p in automorphism_group(g).elements
             if all(p.images[s] == t for s, t in partial.items())
         ]
-        if witness is None:
-            assert not matches
-        else:
-            assert matches
-            assert all(witness.images[s] == t for s, t in partial.items())
-            assert witness.images in {p.images for p in group.elements}
+        # the least match by image sequence, or None when there is none
+        assert extend_partial_map(g, partial) == (matches[0] if matches else None)
 
 
 def test_non_injective_partial_map_rejected():

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and report stability."""
 
+import hashlib
 import json
 import os
 import re
@@ -12,6 +13,8 @@ import pytest
 from cubicsym import catalog_graph, decode_graph6, is_isomorphic
 from cubicsym import cli
 from cubicsym.cli import main
+
+from conftest import FIXED_CATALOG
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -37,6 +40,25 @@ def test_analyze_heawood_matches_golden_bytes(capsys):
     assert rc == 0
     with open(os.path.join(GOLDEN, "analyze_heawood.json")) as fh:
         assert out == fh.read()
+
+
+# sha256 of the `analyze --json` stdout of every fixed catalog graph, in
+# FIXED_CATALOG order: it pins generators, costs and cycle counts
+ANALYZE_CATALOG_SHA256 = (
+    "73c3fa764052130ef5ccd003ff8b2f410096860a06d437008987f95dba346114"
+)
+
+
+def test_analyze_catalog_outputs_are_pinned(capsys):
+    digest = hashlib.sha256()
+    counts = []
+    for name in FIXED_CATALOG:
+        rc, out, _ = run_cli(["analyze", "--catalog", name, "--json"], capsys)
+        assert rc == 0
+        digest.update(out.encode())
+        counts.append(json.loads(out)["consistent_girth_cycles"])
+    assert counts == [4, 9, 6, 12, 12, 20, 28, 18, 90, 20, 1, 1, 2, 4, 12]
+    assert digest.hexdigest() == ANALYZE_CATALOG_SHA256
 
 
 def test_analyze_fig5_lambda_text(capsys):
@@ -97,6 +119,18 @@ def test_catalog_get(capsys):
     rc, out, _ = run_cli(["catalog", "get", "petersen"], capsys)
     assert rc == 0
     assert is_isomorphic(decode_graph6(out.strip()), catalog_graph("petersen"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["catalog", "get", "nosuch"], ["catalog", "get", "gp(5)"], ["catalog", "get"]],
+    ids=["unknown", "wrong-parameters", "no-name"],
+)
+def test_catalog_get_bad_name_exit_2(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_enumerate_stream(capsys):
