@@ -55,6 +55,7 @@ from .symmetry import (
     transitivity_profile,
 )
 from .distinguishing import (
+    ColorCapExceeded,
     CostResult,
     SearchBudgetExceeded,
     distinguishing_cost,

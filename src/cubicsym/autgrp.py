@@ -249,8 +249,12 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
         for x in cell:
             seed.update(adj[x])
         # children in one orbit of the found automorphisms fixing the path
-        # root isomorphic subtrees with equal leaf codes: explore one each
+        # root isomorphic subtrees with equal leaf codes: explore one each.
+        # `done` stays closed under `fixing`, so it is closed again from
+        # all of it only when a fixing generator is new, else from v alone
         done: Set[int] = set()
+        fixing: List[Tuple[int, ...]] = []
+        seen = 0  # generators already sorted into `fixing` or not
         for v in cell:
             if v in done:
                 continue
@@ -260,8 +264,10 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
             if back is not None and back < len(path):
                 return back
             done.add(v)
-            fixing = [g for g in gens if all(g[x] == x for x in path)]
-            stack = list(done)
+            new = [g for g in gens[seen:] if all(g[x] == x for x in path)]
+            seen = len(gens)
+            fixing += new
+            stack = list(done) if new else [v]
             while stack:
                 x = stack.pop()
                 for g in fixing:

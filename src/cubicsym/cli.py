@@ -2,8 +2,9 @@
 enumerate, cost, verify.
 
 Exit codes: 0 pass/ok, 1 claim failed, 2 usage error, 3 input parse
-error.  Reports add nothing to the library results; identical inputs
-produce byte-identical JSON across runs and worker counts.  All
+error, 4 resource limit (group cap, cost-search budget, color cap).
+Reports add nothing to the library results; identical inputs produce
+byte-identical JSON across runs and worker counts.  All
 randomness (seeded labelings) flows from an explicit --seed.
 """
 
@@ -23,10 +24,16 @@ from .claims import (
     filtered_enumeration,
     verify_claim,
 )
-from .distinguishing import SearchBudgetExceeded, distinguishing_cost, distinguishing_number
+from .distinguishing import (
+    ColorCapExceeded,
+    SearchBudgetExceeded,
+    distinguishing_cost,
+    distinguishing_number,
+)
 from .enumeration import EnumerationRangeError, enumerate_cubic_graph6
 from .graph import Graph, girth
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, format_edge_list, parse_edge_list
+from .perm import GroupTooLargeError
 from .symmetry import (
     consistent_girth_cycles,
     edge_orbit_summary,
@@ -47,6 +54,7 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
+EXIT_RESOURCE = 4
 
 
 class _CliError(Exception):
@@ -291,10 +299,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_cost(args) -> int:
     graph = _load_graph(args)
-    try:
-        cost = distinguishing_cost(graph, budget=args.budget)
-    except SearchBudgetExceeded as exc:
-        raise _CliError(str(exc), EXIT_USAGE) from exc
+    cost = distinguishing_cost(graph, budget=args.budget)
     payload = {
         "schema": SCHEMA_VERSION,
         "graph6": encode_graph6(graph),
@@ -419,6 +424,9 @@ def main(argv: Optional[list] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (GroupTooLargeError, SearchBudgetExceeded, ColorCapExceeded) as exc:
+        print(f"error: resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     except BrokenPipeError:
         return EXIT_OK
 

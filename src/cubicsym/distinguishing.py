@@ -25,6 +25,14 @@ from .perm import Action, PermutationGroup, orbits
 COLOR_CAP = 8  # most colors `distinguishing_number` tries
 
 
+class ColorCapExceeded(RuntimeError):
+    """No coloring with at most COLOR_CAP colors is distinguishing."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"distinguishing number exceeds the color cap {cap}")
+        self.cap = cap
+
+
 class SearchBudgetExceeded(RuntimeError):
     """Cost search ran out of its node budget; carries partial progress."""
 
@@ -140,7 +148,8 @@ def distinguishing_number(graph: Graph) -> int:
     D = 1 iff the graph is asymmetric; D = 2 iff a distinguishing set
     exists; beyond that, colorings with d <= COLOR_CAP colors are searched as
     set partitions (restricted-growth strings), which enumerates
-    colorings once per color-permutation class.
+    colorings once per color-permutation class.  Raises ColorCapExceeded
+    past the cap.
     """
     group = automorphism_group(graph)
     if group.order == 1:
@@ -153,7 +162,7 @@ def distinguishing_number(graph: Graph) -> int:
     for d in range(3, COLOR_CAP + 1):
         if _distinguishing_coloring_exists(n, moving, d):
             return d
-    raise ValueError(f"distinguishing number exceeds the color cap {COLOR_CAP}")
+    raise ColorCapExceeded(COLOR_CAP)
 
 
 def _distinguishing_coloring_exists(

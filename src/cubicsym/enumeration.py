@@ -116,16 +116,24 @@ def reduce_edge(graph: Graph, edge: Tuple[int, int]) -> Graph:
 def insert_on_edges(
     graph: Graph, e1: Tuple[int, int], e2: Tuple[int, int]
 ) -> Graph:
-    """Subdivide two distinct edges and join the two new vertices."""
+    """Subdivide two distinct edges and join the two new vertices.
+
+    The parent's bitmask rows are patched in place of a rebuild: each
+    edge's endpoints swap each other for their new vertex.
+    """
     if e1 == e2:
         raise ValueError("insertion needs two distinct edges")
     n = graph.n
-    u, v = n, n + 1
-    a, b = e1
-    c, d = e2
-    edges = [e for e in graph.edges() if e not in (e1, e2)]
-    edges += [(a, u), (b, u), (c, v), (d, v), (u, v)]
-    return build_graph(n + 2, edges)
+    bits = list(graph.adj_bits)
+    for (a, b), x in ((e1, n), (e2, n + 1)):
+        if not (0 <= a < n and 0 <= b < n and (bits[a] >> b) & 1):
+            raise ValueError(f"({a}, {b}) is not an edge")
+        bits[a] ^= (1 << b) | (1 << x)
+        bits[b] ^= (1 << a) | (1 << x)
+    (a, b), (c, d) = e1, e2
+    bits.append((1 << a) | (1 << b) | (1 << n + 1))
+    bits.append((1 << c) | (1 << d) | (1 << n))
+    return Graph.from_bits(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,21 @@ class Graph:
         self.adj_bits = tuple(sum(1 << w for w in row) for row in self.adj)
         self._edges: Optional[Tuple[Tuple[int, int], ...]] = None
 
+    @classmethod
+    def from_bits(cls, bits: Sequence[int]) -> "Graph":
+        """Graph whose vertex v has the neighbor bitmask ``bits[v]``.
+
+        Nothing is checked: the caller vouches that the relation is
+        symmetric and loop-free.  ``build_graph`` is the validating entry
+        point for edge lists.
+        """
+        graph = cls.__new__(cls)
+        graph.n = len(bits)
+        graph.adj_bits = tuple(bits)
+        graph.adj = tuple(map(_set_bits, graph.adj_bits))
+        graph._edges = None
+        return graph
+
     @property
     def m(self) -> int:
         return sum(len(row) for row in self.adj) // 2
@@ -74,11 +89,13 @@ class Graph:
 
     def relabel(self, images: Sequence[int]) -> "Graph":
         """Graph with vertex v renamed to images[v]."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            iu = images[u]
-            adj[iu] = sorted(images[w] for w in self.adj[u])
-        return Graph(self.n, adj)
+        bits = [0] * self.n
+        for u, row in enumerate(self.adj):
+            b = 0
+            for w in row:
+                b |= 1 << images[w]
+            bits[images[u]] = b
+        return Graph.from_bits(bits)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -90,6 +107,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _set_bits(mask: int) -> Tuple[int, ...]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:

@@ -9,11 +9,14 @@ rejected: this toolkit works at desk scale.
 
 from __future__ import annotations
 
+import re
 from typing import List, Tuple
 
 from .graph import Graph, build_graph
 
 _MAX_LONG_ORDER = 258047
+_NON_PRINTABLE = re.compile("[^?-~]")  # graph6 bytes are 63..126
+_SEXTETS = [format(k, "06b") for k in range(64)]
 
 
 class Graph6Error(ValueError):
@@ -57,15 +60,24 @@ def encode_graph6(graph: Graph) -> str:
 
 
 def decode_graph6(text: str) -> Graph:
+    """Decode one graph6 string, in time linear in its length.
+
+    The adjacency bytes are joined into one string of '0'/'1' characters,
+    and column j of the upper triangle is the next j of them, read into
+    vertex j's bitmask in one step; bit j is then set in the row of every
+    i it names.  Any character outside 63..126 is rejected at its offset.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise Graph6Error("empty graph6 string", 0)
-    data = s.encode("ascii", errors="replace")
-    for off, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"non-printable graph6 byte {b!r}", off)
+    bad = _NON_PRINTABLE.search(s)
+    if bad is not None:
+        raise Graph6Error(
+            f"non-printable graph6 byte {ord(bad.group())}", bad.start()
+        )
+    data = s.encode("ascii")
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -86,24 +98,22 @@ def decode_graph6(text: str) -> Graph:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}",
             pos,
         )
-    edges: List[Tuple[int, int]] = []
-    bit_index = 0
-    i, j = 0, 1
-    for k in range(pos, len(data)):
-        chunk = data[k] - 63
-        for shift in range(5, -1, -1):
-            if bit_index >= nbits:
-                if (chunk >> shift) & 1:
-                    raise Graph6Error("nonzero padding bits", k)
-                continue
-            if (chunk >> shift) & 1:
-                edges.append((i, j))
-            bit_index += 1
-            i += 1
-            if i == j:
-                i = 0
-                j += 1
-    return build_graph(n, edges)
+    seq = "".join([_SEXTETS[b - 63] for b in data[pos:]])
+    pad = seq.find("1", nbits)
+    if pad >= 0:
+        raise Graph6Error("nonzero padding bits", pos + pad // 6)
+    bits = [0] * n
+    start = 0
+    for j in range(1, n):
+        end = start + j
+        bj = 1 << j
+        i = seq.find("1", start, end)
+        while i >= 0:
+            bits[i - start] |= bj
+            i = seq.find("1", i + 1, end)
+        bits[j] = int(seq[start:end][::-1], 2)
+        start = end
+    return Graph.from_bits(bits)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -96,6 +96,41 @@ def test_bad_graph6_exit_3(capsys):
     assert "offset" in err
 
 
+def test_non_ascii_graph6_exit_3(capsys):
+    rc, out, err = run_cli(["analyze", "--graph6", "C\u00e9"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "byte offset 1" in err
+
+
+def _assert_resource_limit(argv, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == cli.EXIT_RESOURCE == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_group_cap_exit_4(monkeypatch, capsys):
+    from cubicsym import autgrp
+
+    monkeypatch.setattr(autgrp, "DEFAULT_GROUP_CAP", 10)  # |Aut| = 120
+    _assert_resource_limit(["analyze", "--catalog", "petersen"], capsys)
+
+
+def test_color_cap_exit_4(monkeypatch, capsys):
+    from cubicsym import distinguishing
+
+    monkeypatch.setattr(distinguishing, "COLOR_CAP", 3)  # D(K4) = 4
+    _assert_resource_limit(["analyze", "--catalog", "k4"], capsys)
+
+
+def test_cost_budget_exit_4(capsys):
+    _assert_resource_limit(
+        ["cost", "--catalog", "petersen", "--budget", "1"], capsys)
+
+
 def test_edgelist_input(tmp_path, capsys):
     path = tmp_path / "graph.txt"
     path.write_text("# petersen\n" + "\n".join(

@@ -132,6 +132,42 @@ def test_insert_then_reduce_round_trip():
     assert back == g  # labels are preserved by construction
 
 
+def _reference_insert(graph, e1, e2):
+    """The edge-list construction through `build_graph`."""
+    n = graph.n
+    (a, b), (c, d) = e1, e2
+    edges = [e for e in graph.edges() if e not in (e1, e2)]
+    edges += [(a, n), (b, n), (c, n + 1), (d, n + 1), (n, n + 1)]
+    return build_graph(n + 2, edges)
+
+
+def test_insert_on_edges_matches_edge_list_construction():
+    for n in range(4, 11, 2):
+        for parent in enumerate_cubic(n):
+            edges = parent.edges()
+            for i, e1 in enumerate(edges):
+                for e2 in edges[i + 1:]:
+                    for pair in ((e1, e2), (e2, e1)):
+                        child = insert_on_edges(parent, *pair)
+                        ref = _reference_insert(parent, *pair)
+                        assert (child.n, child.adj, child.adj_bits) == (
+                            ref.n, ref.adj, ref.adj_bits)
+
+
+@pytest.mark.parametrize("e1, e2", [
+    ((0, 1), (0, 1)),  # the same edge twice
+    ((0, 1), (1, 0)),  # the same edge, reversed
+    ((0, 2), (1, 2)),  # 0-2 is not an edge of the cube
+    ((0, 1), (0, 2)),
+    ((0, 1), (5, 8)),  # endpoint out of range
+    ((-1, 0), (0, 1)),
+])
+def test_insert_on_edges_rejects_a_non_edge_pair(e1, e2):
+    cube = catalog_graph("cube")
+    with pytest.raises(ValueError):
+        insert_on_edges(cube, e1, e2)
+
+
 def test_reducible_edges_of_petersen_all():
     g = catalog_graph("petersen")
     assert len(reducible_edges(g)) == 15  # triangle-free, 3-connected

@@ -16,8 +16,11 @@ from cubicsym import (
     parse_edge_list,
 )
 
-from conftest import random_cubic
+from conftest import FIXED_CATALOG, random_cubic, random_graph
 import random
+import time
+
+from cubicsym import enumerate_cubic_graph6
 
 
 def test_k4_is_C_tilde():
@@ -93,9 +96,131 @@ def test_nonzero_padding_rejected():
     assert "padding" in str(err.value)
 
 
+def test_non_ascii_character_rejected_at_its_offset():
+    with pytest.raises(Graph6Error) as err:
+        decode_graph6("C\u00e9")
+    assert err.value.offset == 1
+    assert "non-printable" in str(err.value)
+    with pytest.raises(Graph6Error) as err:
+        decode_graph6("\u00e9")
+    assert err.value.offset == 0
+
+
 def test_header_prefix_accepted():
     g = catalog_graph("petersen")
     assert decode_graph6(">>graph6<<" + encode_graph6(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# the linear decoder against a bit-by-bit reference through build_graph
+
+
+def _reference_decode(text):
+    """One bit at a time into an edge list, then `build_graph`."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    for off, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"non-printable graph6 byte {ord(ch)}", off)
+    data = s.encode("ascii")
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6Error("8-byte order form is not supported", 0)
+        if len(data) < 4:
+            raise Graph6Error("truncated extended order", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if n < 63:
+            raise Graph6Error("extended order used for n < 63", 0)
+        pos = 4
+    else:
+        n = data[0] - 63
+        pos = 1
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos != nbytes:
+        raise Graph6Error(
+            f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}",
+            pos,
+        )
+    edges = []
+    bit_index = 0
+    i, j = 0, 1
+    for k in range(pos, len(data)):
+        chunk = data[k] - 63
+        for shift in range(5, -1, -1):
+            if bit_index >= nbits:
+                if (chunk >> shift) & 1:
+                    raise Graph6Error("nonzero padding bits", k)
+                continue
+            if (chunk >> shift) & 1:
+                edges.append((i, j))
+            bit_index += 1
+            i += 1
+            if i == j:
+                i = 0
+                j += 1
+    return build_graph(n, edges)
+
+
+def _assert_decoders_agree(text):
+    try:
+        ref = _reference_decode(text)
+    except Graph6Error as exc:
+        with pytest.raises(Graph6Error) as err:
+            decode_graph6(text)
+        assert (err.value.offset, str(err.value)) == (exc.offset, str(exc))
+        return
+    g = decode_graph6(text)
+    assert (g.n, g.adj, g.adj_bits) == (ref.n, ref.adj, ref.adj_bits)
+
+
+def test_decoder_matches_reference_on_census_to_12():
+    for n in range(4, 13, 2):
+        for s in enumerate_cubic_graph6(n):
+            _assert_decoders_agree(s)
+
+
+def test_decoder_matches_reference_on_catalog():
+    for name in FIXED_CATALOG:
+        _assert_decoders_agree(encode_graph6(catalog_graph(name)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200])
+def test_decoder_matches_reference_on_random_graphs(n):
+    rng = random.Random(n)
+    for density in (0.05, 0.5, 0.95):
+        s = encode_graph6(random_graph(n, density, rng))
+        assert s.startswith("~") == (n >= 63)
+        _assert_decoders_agree(s)
+
+
+def test_decode_is_linear_on_2000_vertex_cubic_graph():
+    g = random_cubic(2000, random.Random(2000))
+    s = encode_graph6(g)
+    start = time.perf_counter()
+    decoded = decode_graph6(s)
+    elapsed = time.perf_counter() - start
+    assert decoded == g
+    assert elapsed < 5.0, f"decoding 2,000 vertices took {elapsed:.2f} s"
+
+
+def _well_formed(n, payload):
+    """An order prefix followed by exactly the adjacency bytes n needs."""
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    return chr(63 + n) + "".join(chr(63 + b) for b in payload[:nbytes])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(
+    st.text(alphabet=st.characters(max_codepoint=127), max_size=40),
+    st.builds(_well_formed, st.integers(0, 20),
+              st.lists(st.integers(0, 63), min_size=32, max_size=32)),
+))
+def test_decoders_agree_on_arbitrary_ascii(text):
+    _assert_decoders_agree(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from cubicsym import (
     CycleSeq,
+    Graph,
     GraphConstructionError,
     build_graph,
     canonical_form,
@@ -79,6 +80,29 @@ def test_adjacency_is_sorted_and_symmetric(rng):
             for w in g.adj[u]:
                 assert u in g.adj[w]
                 assert u != w
+
+
+def test_from_bits_reads_ascending_rows():
+    g = Graph.from_bits([0b0110, 0b1101, 0b1011, 0b0110])
+    assert g.adj == ((1, 2), (0, 2, 3), (0, 1, 3), (1, 2))
+    assert g.adj_bits == (0b0110, 0b1101, 0b1011, 0b0110)
+    assert g == build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert Graph.from_bits([]).n == 0
+
+
+def test_relabel_matches_sorted_row_construction(rng):
+    graphs = [catalog_graph(name) for name in ("petersen", "heawood", "pappus")]
+    graphs += [random_graph(n, 0.3, rng) for n in (0, 1, 7, 40)]
+    for g in graphs:
+        for _ in range(5):
+            images = list(range(g.n))
+            rng.shuffle(images)
+            adj = [[] for _ in range(g.n)]
+            for u in range(g.n):
+                adj[images[u]] = sorted(images[w] for w in g.adj[u])
+            ref = Graph(g.n, adj)
+            h = g.relabel(images)
+            assert (h.n, h.adj, h.adj_bits) == (ref.n, ref.adj, ref.adj_bits)
 
 
 # ---------------------------------------------------------------------------
