@@ -35,12 +35,10 @@ from .perm import (
     stabilizer,
 )
 from .autgrp import (
-    OrderedPartition,
     automorphism_group,
     canonical_form,
     extend_partial_map,
     is_isomorphic,
-    refine_coloring,
 )
 from .symmetry import (
     EdgeOrbitSummary,
@@ -61,7 +59,6 @@ from .distinguishing import (
     distinguishing_cost,
     distinguishing_number,
     is_distinguishing_set,
-    setwise_stabilizer_trivial,
 )
 from .catalog import (
     CatalogError,

@@ -1,9 +1,9 @@
-"""Colored-graph refinement and individualization-refinement search.
+"""Equitable refinement and individualization-refinement search.
 
 One search engine backs three operations: equitable refinement, canonical
-forms (and hence isomorphism tests), and full automorphism groups
-(optionally color-preserving).  Partial vertex maps are extended to
-automorphisms by filtering the materialized group, not by a search.
+forms (and hence isomorphism tests), and full automorphism groups.
+Partial vertex maps are extended to automorphisms, and distinguishing
+sets are tested, by filtering the materialized group, not by a search.
 
 The canonical form is the lexicographically smallest leaf code of the
 refinement tree, taken at the first leaf reaching it in depth-first
@@ -34,7 +34,6 @@ so a node stops at the first item that exceeds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .graph import Graph
@@ -46,38 +45,6 @@ from .perm import (
     close_generators,
     extend_closure,
 )
-
-VertexColoring = Sequence[int]
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """Ordered sequence of disjoint vertex cells covering [0, n)."""
-
-    cells: Tuple[Tuple[int, ...], ...]
-
-    def is_equitable(self, graph: Graph) -> bool:
-        masks = [sum(1 << v for v in c) for c in self.cells]
-        for cell in self.cells:
-            for mask in masks:
-                counts = {(graph.adj_bits[v] & mask).bit_count() for v in cell}
-                if len(counts) > 1:
-                    return False
-        return True
-
-
-def cells_from_coloring(n: int, colors: VertexColoring) -> Tuple[Tuple[int, ...], ...]:
-    if len(colors) != n:
-        raise ValueError("coloring length must equal vertex count")
-    if n == 0:
-        return ()
-    k = max(colors) + 1
-    if sorted(set(colors)) != list(range(k)):
-        raise ValueError("color indices must form a contiguous range from 0")
-    cells: List[List[int]] = [[] for _ in range(k)]
-    for v, c in enumerate(colors):
-        cells[c].append(v)
-    return tuple(tuple(c) for c in cells)
 
 
 def _refine_cells(
@@ -153,12 +120,6 @@ def _refine_cells(
                 check.update(adj[v])
 
 
-def refine_coloring(graph: Graph, colors: VertexColoring) -> OrderedPartition:
-    """Coarsest equitable partition refining the given coloring."""
-    cells = list(cells_from_coloring(graph.n, colors))
-    return OrderedPartition(tuple(_refine_cells(graph.adj, cells)))
-
-
 class _SearchResult:
     __slots__ = ("code", "position_vertex", "generators")
 
@@ -168,27 +129,25 @@ class _SearchResult:
         self.generators = generators  # automorphisms from equal-code leaves
 
 
-def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _SearchResult:
+def _ir_search(graph: Graph) -> _SearchResult:
     """Explore the refinement tree with orbit pruning; return the minimum
     leaf code, the first leaf reaching it, and generators of the group."""
     n = graph.n
+    if n == 0:
+        return _SearchResult((), [], [])
     adj = graph.adj
-    init_color = [0] * n
-    for ci, cell in enumerate(initial_cells):
-        for v in cell:
-            init_color[v] = ci
     # vertex -> position in the discrete prefix of the current path; an
     # entry left by another path is told apart by `cells[i][0] != w`
     pos = [0] * n
 
-    best_code: Optional[List[tuple]] = None
+    best_code: Optional[List[int]] = None
     best_posv: Optional[List[int]] = None
     best_path: Tuple[int, ...] = ()
     gens: List[Tuple[int, ...]] = []
 
     def rec(
         cells: List[Tuple[int, ...]],
-        items: List[tuple],
+        items: List[int],
         path: Tuple[int, ...],
         check: Optional[Set[int]],
     ) -> Optional[int]:
@@ -208,12 +167,11 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
             for j in range(k, t):
                 vj = cells[j][0]
                 pos[vj] = j
-                colbits = 0
+                item = 0
                 for w in adj[vj]:
                     i = pos[w]
                     if i < j and cells[i][0] == w:
-                        colbits |= 1 << (j - 1 - i)
-                item = (init_color[vj], colbits)
+                        item |= 1 << (j - 1 - i)
                 if tie:
                     ref = best_code[j]
                     if item > ref:
@@ -276,7 +234,7 @@ def _ir_search(graph: Graph, initial_cells: Sequence[Tuple[int, ...]]) -> _Searc
                         stack.append(g[x])
         return None
 
-    rec(list(initial_cells), [], (), None)
+    rec([tuple(range(n))], [], (), None)
     assert best_code is not None and best_posv is not None
     return _SearchResult(tuple(best_code), best_posv, [Permutation(g) for g in gens])
 
@@ -299,78 +257,43 @@ def _reduce_generators(
     return tuple(gens) if gens else (Permutation.identity(degree),)
 
 
-def _search_with_coloring(
-    graph: Graph, coloring: Optional[VertexColoring]
-) -> _SearchResult:
-    if graph.n == 0:
-        return _SearchResult((), [], [])
-    if coloring is None:
-        cells: Tuple[Tuple[int, ...], ...] = (tuple(range(graph.n)),)
-    else:
-        cells = cells_from_coloring(graph.n, coloring)
-    return _ir_search(graph, cells)
-
-
-# One memo for the last uncolored graph, by identity: its search and, closed
-# on first request, its group.  `analyze` and the claims ask one graph for
+# One memo for the last graph, by identity: its search and, closed on first
+# request, its group.  `analyze` and the claims ask one graph for
 # its canonical form and then, often more than once, for its group.
 _memo: list = [None, None, None]  # graph, search result, group or None
 
 
-def _uniform(graph: Graph) -> list:
+def _memoized(graph: Graph) -> list:
     if _memo[0] is not graph:
-        _memo[:] = [graph, _search_with_coloring(graph, None), None]
+        _memo[:] = [graph, _ir_search(graph), None]
     return _memo
 
 
-def automorphism_group(
-    graph: Graph, coloring: Optional[VertexColoring] = None
-) -> PermutationGroup:
-    """Full group of adjacency-preserving bijections, optionally required
-    to preserve an initial coloring; materialized, deterministic."""
-    if coloring is not None:
-        return _closed_group(graph.n, _search_with_coloring(graph, coloring))
-    memo = _uniform(graph)
+def automorphism_group(graph: Graph) -> PermutationGroup:
+    """Full group of adjacency-preserving bijections; materialized,
+    deterministic.  The found generators are closed (the cap fires during
+    the closure) and reduced to the greedy generating set of the sorted
+    element list."""
+    memo = _memoized(graph)
     if memo[2] is None:
-        memo[2] = _closed_group(graph.n, memo[1])
+        n = graph.n
+        gens = memo[1].generators
+        elements = close_generators(gens, n, DEFAULT_GROUP_CAP).elements
+        memo[2] = PermutationGroup(n, _reduce_generators(n, elements), elements)
     return memo[2]
 
 
-def _closed_group(n: int, res: _SearchResult) -> PermutationGroup:
-    """Close the found generators (the cap fires during the closure) and
-    reduce the sorted element list to the greedy generating set."""
-    elements = close_generators(res.generators, n, DEFAULT_GROUP_CAP).elements
-    return PermutationGroup(n, _reduce_generators(n, elements), elements)
-
-
-def _labeling(graph: Graph) -> Tuple[int, ...]:
+def canonical_labeling(graph: Graph) -> Tuple[int, ...]:
     """Vertex -> canonical position, from the memoized search."""
     label = [0] * graph.n
-    for p, v in enumerate(_uniform(graph)[1].position_vertex):
+    for p, v in enumerate(_memoized(graph)[1].position_vertex):
         label[v] = p
     return tuple(label)
 
 
 def canonical_form(graph: Graph) -> bytes:
     """Relabeling-invariant byte form: graph6 of the canonical labeling."""
-    return encode_graph6(graph.relabel(_labeling(graph))).encode("ascii")
-
-
-@dataclass(frozen=True)
-class CanonicalData:
-    group: PermutationGroup
-    canonical_g6: bytes
-    labeling: Permutation  # vertex -> canonical position
-
-
-def canonical_data(graph: Graph) -> CanonicalData:
-    """Group, canonical form, and canonical labeling from a single search."""
-    label = _labeling(graph)
-    return CanonicalData(
-        automorphism_group(graph),
-        encode_graph6(graph.relabel(label)).encode("ascii"),
-        Permutation(label),
-    )
+    return encode_graph6(graph.relabel(canonical_labeling(graph))).encode("ascii")
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

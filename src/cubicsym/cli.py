@@ -268,11 +268,10 @@ def _cmd_truncate(args) -> int:
 
 def _cmd_quotient(args) -> int:
     graph = _load_graph(args)
-    summary = edge_orbit_summary(graph)
-    orbit = summary.orbit_with_tag("disjoint-cycles")
-    if orbit is None:
-        raise _CliError("no disjoint-cycles edge orbit to contract", EXIT_USAGE)
-    try:
+    try:  # a disconnected graph has no edge-orbit summary
+        orbit = edge_orbit_summary(graph).orbit_with_tag("disjoint-cycles")
+        if orbit is None:
+            raise ValueError("no disjoint-cycles edge orbit to contract")
         result = cycle_quotient(graph, orbit)
     except ValueError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
@@ -420,6 +419,9 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if getattr(args, "jobs", 1) < 1:
             raise _CliError(f"--jobs must be at least 1, got {args.jobs}", EXIT_USAGE)
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 0:
+            raise _CliError(f"--budget must be at least 0, got {budget}", EXIT_USAGE)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .autgrp import automorphism_group
 from .graph import Graph
-from .perm import Action, PermutationGroup, orbits
+from .perm import Action, orbits
 
 COLOR_CAP = 8  # most colors `distinguishing_number` tries
 
@@ -63,31 +63,21 @@ class CostResult:
         return self.kind == "cost"
 
 
-def _setwise_trivial(group: PermutationGroup, members: Sequence[int]) -> bool:
+def is_distinguishing_set(graph: Graph, members: Sequence[int]) -> bool:
+    """True iff only the identity preserves the set.
+
+    Filters the memoized group's element list, so it materializes the
+    group and raises GroupTooLargeError above the cap, as
+    `automorphism_group` does.
+    """
     s = frozenset(members)
-    for p in group.elements:
+    if any(not 0 <= v < graph.n for v in s):
+        raise ValueError("set member outside vertex range")
+    for p in automorphism_group(graph).elements:
         im = p.images
         if all(im[v] in s for v in s) and not p.is_identity():
             return False
     return True
-
-
-def is_distinguishing_set(graph: Graph, members: Sequence[int]) -> bool:
-    """True iff only the identity preserves the set, via a 2-colored
-    automorphism search (set vs complement)."""
-    s = set(members)
-    if any(not 0 <= v < graph.n for v in s):
-        raise ValueError("set member outside vertex range")
-    if not s or len(s) == graph.n:
-        colors = [0] * graph.n
-    else:
-        colors = [1 if v in s else 0 for v in range(graph.n)]
-    return automorphism_group(graph, colors).order == 1
-
-
-def setwise_stabilizer_trivial(graph: Graph, members: Sequence[int]) -> bool:
-    """Independent check: exhaustive filter over the materialized group."""
-    return _setwise_trivial(automorphism_group(graph), members)
 
 
 def _candidate_sets(

@@ -37,7 +37,7 @@ import os
 from multiprocessing import get_context
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .autgrp import automorphism_group, canonical_data, canonical_form
+from .autgrp import automorphism_group, canonical_form, canonical_labeling
 from .graph import Graph, build_graph, bridges, distance_profiles
 from .graph6 import decode_graph6
 from .perm import Action, orbits
@@ -224,16 +224,16 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
         tied = [e for e in tied if scores[e] == best]
     if len(tied) == 1:
         return canonical_form(child).decode("ascii")
-    data = canonical_data(child)
-    label = data.labeling.images
+    label = canonical_labeling(child)
 
     def image(e: Tuple[int, int]) -> Tuple[int, int]:
         x, y = label[e[0]], label[e[1]]
         return (x, y) if x < y else (y, x)
 
     target = min(tied, key=image)
-    block = next(b for b in orbits(data.group, Action.EDGES, child) if target in b)
-    return data.canonical_g6.decode("ascii") if inserted in block else None
+    group = automorphism_group(child)
+    block = next(b for b in orbits(group, Action.EDGES, child) if target in b)
+    return canonical_form(child).decode("ascii") if inserted in block else None
 
 
 def _edge_pair_reps(graph: Graph) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable, List, Tuple
 
 import pytest
 
@@ -33,19 +34,19 @@ def naive_aut_order(g: Graph) -> int:
     return count
 
 
-def backtracking_aut_count(g: Graph) -> int:
-    """Independent oracle: count automorphisms by plain backtracking over
-    partial vertex maps with degree and adjacency consistency.  No
-    refinement, no canonical forms; usable to n ~ 14 on symmetric graphs."""
+def backtracking_automorphisms(g: Graph) -> List[Tuple[int, ...]]:
+    """Independent oracle: every automorphism as an image tuple, found by
+    plain backtracking over partial vertex maps with degree and adjacency
+    consistency.  No refinement, no canonical forms; usable to n ~ 14 on
+    symmetric graphs."""
     n = g.n
     images = [-1] * n
     used = [False] * n
-    count = 0
+    found: List[Tuple[int, ...]] = []
 
     def place(v: int) -> None:
-        nonlocal count
         if v == n:
-            count += 1
+            found.append(tuple(images))
             return
         for w in range(n):
             if used[w] or g.degree(w) != g.degree(v):
@@ -69,7 +70,13 @@ def backtracking_aut_count(g: Graph) -> int:
                 images[v] = -1
 
     place(0)
-    return count
+    return found
+
+
+def setwise_trivial(autos: List[Tuple[int, ...]], members: Iterable[int]) -> bool:
+    """Whether only the identity among the image tuples preserves the set."""
+    s = frozenset(members)
+    return sum(frozenset(im[v] for v in s) == s for im in autos) == 1
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -30,7 +30,6 @@ from cubicsym import (
     local_action_order,
     local_fixity_check,
     orbits,
-    setwise_stabilizer_trivial,
     stabilizer,
     stabilizer_class,
     transitivity_profile,
@@ -38,7 +37,12 @@ from cubicsym import (
 )
 from cubicsym.claims import brbb_unique_path_property
 
-from conftest import random_cubic, random_relabel
+from conftest import (
+    backtracking_automorphisms,
+    random_cubic,
+    random_relabel,
+    setwise_trivial,
+)
 
 JOBS = 4
 
@@ -201,12 +205,14 @@ def test_criterion_11_property_suites():
             for block in orbits(group, Action.VERTICES, g):
                 st = stabilizer(group, [block[0]])
                 assert len(block) * st.order == group.order
-        # colored-aut search vs exhaustive filter on 200 random pairs
+        # distinguishing sets vs a filter over backtracked automorphisms
+        # on 200 random pairs
         for _ in range(200):
             n = rng.choice((8, 10, 12))
             g = random_cubic(n, rng, connected=True)
             s = rng.sample(range(n), rng.randrange(0, n + 1))
-            assert is_distinguishing_set(g, s) == setwise_stabilizer_trivial(g, s)
+            autos = backtracking_automorphisms(g)
+            assert is_distinguishing_set(g, s) == setwise_trivial(autos, s)
 
 
 def test_criterion_12_prior_work_regressions():

@@ -16,14 +16,14 @@ from cubicsym import (
     extend_partial_map,
     girth,
     is_isomorphic,
-    refine_coloring,
     s_arc_count,
 )
 from cubicsym import autgrp
+from cubicsym.autgrp import _refine_cells
 from cubicsym.catalog import generalized_petersen, _lcf
 
 from conftest import (
-    backtracking_aut_count,
+    backtracking_automorphisms,
     naive_aut_order,
     random_cubic,
     random_graph,
@@ -34,38 +34,39 @@ from conftest import (
 # ---------------------------------------------------------------------------
 # refinement
 
+def is_equitable(graph, cells) -> bool:
+    """Every vertex of a cell has as many neighbors in each cell as the
+    others of its cell."""
+    masks = [sum(1 << v for v in c) for c in cells]
+    return all(
+        len({(graph.adj_bits[v] & mask).bit_count() for v in cell}) == 1
+        for cell in cells
+        for mask in masks
+    )
+
+
 def test_refine_complete_graph_stays_single_cell():
     k4 = catalog_graph("k4")
-    part = refine_coloring(k4, [0, 0, 0, 0])
-    assert part.cells == ((0, 1, 2, 3),)
+    assert _refine_cells(k4.adj, [(0, 1, 2, 3)]) == [(0, 1, 2, 3)]
 
 
 def test_refine_star_splits_center_from_leaves():
     star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
-    part = refine_coloring(star, [0, 0, 0, 0])
-    assert part.cells == ((0,), (1, 2, 3))
+    assert _refine_cells(star.adj, [(0, 1, 2, 3)]) == [(0,), (1, 2, 3)]
 
 
 def test_refine_individualized_petersen_gives_distance_partition():
     g = catalog_graph("petersen")
-    part = refine_coloring(g, [0] + [1] * 9)
-    assert [len(c) for c in part.cells] == [1, 3, 6]
-    assert part.cells[0] == (0,)
-    assert part.cells[1] == tuple(g.adj[0])
+    cells = _refine_cells(g.adj, [(0,), tuple(range(1, 10))])
+    assert [len(c) for c in cells] == [1, 3, 6]
+    assert cells[0] == (0,)
+    assert cells[1] == tuple(g.adj[0])
 
 
 def test_refinement_output_is_equitable(rng):
     for _ in range(25):
         g = random_graph(10, 0.3, rng)
-        part = refine_coloring(g, [0] * 10)
-        assert part.is_equitable(g)
-
-
-def test_bad_coloring_rejected():
-    with pytest.raises(ValueError):
-        refine_coloring(catalog_graph("k4"), [0, 2, 2, 2])  # gap in colors
-    with pytest.raises(ValueError):
-        refine_coloring(catalog_graph("k4"), [0, 0, 0])  # wrong length
+        assert is_equitable(g, _refine_cells(g.adj, [tuple(range(10))]))
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +86,6 @@ def test_every_element_preserves_edges_and_colors(rng):
         for u, w in edges:
             a, b = p.images[u], p.images[w]
             assert (min(a, b), max(a, b)) in edges
-    colors = [v % 2 for v in range(12)]
-    for p in automorphism_group(g, colors).elements:
-        assert all(colors[v] == colors[p.images[v]] for v in range(12))
 
 
 def test_asymmetric_cubic_graph_has_trivial_group():
@@ -105,13 +103,13 @@ def test_fig5_lambda_group_order_24():
 
 def test_petersen_order_120_against_backtracking_oracle():
     g = catalog_graph("petersen")
-    assert automorphism_group(g).order == 120 == backtracking_aut_count(g)
+    assert automorphism_group(g).order == 120 == len(backtracking_automorphisms(g))
 
 
 def test_group_orders_against_backtracking_oracle(rng):
     for _ in range(10):
         g = random_cubic(12, rng, connected=True)
-        assert automorphism_group(g).order == backtracking_aut_count(g)
+        assert automorphism_group(g).order == len(backtracking_automorphisms(g))
 
 
 def test_heawood_group_order_336():
@@ -134,22 +132,12 @@ def test_search_finds_few_generators_under_any_labelling(rng):
     # an equal-code leaf unwinds the search to where its path leaves the
     # best leaf's, so each relabelling yields a handful of generators
     # (19 to 70 for these labellings without the unwinding)
-    from cubicsym.autgrp import _search_with_coloring
-
     g = catalog_graph("tutte_coxeter")
     for _ in range(10):
         h = random_relabel(g, rng)
-        res = _search_with_coloring(h, None)
+        res = autgrp._ir_search(h)
         assert len(res.generators) <= 8
         assert automorphism_group(h).order == 1440
-
-
-def test_colored_group_is_subgroup_of_plain_group():
-    g = catalog_graph("petersen")
-    full = set(p.images for p in automorphism_group(g).elements)
-    colored = automorphism_group(g, [0, 1] + [1] * 8)
-    assert all(p.images in full for p in colored.elements)
-    assert colored.order == 12  # vertex stabilizer
 
 
 def _count_calls(monkeypatch, name):
@@ -172,14 +160,8 @@ def test_one_search_and_one_closure_per_uncolored_graph(monkeypatch):
     closures = _count_calls(monkeypatch, "close_generators")
     form = canonical_form(g)
     group = automorphism_group(g)
-    assert automorphism_group(g) is group
-    assert (len(searches), len(closures)) == (1, 1)
-    # a colored call bypasses the memo: it searches and closes once more,
-    # and g keeps its group
-    assert automorphism_group(g, [0] + [1] * 9).order == 12
-    assert (len(searches), len(closures)) == (2, 2)
     assert automorphism_group(g) is group and canonical_form(g) == form
-    assert (len(searches), len(closures)) == (2, 2)
+    assert (len(searches), len(closures)) == (1, 1)
 
 
 def test_memo_keeps_one_graph(monkeypatch):

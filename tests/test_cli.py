@@ -129,6 +129,8 @@ def test_color_cap_exit_4(monkeypatch, capsys):
 def test_cost_budget_exit_4(capsys):
     _assert_resource_limit(
         ["cost", "--catalog", "petersen", "--budget", "1"], capsys)
+    _assert_resource_limit(
+        ["cost", "--catalog", "petersen", "--budget", "0"], capsys)
 
 
 def test_edgelist_input(tmp_path, capsys):
@@ -197,6 +199,19 @@ def test_enumerate_malformed_predicate_exit_2(spec, capsys):
     rc, out, err = run_cli(["enumerate", "8", "--predicate", spec], capsys)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["cost", "--catalog", "petersen", "--budget", "-1"],
+     ["quotient", "--graph6", "G~?GW["]],  # two disjoint K4s
+    ids=["negative-budget", "disconnected-quotient"],
+)
+def test_usage_errors_exit_2(args, capsys):
+    rc, out, err = run_cli(args, capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cost_command(capsys):

@@ -5,18 +5,20 @@ import itertools
 import pytest
 
 from cubicsym import (
+    GroupTooLargeError,
     SearchBudgetExceeded,
     automorphism_group,
+    build_graph,
     catalog_graph,
     distinguishing_cost,
     distinguishing_number,
     enumerate_cubic,
     is_distinguishing_set,
-    setwise_stabilizer_trivial,
 )
+from cubicsym import autgrp
 from cubicsym.claims import brbb_unique_path_property
 
-from conftest import random_cubic
+from conftest import backtracking_automorphisms, random_cubic, setwise_trivial
 
 
 def test_whole_vertex_set_distinguishing_iff_asymmetric():
@@ -40,12 +42,20 @@ def test_complement_symmetry(rng):
         assert is_distinguishing_set(g, s) == is_distinguishing_set(g, comp)
 
 
-def test_colored_search_agrees_with_group_filter(rng):
+def test_distinguishing_set_agrees_with_backtracking_filter(rng):
     for _ in range(40):
         n = rng.choice((8, 10, 12))
         g = random_cubic(n, rng, connected=True)
         s = rng.sample(range(n), rng.randrange(0, n + 1))
-        assert is_distinguishing_set(g, s) == setwise_stabilizer_trivial(g, s)
+        autos = backtracking_automorphisms(g)
+        assert is_distinguishing_set(g, s) == setwise_trivial(autos, s)
+
+
+def test_distinguishing_set_raises_above_the_group_cap(monkeypatch):
+    # Sym(7) has 5040 elements: the set test materializes the group
+    monkeypatch.setattr(autgrp, "DEFAULT_GROUP_CAP", 1000)
+    with pytest.raises(GroupTooLargeError):
+        is_distinguishing_set(build_graph(7, []), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +93,7 @@ def test_witness_is_lexicographically_least(rng):
     for cand in itertools.combinations(range(18), 3):
         if cand >= res.witness:
             break
-        assert not setwise_stabilizer_trivial(g, cand)
+        assert not is_distinguishing_set(g, cand)
     assert is_distinguishing_set(g, res.witness)
 
 
@@ -122,7 +132,7 @@ def test_cost_matches_unpruned_search_on_small_graphs(rng):
             sizes[k] = [
                 s
                 for s in itertools.combinations(range(8), k)
-                if setwise_stabilizer_trivial(g, s)
+                if is_distinguishing_set(g, s)
             ]
         brute = next((k for k in range(1, 5) if sizes[k]), None)
         if res.kind == "asymmetric":

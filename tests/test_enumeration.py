@@ -20,7 +20,7 @@ from cubicsym import (
     is_isomorphic,
 )
 from cubicsym import enumeration
-from cubicsym.autgrp import canonical_data
+from cubicsym.autgrp import automorphism_group, canonical_labeling
 from cubicsym.graph import bridges
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
 from cubicsym.perm import Action, orbits
@@ -198,15 +198,14 @@ def _reference_accept(child, inserted):
     bfs = enumeration._edge_scores(child, red)
     score = {e: (enumeration._short_cycle_key(child, *e), bfs[e]) for e in red}
     best = min(score.values())
-    data = canonical_data(child)
-    label = data.labeling.images
+    label = canonical_labeling(child)
     target = min(
         (e for e in red if score[e] == best),
         key=lambda e: tuple(sorted((label[e[0]], label[e[1]]))),
     )
-    for block in orbits(data.group, Action.EDGES, child):
+    for block in orbits(automorphism_group(child), Action.EDGES, child):
         if target in block:
-            return data.canonical_g6.decode("ascii") if inserted in block else None
+            return canonical_form(child).decode("ascii") if inserted in block else None
 
 
 def test_accept_child_matches_reference_rule():

@@ -28,12 +28,7 @@ from cubicsym import (
     enumerate_cubic,
 )
 from cubicsym import autgrp
-from cubicsym.autgrp import (
-    _refine_cells,
-    canonical_data,
-    canonical_form,
-    cells_from_coloring,
-)
+from cubicsym.autgrp import _refine_cells, canonical_form, canonical_labeling
 
 from cubicsym.catalog import complete_bipartite, complete_graph
 
@@ -71,19 +66,15 @@ def reference_refine(
             return cells
 
 
-def reference_search(graph, initial_cells: Sequence[Tuple[int, ...]]):
+def reference_search(graph):
     n = graph.n
     adj_bits = graph.adj_bits
-    init_color = [0] * n
-    for ci, cell in enumerate(initial_cells):
-        for v in cell:
-            init_color[v] = ci
 
-    best_code: Optional[List[tuple]] = None
+    best_code: Optional[List[int]] = None
     best_posv: Optional[List[int]] = None
     auts: Dict[Tuple[int, ...], Permutation] = {}
 
-    def rec(cells: List[Tuple[int, ...]], items: List[tuple]) -> None:
+    def rec(cells: List[Tuple[int, ...]], items: List[int]) -> None:
         nonlocal best_code, best_posv
         cells = reference_refine(adj_bits, cells)
         t = 0
@@ -99,7 +90,7 @@ def reference_search(graph, initial_cells: Sequence[Tuple[int, ...]]):
                 colbits = 0
                 for i in range(j):
                     colbits = (colbits << 1) | ((av >> cells[i][0]) & 1)
-                items.append((init_color[vj], colbits))
+                items.append(colbits)
         if best_code is not None and items > best_code[: len(items)]:
             return
         if t == len(cells):
@@ -123,7 +114,7 @@ def reference_search(graph, initial_cells: Sequence[Tuple[int, ...]]):
             child = cells[:ci] + [(v,), rest] + cells[ci + 1 :]
             rec(child, items)
 
-    rec(list(initial_cells), [])
+    rec([tuple(range(n))], [])
     ident = Permutation.identity(n)
     auts.setdefault(ident.images, ident)
     return tuple(best_code), best_posv, tuple(auts[k] for k in sorted(auts))
@@ -150,24 +141,17 @@ def reference_reduce(degree: int, elements) -> Tuple[Permutation, ...]:
     return tuple(gens) if gens else (Permutation.identity(degree),)
 
 
-def assert_same_search(graph, coloring=None) -> None:
-    if coloring is None:
-        cells = (tuple(range(graph.n)),)
-    else:
-        cells = cells_from_coloring(graph.n, coloring)
-    _, posv, elements = reference_search(graph, cells)
-    group = automorphism_group(graph, coloring)
+def assert_same_search(graph) -> None:
+    _, posv, elements = reference_search(graph)
+    group = automorphism_group(graph)
     assert group.elements == elements
     assert group.generators == reference_reduce(graph.n, elements)
-    if coloring is None:
-        label = [0] * graph.n
-        for p, v in enumerate(posv):
-            label[v] = p
-        canon = encode_graph6(graph.relabel(label)).encode("ascii")
-        data = canonical_data(graph)
-        assert canonical_form(graph) == data.canonical_g6 == canon
-        assert data.labeling.images == tuple(label)
-        assert data.group == group
+    label = [0] * graph.n
+    for p, v in enumerate(posv):
+        label[v] = p
+    assert canonical_labeling(graph) == tuple(label)
+    canon = encode_graph6(graph.relabel(label)).encode("ascii")
+    assert canonical_form(graph) == canon
 
 
 # an order-10 cubic graph (|Aut| = 6) in a labelling whose search finds
@@ -182,7 +166,6 @@ def test_census_to_12_matches_unpruned_search():
     assert len(census) == 112
     for g in census + [decode_graph6(OFF_PATH_G6)]:
         assert_same_search(g)
-        assert_same_search(g, tuple(v % 2 for v in range(g.n)))
 
 
 @pytest.mark.parametrize("name", FIXED_CATALOG)
@@ -191,7 +174,6 @@ def test_catalog_graph_matches_unpruned_search(name):
     relabelled = random_relabel(g, random.Random(name))
     for h in (g, relabelled):
         assert_same_search(h)
-        assert_same_search(h, tuple(v % 2 for v in range(h.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +261,15 @@ def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
     census = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
     monkeypatch.setattr(autgrp, "_refine_cells", checked)
     for g in census:
-        autgrp._search_with_coloring(g, None)
-        autgrp._search_with_coloring(g, tuple(v % 2 for v in range(g.n)))
-    assert len(seeded) == 394  # one per non-root node of these searches
+        autgrp._ir_search(g)
+    assert len(seeded) == 361  # one per non-root node of these searches
 
 
 # sha256 of the search outputs (code, position_vertex, generator images),
 # one repr per line, over the census to n = 12 and the fixed catalog, each
-# graph in two relabellings, uncoloured and `v % 2`-coloured: recorded with
-# the dense-signature refinement, so it pins the order the search explores
-# in, not only the canonical forms it reaches
-SEARCH_PIN_SHA256 = "76926795aac7fc4b815e2be669a8ab16ae969431c2abde8a9be62686036348ff"
+# graph in two relabellings: it pins the order the search explores in, not
+# only the canonical forms it reaches
+SEARCH_PIN_SHA256 = "01c980ee4fb1558aebc559b54d4993b63089f8a6fd53af271fa4b741bc297a6c"
 
 
 def test_search_outputs_are_pinned():
@@ -300,10 +280,9 @@ def test_search_outputs_are_pinned():
     for g in graphs:
         for _ in range(2):
             h = random_relabel(g, rng)
-            for coloring in (None, tuple(v % 2 for v in range(h.n))):
-                res = autgrp._search_with_coloring(h, coloring)
-                images = [p.images for p in res.generators]
-                lines.append(repr((res.code, res.position_vertex, images)))
-    assert len(lines) == 508
+            res = autgrp._ir_search(h)
+            images = [p.images for p in res.generators]
+            lines.append(repr((res.code, res.position_vertex, images)))
+    assert len(lines) == 254
     digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
     assert digest == SEARCH_PIN_SHA256
