@@ -28,9 +28,9 @@ from .graph6 import (
 from .perm import (
     Action,
     GroupTooLargeError,
-    Permutation,
     PermutationGroup,
     close_generators,
+    cycle_notation,
     orbits,
     stabilizer,
 )

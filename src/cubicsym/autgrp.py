@@ -17,7 +17,8 @@ automorphism it gives maps the best path's child there onto its own, so
 the rest of that child's subtree is skipped.  Pruned subtrees hold no earlier
 minimum leaf, so the canonical leaf is the one the full tree gives, and
 the found automorphisms generate the whole group, which is materialized
-by closing them.
+by closing them.  An automorphism stays a plain image tuple from the leaf
+that finds it through the closure to the group's sorted element list.
 
 Refinement is incremental, yet it gives the fragments, in the same order,
 that counting every vertex against every cell gives.  A vertex weighs B ** (n - p), where p is
@@ -40,7 +41,7 @@ from .graph import Graph
 from .graph6 import encode_graph6
 from .perm import (
     DEFAULT_GROUP_CAP,
-    Permutation,
+    Images,
     PermutationGroup,
     close_generators,
     extend_closure,
@@ -126,7 +127,7 @@ class _SearchResult:
     def __init__(self, code, position_vertex, generators):
         self.code = code
         self.position_vertex = position_vertex  # canonical position -> vertex
-        self.generators = generators  # automorphisms from equal-code leaves
+        self.generators = generators  # image tuples from equal-code leaves
 
 
 def _ir_search(graph: Graph) -> _SearchResult:
@@ -236,25 +237,21 @@ def _ir_search(graph: Graph) -> _SearchResult:
 
     rec([tuple(range(n))], [], (), None)
     assert best_code is not None and best_posv is not None
-    return _SearchResult(tuple(best_code), best_posv, [Permutation(g) for g in gens])
+    return _SearchResult(tuple(best_code), best_posv, gens)
 
 
-def _reduce_generators(
-    degree: int, elements: Sequence[Permutation]
-) -> Tuple[Permutation, ...]:
+def _reduce_generators(degree: int, elements: Sequence[Images]) -> Tuple[Images, ...]:
     """Greedy small generating set for a materialized element list."""
-    gens: List[Permutation] = []
-    lookups: List = []
+    gens: List[Images] = []
     closed = {tuple(range(degree))}
     for p in elements:
-        if p.images in closed:
+        if p in closed:
             continue
         gens.append(p)
-        lookups.append(p.images.__getitem__)
-        extend_closure(closed, lookups, len(elements))
+        extend_closure(closed, [g.__getitem__ for g in gens], len(elements))
         if len(closed) == len(elements):
             break
-    return tuple(gens) if gens else (Permutation.identity(degree),)
+    return tuple(gens) if gens else (tuple(range(degree)),)
 
 
 # One memo for the last graph, by identity: its search and, closed on first
@@ -302,9 +299,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def extend_partial_map(
-    graph: Graph, partial: Mapping[int, int]
-) -> Optional[Permutation]:
+def extend_partial_map(graph: Graph, partial: Mapping[int, int]) -> Optional[Images]:
     """The least automorphism (by image sequence) agreeing with the partial
     vertex map, or None.
 
@@ -322,5 +317,5 @@ def extend_partial_map(
             raise ValueError("partial map endpoint outside vertex range")
     keep = automorphism_group(graph).elements
     for s, t in zip(sources, targets):
-        keep = [p for p in keep if p.images[s] == t]
+        keep = [p for p in keep if p[s] == t]
     return keep[0] if keep else None

@@ -2,7 +2,8 @@
 enumerate, cost, verify.
 
 Exit codes: 0 pass/ok, 1 claim failed, 2 usage error, 3 input parse
-error, 4 resource limit (group cap, cost-search budget, color cap).
+error, 4 resource limit (group cap, cost-search budget, color cap),
+5 internal error (any other exception, reported on one line).
 Reports add nothing to the library results; identical inputs produce
 byte-identical JSON across runs and worker counts.  All
 randomness (seeded labelings) flows from an explicit --seed.
@@ -33,7 +34,7 @@ from .distinguishing import (
 from .enumeration import EnumerationRangeError, enumerate_cubic_graph6
 from .graph import Graph, girth
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, format_edge_list, parse_edge_list
-from .perm import GroupTooLargeError
+from .perm import GroupTooLargeError, cycle_notation
 from .symmetry import (
     consistent_girth_cycles,
     edge_orbit_summary,
@@ -55,6 +56,7 @@ EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 
 class _CliError(Exception):
@@ -86,6 +88,9 @@ def _load_graph(args) -> Graph:
             text = fh.read()
     except OSError as exc:
         raise _CliError(f"cannot read {args.input}: {exc}", EXIT_USAGE) from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"parse failure: non-ASCII byte (byte offset {exc.start})",
+                        EXIT_PARSE) from exc
     fmt = getattr(args, "format", "graph6") or "graph6"
     try:
         if fmt == "graph6":
@@ -119,7 +124,7 @@ def _analysis_report(graph: Graph) -> dict:
     report["girth"] = girth(graph)  # null for a forest
     group = automorphism_group(graph)
     report["aut_order"] = group.order
-    report["aut_generators"] = [p.cycle_notation() for p in group.generators]
+    report["aut_generators"] = [cycle_notation(p) for p in group.generators]
     if graph.is_connected() and graph.n > 0:
         profile = transitivity_profile(graph)
         report["vertex_transitive"] = profile.vertex_transitive
@@ -260,7 +265,9 @@ def _cmd_truncate(args) -> int:
             )
             labeling = neighborhood_labeling(graph, strategy)
             result = generalized_truncation(graph, labeling, y)
-    except (ValueError, Graph6Error) as exc:
+    except Graph6Error as exc:  # --y-graph6
+        raise _CliError(str(exc), EXIT_PARSE) from exc
+    except ValueError as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     sys.stdout.write(_emit_graph(result, args.format))
     return EXIT_OK
@@ -431,6 +438,9 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_RESOURCE
     except BrokenPipeError:
         return EXIT_OK
+    except Exception as exc:  # exit 1 must mean only "claim failed"
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -73,9 +73,8 @@ def is_distinguishing_set(graph: Graph, members: Sequence[int]) -> bool:
     s = frozenset(members)
     if any(not 0 <= v < graph.n for v in s):
         raise ValueError("set member outside vertex range")
-    for p in automorphism_group(graph).elements:
-        im = p.images
-        if all(im[v] in s for v in s) and not p.is_identity():
+    for p in automorphism_group(graph).elements[1:]:
+        if all(p[v] in s for v in s):
             return False
     return True
 
@@ -107,9 +106,9 @@ def distinguishing_cost(graph: Graph, budget: Optional[int] = None) -> CostResul
     # an element preserving a set maps its least member, a rep, into the
     # set: index the non-identity elements by the image of each rep
     moves: Dict[int, Dict[int, List[Tuple[int, ...]]]] = {r: {} for r in reps}
-    for p in group.non_identity():
+    for p in group.elements[1:]:
         for r in reps:
-            moves[r].setdefault(p.images[r], []).append(p.images)
+            moves[r].setdefault(p[r], []).append(p)
     tested = 0
     for size in range(1, n // 2 + 1):
         for cand in _candidate_sets(reps, n, size):
@@ -148,7 +147,7 @@ def distinguishing_number(graph: Graph) -> int:
     if cost.is_cost:
         return 2
     n = graph.n
-    moving = group.non_identity()
+    moving = group.elements[1:]
     for d in range(3, COLOR_CAP + 1):
         if _distinguishing_coloring_exists(n, moving, d):
             return d
@@ -162,8 +161,7 @@ def _distinguishing_coloring_exists(
 
     def preserved_by_some() -> bool:
         for p in moving:
-            im = p.images
-            if all(colors[v] == colors[im[v]] for v in range(n)):
+            if all(colors[v] == colors[p[v]] for v in range(n)):
                 return True
         return False
 

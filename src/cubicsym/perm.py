@@ -1,9 +1,10 @@
 """Permutations on vertex indices and fully materialized permutation groups.
 
-The groups encountered here are tiny (at most a few thousand elements),
-so the whole element set is materialized by coset enumeration rather
-than via stabilizer chains.  A hard cap guards against runaway input; the
-failure mode is an explicit error, never silent degradation.
+A permutation of [0, n) is its image tuple: ``p[i]`` is the image of
+point i.  Groups are materialized whole by coset enumeration rather than
+via stabilizer chains; the closure is capped at DEFAULT_GROUP_CAP = 2^20
+elements (K9's 9! = 362,880 still closes).  Past the cap the failure is
+an explicit GroupTooLargeError, never silent degradation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from .graph import Graph
 
 DEFAULT_GROUP_CAP = 2**20
 
+Images = Tuple[int, ...]  # a permutation: images[i] is the image of point i
+
 
 class GroupTooLargeError(RuntimeError):
     """Closure exceeded the materialization cap."""
@@ -26,99 +29,48 @@ class GroupTooLargeError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on [0, n); images[i] is the image of point i."""
-
-    images: Tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError("images do not form a bijection on [0, n)")
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
-
-    @staticmethod
-    def from_cycles(n: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
-        images = list(range(n))
-        for cycle in cycles:
-            for i, v in enumerate(cycle):
-                images[v] = cycle[(i + 1) % len(cycle)]
-        return Permutation(tuple(images))
-
-    def apply(self, v: int) -> int:
-        return self.images[v]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p * q)(x) = p(q(x))."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        oi = other.images
-        si = self.images
-        return Permutation(tuple(si[oi[x]] for x in range(len(si))))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.images))
-
-    def cycle_notation(self) -> str:
-        seen = [False] * len(self.images)
-        parts: List[str] = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            v = self.images[start]
-            while v != start:
-                cyc.append(v)
-                seen[v] = True
-                v = self.images[v]
-            if len(cyc) > 1:
-                parts.append("(" + " ".join(map(str, cyc)) + ")")
-        return "".join(parts) if parts else "()"
-
-    def __repr__(self) -> str:
-        return f"Permutation{self.cycle_notation()}"
+def cycle_notation(images: Images) -> str:
+    """Disjoint cycles of length > 1, each from its least point, or "()"."""
+    seen = [False] * len(images)
+    parts: List[str] = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        v = images[start]
+        while v != start:
+            cyc.append(v)
+            seen[v] = True
+            v = images[v]
+        if len(cyc) > 1:
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(parts) if parts else "()"
 
 
 @dataclass(frozen=True)
 class PermutationGroup:
     """Finitely generated group with its element set materialized.
 
-    Elements are stored sorted lexicographically by image sequence so
-    every downstream search over the group is reproducible.
+    Elements are image tuples sorted lexicographically, so every
+    downstream search over the group is reproducible and the identity is
+    ``elements[0]``.
     """
 
     degree: int
-    generators: Tuple[Permutation, ...]
-    elements: Tuple[Permutation, ...]
+    generators: Tuple[Images, ...]
+    elements: Tuple[Images, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def non_identity(self) -> Tuple[Permutation, ...]:
-        return tuple(p for p in self.elements if not p.is_identity())
-
 
 def extend_closure(
-    seen: Set[Tuple[int, ...]], lookups: Sequence[Callable], cap: int
+    seen: Set[Images], lookups: Sequence[Callable], cap: int
 ) -> bool:
     """Grow ``seen``, the group H of all but the last generator (as image
-    tuples; ``lookups`` holds each generator's ``images.__getitem__``), to
+    tuples; ``lookups`` holds each generator's ``__getitem__``), to
     the group of all; False once it would outgrow ``cap``.  The new group
     is a union of left cosets x H and g maps x H to (g x) H, so the step
     costs about one product per element, however many generators."""
@@ -139,32 +91,35 @@ def extend_closure(
 
 
 def close_generators(
-    gens: Iterable[Permutation], degree: Optional[int] = None, cap: int = DEFAULT_GROUP_CAP
+    gens: Iterable[Sequence[int]], degree: Optional[int] = None, cap: int = DEFAULT_GROUP_CAP
 ) -> PermutationGroup:
     """Materialize the group generated by ``gens``, one generator at a
     time by coset enumeration (see :func:`extend_closure`).
 
-    Degrees must agree; exceeding ``cap`` raises GroupTooLargeError.
+    Each generator is an image sequence, taken as a tuple; it must be a
+    bijection on [0, degree).  Exceeding ``cap`` raises GroupTooLargeError.
     """
-    gens = tuple(gens)
+    gens = tuple(map(tuple, gens))
     if degree is None:
         if not gens:
             raise ValueError("degree required for an empty generating set")
-        degree = gens[0].degree
+        degree = len(gens[0])
+    ident = tuple(range(degree))
     for g in gens:
-        if g.degree != degree:
+        if len(g) != degree:
             raise ValueError("generator degree mismatch")
-    # image tuples: g * p is tuple(map(g.__getitem__, p))
+        if tuple(sorted(g)) != ident:
+            raise ValueError("generator is not a bijection on [0, degree)")
+    # g * p is tuple(map(g.__getitem__, p))
     lookups: List[Callable] = []
-    seen = {tuple(range(degree))}
+    seen = {ident}
     for gen in gens:
-        if gen.images in seen:  # already generated: costs nothing more
+        if gen in seen:  # already generated: costs nothing more
             continue
-        lookups.append(gen.images.__getitem__)
+        lookups.append(gen.__getitem__)
         if not extend_closure(seen, lookups, cap):
             raise GroupTooLargeError(cap)
-    elements = tuple(Permutation(k) for k in sorted(seen))
-    return PermutationGroup(degree, gens, elements)
+    return PermutationGroup(degree, gens, tuple(sorted(seen)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +143,17 @@ def _acted_set(action: Action, host: Graph):
     return itertools.combinations(host.edges(), 2)
 
 
-def _image_fn(action: Action) -> Callable[[Permutation, object], object]:
+def _image_fn(action: Action) -> Callable[[Images, object], object]:
     if action is Action.VERTICES:
-        return lambda p, v: p.images[v]
+        return lambda p, v: p[v]
 
-    def edge_image(p: Permutation, e):
-        a, b = p.images[e[0]], p.images[e[1]]
+    def edge_image(p: Images, e):
+        a, b = p[e[0]], p[e[1]]
         return (a, b) if a < b else (b, a)
     if action is Action.EDGES:
         return edge_image
 
-    def pair_image(p: Permutation, pair):
+    def pair_image(p: Images, pair):
         f, g = edge_image(p, pair[0]), edge_image(p, pair[1])
         return (f, g) if f < g else (g, f)
     return pair_image
@@ -239,5 +194,5 @@ def stabilizer(group: PermutationGroup, points: Iterable[int]) -> PermutationGro
     for v in points:
         if not 0 <= v < group.degree:
             raise ValueError("target vertex outside degree")
-        keep = tuple(p for p in keep if p.images[v] == v)
+        keep = tuple(p for p in keep if p[v] == v)
     return PermutationGroup(group.degree, keep, keep)

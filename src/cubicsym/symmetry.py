@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 from .autgrp import automorphism_group, extend_partial_map
 from .graph import (CycleSeq, Graph, cycles_of_length, edge_components, girth,
                     s_arc_count, s_arcs)
-from .perm import Action, Permutation, PermutationGroup, orbits, stabilizer
+from .perm import Action, Images, PermutationGroup, orbits, stabilizer
 
 MAX_S = 7
 
@@ -174,13 +174,14 @@ def local_action_order(graph: Graph, v: int) -> int:
 
 def consistent_cycles(
     graph: Graph, length: int
-) -> Tuple[Tuple[CycleSeq, Permutation], ...]:
+) -> Tuple[Tuple[CycleSeq, Images], ...]:
     """All length-L cycles admitting a one-step rotation, with witnesses.
 
-    Each returned witness g satisfies g(v_i) = v_{i+1 mod L} on the
-    stored canonical sequence.  Only one orientation needs testing: a
-    rotation of the reversed traversal is the inverse of a forward
-    rotation, so a cycle is consistent one way iff it is the other.
+    Each returned witness is an automorphism's image tuple g with
+    g[v_i] = v_{i+1 mod L} on the stored canonical sequence.  Only one
+    orientation needs testing: a rotation of the reversed traversal is
+    the inverse of a forward rotation, so a cycle is consistent one way
+    iff it is the other.
     """
     _require_connected(graph)
     out = []
@@ -195,7 +196,7 @@ def consistent_cycles(
 
 def consistent_girth_cycles(
     graph: Graph,
-) -> Tuple[Tuple[CycleSeq, Permutation], ...]:
+) -> Tuple[Tuple[CycleSeq, Images], ...]:
     length = girth(graph)
     return () if length is None else consistent_cycles(graph, length)
 

@@ -84,7 +84,7 @@ def test_every_element_preserves_edges_and_colors(rng):
     edges = set(g.edges())
     for p in automorphism_group(g).elements:
         for u, w in edges:
-            a, b = p.images[u], p.images[w]
+            a, b = p[u], p[w]
             assert (min(a, b), max(a, b)) in edges
 
 
@@ -222,14 +222,14 @@ def test_canonical_form_is_a_graph6_string():
 def test_empty_partial_map_extends_to_identity():
     g = catalog_graph("petersen")
     p = extend_partial_map(g, {})
-    assert p is not None and p.is_identity()
+    assert p == tuple(range(10))
 
 
 def test_k4_transposition_extension():
     g = catalog_graph("k4")
     p = extend_partial_map(g, {0: 0, 1: 1, 2: 3, 3: 2})
     assert p is not None
-    assert p.images == (0, 1, 3, 2)
+    assert p == (0, 1, 3, 2)
 
 
 def test_petersen_pentagon_rotation_has_witness():
@@ -240,7 +240,7 @@ def test_petersen_pentagon_rotation_has_witness():
     partial = {cyc[i]: cyc[(i + 1) % 5] for i in range(5)}
     p = extend_partial_map(g, partial)
     assert p is not None
-    assert all(p.images[cyc[i]] == cyc[(i + 1) % 5] for i in range(5))
+    assert all(p[cyc[i]] == cyc[(i + 1) % 5] for i in range(5))
 
 
 def test_extension_agrees_with_exhaustive_filter(rng):
@@ -262,7 +262,7 @@ def test_extension_agrees_with_exhaustive_filter(rng):
         matches = [
             p
             for p in automorphism_group(g).elements
-            if all(p.images[s] == t for s, t in partial.items())
+            if all(p[s] == t for s, t in partial.items())
         ]
         # the least match by image sequence, or None when there is none
         assert extend_partial_map(g, partial) == (matches[0] if matches else None)

@@ -104,6 +104,39 @@ def test_non_ascii_graph6_exit_3(capsys):
     assert "byte offset 1" in err
 
 
+@pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+def test_non_ascii_input_file_exit_3(fmt, tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"C\xc3\xa9\n")
+    rc, out, err = run_cli(["analyze", "--input", str(path), "--format", fmt],
+                           capsys)
+    assert rc == cli.EXIT_PARSE == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "byte offset 1" in err
+
+
+def test_truncate_bad_y_graph6_exit_3(capsys):
+    rc, out, err = run_cli(["truncate", "--catalog", "k4", "--y-graph6", "zz"],
+                           capsys)
+    assert rc == cli.EXIT_PARSE == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "offset" in err
+
+
+def test_unexpected_exception_exit_5(monkeypatch, capsys):
+    def broken(graph):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "_analysis_report", broken)
+    rc, out, err = run_cli(["analyze", "--catalog", "k4"], capsys)
+    assert rc == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "error: internal error: KeyError: 'boom'\n"
+    assert "Traceback" not in err
+
+
 def _assert_resource_limit(argv, capsys):
     rc, out, err = run_cli(argv, capsys)
     assert rc == cli.EXIT_RESOURCE == 4
@@ -380,12 +413,18 @@ def test_predicate_help_lists_the_registry(capsys):
         assert f",{name}" in "," + listed
 
 
+def _documented_exit_codes(text):
+    """The codes listed in the first sentence of an "Exit codes:" text."""
+    listing = " ".join(text.split()).split(". ", 1)[0][len("Exit codes:"):]
+    return [int(code) for code in re.findall(r"(?:^|, )(\d+) ", listing.strip())]
+
+
 def test_readme_exit_codes_are_the_cli_constants():
     with open(README) as fh:
         paragraphs = fh.read().split("\n\n")
     text = next(p for p in paragraphs if p.startswith("Exit codes:"))
-    listing = " ".join(text.split()).split(". ", 1)[0][len("Exit codes:"):]
-    documented = [int(item.split()[0]) for item in listing.split(", ")]
+    docstring = cli.__doc__[cli.__doc__.index("Exit codes:"):]
     constants = [value for name, value in vars(cli).items()
                  if name.startswith("EXIT_")]
-    assert documented == sorted(constants) == sorted(set(constants))
+    assert _documented_exit_codes(text) == sorted(constants) == sorted(set(constants))
+    assert _documented_exit_codes(docstring) == sorted(constants)

@@ -7,58 +7,38 @@ import pytest
 from cubicsym import (
     Action,
     GroupTooLargeError,
-    Permutation,
     automorphism_group,
     catalog_graph,
     catalog_names,
     close_generators,
+    cycle_notation,
     enumerate_cubic,
     orbits,
     stabilizer,
 )
 
-from conftest import random_cubic
-
-
-def test_identity_and_inverse_laws(rng):
-    for _ in range(20):
-        images = list(range(7))
-        rng.shuffle(images)
-        p = Permutation(tuple(images))
-        ident = Permutation.identity(7)
-        assert ident * p == p
-        assert p * ident == p
-        assert p * p.inverse() == ident
-        assert p.inverse() * p == ident
-
-
-def test_cycle_application():
-    p = Permutation.from_cycles(3, [(0, 1, 2)])
-    assert p.apply(2) == 0
-    assert (p * p).apply(2) == 1
-
-
-def test_composition_order():
-    p = Permutation.from_cycles(3, [(0, 1)])
-    q = Permutation.from_cycles(3, [(1, 2)])
-    # (p * q)(x) = p(q(x)): q sends 1 to 2, then p fixes 2
-    assert (p * q).apply(1) == 2
+from conftest import FIXED_CATALOG, random_cubic
 
 
 def test_non_bijection_rejected():
     with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
+        close_generators([(0, 0, 1)])
+    with pytest.raises(ValueError):
+        close_generators([(0, 1, 3)])
 
 
 def test_degree_mismatch_rejected():
     with pytest.raises(ValueError):
-        Permutation((0, 1)) * Permutation((0, 1, 2))
+        close_generators([(1, 0), (0, 2, 1)])
+    with pytest.raises(ValueError):
+        close_generators([(1, 0)], degree=3)
 
 
 def test_cycle_notation():
-    p = Permutation.from_cycles(5, [(0, 1, 2), (3, 4)])
-    assert p.cycle_notation() == "(0 1 2)(3 4)"
-    assert Permutation.identity(3).cycle_notation() == "()"
+    assert cycle_notation((1, 2, 0, 4, 3)) == "(0 1 2)(3 4)"
+    assert cycle_notation((0, 3, 2, 1)) == "(1 3)"
+    assert cycle_notation((0, 1, 2)) == "()"
+    assert cycle_notation(()) == "()"
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +50,19 @@ def test_empty_generating_set_gives_trivial_group():
 
 
 def test_symmetric_group_closure():
-    g = close_generators(
-        [Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])]
-    )
+    g = close_generators([(1, 0, 2, 3), (1, 2, 3, 0)])
     assert g.order == 24
+    assert g.elements == tuple(itertools.permutations(range(4)))
+
+
+def test_close_generators_accepts_lists():
+    g = close_generators([[1, 0, 2, 3], [1, 2, 3, 0]])
+    assert g.generators == ((1, 0, 2, 3), (1, 2, 3, 0))
+    assert g.elements == close_generators([(1, 0, 2, 3), (1, 2, 3, 0)]).elements
 
 
 def test_closure_cap_raises():
-    gens = [
-        Permutation.from_cycles(8, [(0, 1)]),
-        Permutation.from_cycles(8, [tuple(range(8))]),
-    ]
+    gens = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
     with pytest.raises(GroupTooLargeError) as err:
         close_generators(gens, cap=100)
     assert "100" in str(err.value)
@@ -95,7 +77,7 @@ def test_closure_of_petersen_generators_has_order_120():
 
 def test_closure_skips_redundant_generators():
     group = automorphism_group(catalog_graph("petersen"))
-    padded = [Permutation.identity(10)] + list(group.non_identity()) * 2
+    padded = [tuple(range(10))] + list(group.elements[1:]) * 2
     regen = close_generators(padded, degree=10)
     assert regen.elements == group.elements
     assert regen.generators == tuple(padded)
@@ -103,8 +85,20 @@ def test_closure_skips_redundant_generators():
 
 def test_elements_are_sorted_lexicographically():
     group = automorphism_group(catalog_graph("k33"))
-    images = [p.images for p in group.elements]
-    assert images == sorted(images)
+    assert list(group.elements) == sorted(group.elements)
+
+
+def test_identity_comes_first_in_groups_and_stabilizers():
+    graphs = [g for n in range(4, 11, 2) for g in enumerate_cubic(n)]
+    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
+    for g in graphs:
+        ident = tuple(range(g.n))
+        group = automorphism_group(g)
+        assert group.elements[0] == ident
+        for pts in ((0,), (g.n - 1,), (0, 1), g.adj[0], (g.n - 1, 0, g.n // 2)):
+            stab = stabilizer(group, pts)
+            assert stab.elements[0] == ident
+            assert all(p[v] == v for p in stab.elements for v in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +132,7 @@ def test_orbit_blocks_are_a_partition_closed_under_generators(rng):
     for block in blocks:
         s = set(block)
         for gen in group.generators:
-            assert {gen.images[v] for v in s} == s
+            assert {gen[v] for v in s} == s
 
 
 def _edge_pair_reps_by_elements(graph, group):
@@ -151,8 +145,8 @@ def _edge_pair_reps_by_elements(graph, group):
             continue
         reps.append((e1, e2))
         for p in group.elements:
-            f1 = tuple(sorted((p.images[e1[0]], p.images[e1[1]])))
-            f2 = tuple(sorted((p.images[e2[0]], p.images[e2[1]])))
+            f1 = tuple(sorted((p[e1[0]], p[e1[1]])))
+            f2 = tuple(sorted((p[e2[0]], p[e2[1]])))
             seen.add(frozenset((f1, f2)))
     return reps
 
