@@ -63,19 +63,16 @@ from .distinguishing import (
 from .catalog import (
     CatalogError,
     CatalogEntry,
-    RotationSystem,
     catalog_build,
     catalog_graph,
     catalog_names,
 )
 from .truncation import (
-    ArcLabeling,
-    LabelingStrategy,
     QuotientError,
     classic_truncation,
     cycle_quotient,
     generalized_truncation,
-    neighborhood_labeling,
+    seeded_orders,
 )
 from .enumeration import (
     EnumerationRangeError,
@@ -87,6 +84,7 @@ from .enumeration import (
 )
 from .claims import (
     CLAIM_IDS,
+    ClaimInputError,
     ClaimReport,
     PREDICATES,
     UnknownClaimError,

@@ -3,9 +3,9 @@
 Every entry is explicit literal data (or a deterministic parametric
 family), so canonical forms, search witnesses, and report output stay
 reproducible across versions.  The icosahedron carries the rotation
-system of its polyhedral embedding; girth-5 truncations need a
-rotation-respecting arc labeling, and arbitrary labelings generally
-produce girth below 5.
+system of its polyhedral embedding, as the literal tuple of each
+vertex's neighbors in cyclic order; truncating along it gives girth 5,
+and arbitrary labelings generally produce girth below 5.
 
 Vertex numbering conventions for the hand-built entries:
 
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graph import Graph, build_graph
+from .truncation import Orders, classic_truncation, generalized_truncation
 
 
 class CatalogError(ValueError):
@@ -33,24 +34,10 @@ class CatalogError(ValueError):
 
 
 @dataclass(frozen=True)
-class RotationSystem:
-    """Cyclic neighbor order at each vertex (an embedding)."""
-
-    orders: Tuple[Tuple[int, ...], ...]
-
-    def validate(self, graph: Graph) -> None:
-        if len(self.orders) != graph.n:
-            raise ValueError("rotation system order mismatch")
-        for v, cyc in enumerate(self.orders):
-            if sorted(cyc) != list(graph.adj[v]):
-                raise ValueError(f"rotation at vertex {v} is not its neighbor set")
-
-
-@dataclass(frozen=True)
 class CatalogEntry:
     name: str
     graph: Graph
-    rotation: Optional[RotationSystem] = None
+    rotation: Optional[Orders] = None  # each vertex's neighbors in cyclic order
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +173,12 @@ def _tutte_coxeter() -> Graph:
     return _lcf(30, [-13, -9, 7, -7, 9, 13], 5)
 
 
-def icosahedron() -> Tuple[Graph, RotationSystem]:
-    g = build_graph(12, _ICOSAHEDRON_EDGES)
-    rot = RotationSystem(_ICOSAHEDRON_ROTATION)
-    rot.validate(g)
-    return g, rot
+def icosahedron() -> Tuple[Graph, Orders]:
+    return build_graph(12, _ICOSAHEDRON_EDGES), _ICOSAHEDRON_ROTATION
 
 
 # ---------------------------------------------------------------------------
 # the catalog proper
-
-def _entry_truncated_icosahedron() -> CatalogEntry:
-    # built here lazily to avoid an import cycle with the truncation module
-    from .truncation import LabelingStrategy, generalized_truncation, neighborhood_labeling
-
-    g, rot = icosahedron()
-    lab = neighborhood_labeling(g, LabelingStrategy.from_rotation(rot))
-    t = generalized_truncation(g, lab, cycle_graph(5))
-    return CatalogEntry("truncated_icosahedron", t)
-
-
-def _entry_truncated_k4() -> CatalogEntry:
-    from .truncation import classic_truncation
-
-    return CatalogEntry("truncated_k4", classic_truncation(complete_graph(4)))
-
 
 _PLAIN: Dict[str, Callable[[], Graph]] = {
     "k4": lambda: complete_graph(4),
@@ -236,8 +204,12 @@ _PARAMETRIC: Dict[str, Callable[..., Graph]] = {
 
 _COMPOSITE: Dict[str, Callable[[], CatalogEntry]] = {
     "icosahedron": lambda: CatalogEntry("icosahedron", *icosahedron()),
-    "truncated_icosahedron": _entry_truncated_icosahedron,
-    "truncated_k4": _entry_truncated_k4,
+    "truncated_icosahedron": lambda: CatalogEntry(
+        "truncated_icosahedron", generalized_truncation(*icosahedron(), cycle_graph(5))
+    ),
+    "truncated_k4": lambda: CatalogEntry(
+        "truncated_k4", classic_truncation(complete_graph(4))
+    ),
 }
 
 

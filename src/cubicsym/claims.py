@@ -46,7 +46,6 @@ Claim ids:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
@@ -70,6 +69,10 @@ from .symmetry import (
 
 class UnknownClaimError(ValueError):
     pass
+
+
+class ClaimInputError(ValueError):
+    """Inputs given to a claim that scans the census."""
 
 
 @dataclass
@@ -97,9 +100,6 @@ class ClaimReport:
             "counterexample": self.counterexample,
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary(self) -> str:
         hits = ", ".join(self.hypothesis_hits) or "none"
@@ -413,6 +413,9 @@ def verify_claim(
         orders = [g.n for _, g in pairs]
         report = ClaimReport(key, (min(orders), max(orders)), 0)
         return _scan(claim, report, (Record(g, name=name) for name, g in pairs))
+    if inputs:
+        raise ClaimInputError(f"claim {key} scans the census and takes no "
+                              f"inputs; only {', '.join(INPUT_CLAIMS)} do")
     n_max -= n_max % 2
     _check_order(n_max)  # before any order is generated
     report = ClaimReport(key, (4, n_max), 0)

@@ -17,10 +17,11 @@ import sys
 from typing import Optional
 
 from .autgrp import automorphism_group, canonical_form
-from .catalog import CatalogError, catalog_build, catalog_names
+from .catalog import CatalogEntry, CatalogError, catalog_build, catalog_names, cycle_graph
 from .claims import (
     CLAIM_IDS,
     PREDICATES,
+    ClaimInputError,
     UnknownClaimError,
     filtered_enumeration,
     verify_claim,
@@ -42,11 +43,10 @@ from .symmetry import (
     transitivity_profile,
 )
 from .truncation import (
-    LabelingStrategy,
     classic_truncation,
     cycle_quotient,
     generalized_truncation,
-    neighborhood_labeling,
+    seeded_orders,
 )
 
 SCHEMA_VERSION = "cubicsym/report-v1"
@@ -65,7 +65,8 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load_graph(args) -> Graph:
+def _load_entry(args) -> CatalogEntry:
+    """The one input graph; only a --catalog entry can carry a rotation."""
     sources = [
         s for s in ("input", "graph6", "catalog") if getattr(args, s, None)
     ]
@@ -75,12 +76,12 @@ def _load_graph(args) -> Graph:
         )
     if args.catalog:
         try:
-            return catalog_build(args.catalog).graph
+            return catalog_build(args.catalog)
         except CatalogError as exc:
             raise _CliError(str(exc), EXIT_USAGE) from exc
     if args.graph6:
         try:
-            return decode_graph6(args.graph6)
+            return CatalogEntry("graph6", decode_graph6(args.graph6))
         except Graph6Error as exc:
             raise _CliError(str(exc), EXIT_PARSE) from exc
     try:
@@ -91,15 +92,13 @@ def _load_graph(args) -> Graph:
     except UnicodeDecodeError as exc:
         raise _CliError(f"parse failure: non-ASCII byte (byte offset {exc.start})",
                         EXIT_PARSE) from exc
-    fmt = getattr(args, "format", "graph6") or "graph6"
     try:
-        if fmt == "graph6":
-            return decode_graph6(text.strip().splitlines()[0] if text.strip() else "")
-        if fmt == "edgelist":
-            return parse_edge_list(text)
+        if args.format == "edgelist":
+            return CatalogEntry(args.input, parse_edge_list(text))
+        return CatalogEntry(args.input, decode_graph6(
+            text.strip().splitlines()[0] if text.strip() else ""))
     except (Graph6Error, ValueError) as exc:
         raise _CliError(f"parse failure: {exc}", EXIT_PARSE) from exc
-    raise _CliError(f"unknown format {fmt!r}", EXIT_USAGE)
 
 
 def _emit_graph(graph: Graph, fmt: str) -> str:
@@ -197,7 +196,7 @@ def _format_text_report(report: dict) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    graph = _load_graph(args)
+    graph = _load_entry(args).graph
     report = _analysis_report(graph)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -235,36 +234,29 @@ def _cmd_catalog(args) -> int:
 # truncate / quotient
 
 def _cmd_truncate(args) -> int:
-    graph = _load_graph(args)
-    entry = None
-    if args.catalog:
-        entry = catalog_build(args.catalog)
+    entry = _load_entry(args)
     if args.labeling == "rotation":
-        if entry is None or entry.rotation is None:
+        if entry.rotation is None:
             raise _CliError(
                 "--labeling rotation needs a catalog entry with a rotation "
                 "system (icosahedron)",
                 EXIT_USAGE,
             )
-        strategy = LabelingStrategy.from_rotation(entry.rotation)
+        orders = entry.rotation
     elif args.labeling == "seeded":
-        strategy = LabelingStrategy.seeded(args.seed)
+        orders = seeded_orders(entry.graph, args.seed)
     else:
-        strategy = LabelingStrategy.ADJACENCY
+        orders = entry.graph.adj
     try:
         if args.classic:
-            labeling = neighborhood_labeling(graph, strategy)
-            result = classic_truncation(graph, labeling)
+            result = classic_truncation(entry.graph, orders)
         else:
-            from .catalog import cycle_graph
-
             y = (
                 decode_graph6(args.y_graph6)
                 if args.y_graph6
                 else cycle_graph(args.y_cycle)
             )
-            labeling = neighborhood_labeling(graph, strategy)
-            result = generalized_truncation(graph, labeling, y)
+            result = generalized_truncation(entry.graph, orders, y)
     except Graph6Error as exc:  # --y-graph6
         raise _CliError(str(exc), EXIT_PARSE) from exc
     except ValueError as exc:
@@ -274,7 +266,7 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    graph = _load_graph(args)
+    graph = _load_entry(args).graph
     try:  # a disconnected graph has no edge-orbit summary
         orbit = edge_orbit_summary(graph).orbit_with_tag("disjoint-cycles")
         if orbit is None:
@@ -304,7 +296,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    graph = _load_graph(args)
+    graph = _load_entry(args).graph
     cost = distinguishing_cost(graph, budget=args.budget)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -333,7 +325,7 @@ def _cmd_verify(args) -> int:
     try:
         report = verify_claim(args.claim, n_max=args.max_n, jobs=args.jobs,
                               inputs=inputs)
-    except (UnknownClaimError, EnumerationRangeError) as exc:
+    except (UnknownClaimError, ClaimInputError, EnumerationRangeError) as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     if args.json:
         payload = dict(report.to_dict())

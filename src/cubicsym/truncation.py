@@ -2,125 +2,75 @@
 
 Truncation replaces every vertex of a k-regular graph by a copy of a
 k-vertex graph Y; the copies are wired across the original edges by a
-vertex-neighborhood labeling (a bijection from each vertex's outgoing
-arcs onto {1..k}).  Contracting the cycles of a disjoint-cycles edge
-orbit undoes the construction when the orbit matches the Y-copies.
+vertex-neighborhood labeling, given as ``orders``: ``orders[u]`` lists
+u's neighbors, and the i-th of them gets label i.  ``graph.adj`` is the
+labeling by ascending neighbor, a catalog entry's ``rotation`` the one
+by its embedding, and ``seeded_orders`` a reproducible random one.
+Contracting the cycles of a disjoint-cycles edge orbit undoes the
+construction when the orbit matches the Y-copies.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .graph import Graph, build_graph, edge_components
-from .catalog import RotationSystem
+
+Orders = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class ArcLabeling:
-    """Labels in {1..deg(u)} for each arc (u, w), bijective per vertex."""
-
-    host: Graph
-    labels: Dict[Tuple[int, int], int]
-
-    def validate(self) -> None:
-        for u in range(self.host.n):
-            got = sorted(self.labels[(u, w)] for w in self.host.adj[u])
-            if got != list(range(1, self.host.degree(u) + 1)):
-                raise ValueError(f"labels at vertex {u} are not a bijection")
-
-
-@dataclass(frozen=True)
-class LabelingStrategy:
-    kind: str  # "adjacency" | "rotation" | "seeded"
-    rotation: Optional[RotationSystem] = None
-    seed: Optional[int] = None
-
-    ADJACENCY: ClassVar["LabelingStrategy"]
-
-    @staticmethod
-    def from_rotation(rotation: RotationSystem) -> "LabelingStrategy":
-        return LabelingStrategy("rotation", rotation=rotation)
-
-    @staticmethod
-    def seeded(seed: int) -> "LabelingStrategy":
-        return LabelingStrategy("seeded", seed=seed)
+def seeded_orders(graph: Graph, seed: int) -> Tuple[Tuple[int, ...], ...]:
+    """A reproducible pseudo-random neighbor order at every vertex."""
+    rng = random.Random(seed)
+    orders = []
+    for row in graph.adj:
+        # one shuffle of deg(u) slots per vertex, in vertex order: these
+        # draws fix every seeded output, so they must not change
+        slots = list(range(len(row)))
+        rng.shuffle(slots)
+        order = [0] * len(row)
+        for w, slot in zip(row, slots):
+            order[slot] = w
+        orders.append(tuple(order))
+    return tuple(orders)
 
 
-LabelingStrategy.ADJACENCY = LabelingStrategy("adjacency")
-
-
-def neighborhood_labeling(graph: Graph, strategy: LabelingStrategy) -> ArcLabeling:
-    """Build a vertex-neighborhood labeling under the chosen strategy.
-
-    * adjacency: arcs labeled 1..k by ascending neighbor index.
-    * rotation: labeled by position in the stored cyclic order.
-    * seeded: reproducible pseudo-random bijection per vertex.
-    """
-    labels: Dict[Tuple[int, int], int] = {}
-    if strategy.kind == "adjacency":
-        for u in range(graph.n):
-            for i, w in enumerate(graph.adj[u], start=1):
-                labels[(u, w)] = i
-    elif strategy.kind == "rotation":
-        rot = strategy.rotation
-        if rot is None:
-            raise ValueError("rotation strategy needs a rotation system")
-        rot.validate(graph)
-        for u in range(graph.n):
-            for i, w in enumerate(rot.orders[u], start=1):
-                labels[(u, w)] = i
-    elif strategy.kind == "seeded":
-        rng = random.Random(strategy.seed)
-        for u in range(graph.n):
-            perm = list(range(1, graph.degree(u) + 1))
-            rng.shuffle(perm)
-            for i, w in enumerate(graph.adj[u]):
-                labels[(u, w)] = perm[i]
-    else:
-        raise ValueError(f"unknown labeling strategy {strategy.kind!r}")
-    out = ArcLabeling(graph, labels)
-    out.validate()
-    return out
-
-
-def generalized_truncation(host: Graph, labeling: ArcLabeling, y: Graph) -> Graph:
+def generalized_truncation(host: Graph, orders: Orders, y: Graph) -> Graph:
     """Truncation of a k-regular host by a k-vertex graph Y.
 
-    Vertex (u, i) of the result is u * k + i for i in 0..k-1, standing for
-    the Y-vertex with label i+1 in u's copy.  Edges are the Y-copies plus
-    one cross edge per host edge, matched up by the arc labels.
+    Vertex u * k + i of the result stands for Y-vertex i in u's copy and
+    ends the arc (u, orders[u][i]).  Edges are the Y-copies plus one
+    cross edge per host edge, joining the ends of its two arcs.
     """
-    if labeling.host != host:
-        raise ValueError("labeling was built for a different host graph")
     k = y.n
     if k == 0 or not host.is_regular(k):
         raise ValueError(f"host must be {k}-regular to truncate by a {k}-vertex graph")
+    if len(orders) != host.n or any(
+        tuple(sorted(row)) != adj for row, adj in zip(orders, host.adj)
+    ):
+        raise ValueError("orders must list the neighbors of every host vertex")
+    end = {(u, w): u * k + i for u, row in enumerate(orders) for i, w in enumerate(row)}
     edges = []
     for u in range(host.n):
         base = u * k
         for a, b in y.edges():
             edges.append((base + a, base + b))
     for u, w in host.edges():
-        iu = labeling.labels[(u, w)] - 1
-        iw = labeling.labels[(w, u)] - 1
-        edges.append((u * k + iu, w * k + iw))
+        edges.append((end[(u, w)], end[(w, u)]))
     return build_graph(host.n * k, edges)
 
 
-def classic_truncation(graph: Graph, labeling: Optional[ArcLabeling] = None) -> Graph:
-    """Truncation of a cubic graph by a triangle.
+def classic_truncation(graph: Graph, orders: Optional[Orders] = None) -> Graph:
+    """Truncation of a cubic graph by a triangle, by default along ``graph.adj``.
 
-    Y complete makes the per-vertex bijection immaterial, so the result
-    is labeling-independent up to isomorphism.
+    Y complete makes the neighbor orders immaterial, so the result is
+    labeling-independent up to isomorphism.
     """
     if not graph.is_cubic():
         raise ValueError("classic truncation needs a cubic graph")
-    if labeling is None:
-        labeling = neighborhood_labeling(graph, LabelingStrategy.ADJACENCY)
     triangle = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    return generalized_truncation(graph, labeling, triangle)
+    return generalized_truncation(graph, graph.adj if orders is None else orders, triangle)
 
 
 class QuotientError(ValueError):

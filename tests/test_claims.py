@@ -93,12 +93,16 @@ def test_unknown_claim_rejected():
         verify_claim("nosuch")
 
 
+def test_census_claim_rejects_inputs():
+    with pytest.raises(ValueError, match="thm34, cor33"):
+        verify_claim("lem45", n_max=6, inputs=[("k4", catalog_graph("k4"))])
+
+
 def test_report_serialization():
     report = verify_claim("thm41-g4", n_max=8)
     payload = report.to_dict()
     assert payload["verdict"] == "Pass"
     assert payload["claim"] == "thm41-g4"
-    assert isinstance(report.to_json(), str)
     assert "Pass" in report.summary()
 
 

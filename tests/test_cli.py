@@ -8,13 +8,19 @@ import subprocess
 import sys
 import time
 
-import pytest
+import contextlib
+import io
+import random
 
-from cubicsym import catalog_graph, decode_graph6, is_isomorphic
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubicsym import catalog_graph, decode_graph6, encode_graph6, is_isomorphic
 from cubicsym import cli
 from cubicsym.cli import main
 
-from conftest import FIXED_CATALOG
+from conftest import FIXED_CATALOG, random_graph
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -237,14 +243,47 @@ def test_enumerate_malformed_predicate_exit_2(spec, capsys):
 @pytest.mark.parametrize(
     "args",
     [["cost", "--catalog", "petersen", "--budget", "-1"],
-     ["quotient", "--graph6", "G~?GW["]],  # two disjoint K4s
-    ids=["negative-budget", "disconnected-quotient"],
+     ["quotient", "--graph6", "G~?GW["],  # two disjoint K4s
+     ["verify", "lem45", "--catalog-input", "k4", "--max-n", "6"]],
+    ids=["negative-budget", "disconnected-quotient", "census-claim-input"],
 )
 def test_usage_errors_exit_2(args, capsys):
     rc, out, err = run_cli(args, capsys)
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if args[0] == "verify":
+        assert "thm34" in err and "cor33" in err
+
+
+def _assert_documented_exit(argv):
+    """Run one command: a documented code, in bounded time, no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert time.perf_counter() - start < 5.0, argv
+    assert rc in (0, 2, 3, 4), (argv, err.getvalue())
+    if rc == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1, argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126)))
+def test_fuzz_analyze_printable_graph6(text):
+    _assert_documented_exit(["analyze", f"--graph6={text}"])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(("analyze", "cost", "quotient")), st.integers(0, 7),
+       st.floats(0, 1), st.integers(0, 2**31 - 1))
+def test_fuzz_small_random_graphs(command, n, p, seed):
+    g6 = encode_graph6(random_graph(n, p, random.Random(seed)))
+    _assert_documented_exit([command, f"--graph6={g6}"])
 
 
 def test_cost_command(capsys):
@@ -276,6 +315,31 @@ def test_truncate_classic(capsys):
     )
     assert rc == 0
     assert decode_graph6(out.strip()).n == 12
+
+
+# sha256 of the stdout and exit code of every `truncate` call in the grid
+# below: hosts x Y choices x labelings x output formats
+TRUNCATE_GRID_SHA256 = (
+    "e45abd99d77f143d0233a98581b1e476630eec5579383807a14726c3823554b6"
+)
+
+
+def test_truncate_outputs_are_pinned(capsys):
+    digest = hashlib.sha256()
+    codes = set()
+    for host in ("k4", "cube", "petersen", "heawood", "icosahedron"):
+        for y in (["--classic"], ["--y-cycle", "3"], ["--y-cycle", "5"],
+                  ["--y-graph6", "Bg"]):
+            for labeling in (["adjacency"], ["seeded", "--seed", "0"],
+                             ["seeded", "--seed", "7"], ["rotation"]):
+                for fmt in ("graph6", "edgelist"):
+                    args = ["truncate", "--catalog", host, *y,
+                            "--labeling", *labeling, "--format", fmt]
+                    rc, out, _ = run_cli(args, capsys)
+                    codes.add(rc)
+                    digest.update(f"{' '.join(args)}\n{rc}\n{out}".encode())
+    assert codes == {0, 2}
+    assert digest.hexdigest() == TRUNCATE_GRID_SHA256
 
 
 def test_truncate_seeded_determinism(capsys):

@@ -1,6 +1,5 @@
 """Catalog entries, truncation machinery, and the cycle quotient."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -18,7 +17,7 @@ from cubicsym import (
     generalized_truncation,
     girth,
     is_isomorphic,
-    neighborhood_labeling,
+    seeded_orders,
     transitivity_profile,
 )
 from cubicsym.catalog import (
@@ -30,7 +29,6 @@ from cubicsym.catalog import (
     icosahedron,
     _lcf,
 )
-from cubicsym.truncation import LabelingStrategy
 
 EXPECTED_TABLE = {
     # name: (order, size, girth)
@@ -148,41 +146,38 @@ def test_desargues_is_gp_10_3():
 # labelings
 
 def test_adjacency_labeling_on_k4():
-    g = catalog_graph("k4")
-    lab = neighborhood_labeling(g, LabelingStrategy.ADJACENCY)
-    assert lab.labels[(0, 1)] == 1
-    assert lab.labels[(0, 2)] == 2
-    assert lab.labels[(0, 3)] == 3
+    k4 = complete_graph(4)
+    t = generalized_truncation(k4, k4.adj, edgeless_graph(3))
+    # arc (u, adj[u][i]) ends at u * 3 + i, and adj[0] is (1, 2, 3)
+    assert t.adj[:3] == ((3,), (6,), (9,))
 
 
 def test_rotation_labeling_follows_cyclic_order():
     g, rot = icosahedron()
-    lab = neighborhood_labeling(g, LabelingStrategy.from_rotation(rot))
+    t = generalized_truncation(g, rot, edgeless_graph(5))
     for v in range(g.n):
-        for pos, w in enumerate(rot.orders[v], start=1):
-            assert lab.labels[(v, w)] == pos
-
-
-def test_labeling_strategy_fields():
-    names = [f.name for f in dataclasses.fields(LabelingStrategy)]
-    assert names == ["kind", "rotation", "seed"]
-    assert LabelingStrategy.ADJACENCY == LabelingStrategy("adjacency")
+        for pos, w in enumerate(rot[v]):
+            assert t.adj[v * 5 + pos] == (w * 5 + rot[w].index(v),)
 
 
 def test_seeded_labeling_is_reproducible():
     g = catalog_graph("heawood")
-    a = neighborhood_labeling(g, LabelingStrategy.seeded(7))
-    b = neighborhood_labeling(g, LabelingStrategy.seeded(7))
-    assert a.labels == b.labels
-    c = neighborhood_labeling(g, LabelingStrategy.seeded(8))
-    assert a.labels != c.labels
+    a = seeded_orders(g, 7)
+    assert a == seeded_orders(g, 7)
+    assert a != seeded_orders(g, 8)
+    assert all(sorted(row) == list(g.adj[u]) for u, row in enumerate(a))
 
 
 def test_rotation_for_wrong_graph_rejected():
     _, rot = icosahedron()
-    with pytest.raises(ValueError):
-        neighborhood_labeling(catalog_graph("petersen"),
-                              LabelingStrategy.from_rotation(rot))
+    dodecahedron = catalog_graph("dodecahedron")
+    with pytest.raises(ValueError):  # wrong length
+        generalized_truncation(catalog_graph("petersen"), rot, cycle_graph(3))
+    with pytest.raises(ValueError):  # rows that are not the neighbor sets
+        generalized_truncation(dodecahedron, rot + rot[:8], cycle_graph(3))
+    k4 = complete_graph(4)
+    with pytest.raises(ValueError):  # a repeated neighbor
+        generalized_truncation(k4, ((1, 1, 2),) + k4.adj[1:], cycle_graph(3))
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +193,14 @@ def test_truncated_icosahedron_full_profile():
 
 def test_truncation_of_k4_by_triangle_matches_classic():
     k4 = complete_graph(4)
-    lab = neighborhood_labeling(k4, LabelingStrategy.ADJACENCY)
-    t = generalized_truncation(k4, lab, cycle_graph(3))
+    t = generalized_truncation(k4, k4.adj, cycle_graph(3))
     assert t.n == 12 and t.is_cubic()
     assert is_isomorphic(t, classic_truncation(k4))
 
 
 def test_truncation_by_edgeless_graph_gives_perfect_matching():
     k4 = complete_graph(4)
-    lab = neighborhood_labeling(k4, LabelingStrategy.ADJACENCY)
-    t = generalized_truncation(k4, lab, edgeless_graph(3))
+    t = generalized_truncation(k4, k4.adj, edgeless_graph(3))
     assert all(t.degree(v) == 1 for v in range(t.n))
 
 
@@ -222,8 +215,7 @@ def test_truncation_order_and_degree_laws():
         entry = catalog_build(name)
         host = entry.graph
         k = y.n
-        lab = neighborhood_labeling(host, LabelingStrategy.ADJACENCY)
-        t = generalized_truncation(host, lab, y)
+        t = generalized_truncation(host, host.adj, y)
         assert t.n == k * host.n
         for u in range(host.n):
             for i in range(k):
@@ -232,9 +224,8 @@ def test_truncation_order_and_degree_laws():
 
 def test_truncation_preconditions():
     k4 = complete_graph(4)
-    lab = neighborhood_labeling(k4, LabelingStrategy.ADJACENCY)
     with pytest.raises(ValueError):
-        generalized_truncation(k4, lab, cycle_graph(4))  # |Y| != degree
+        generalized_truncation(k4, k4.adj, cycle_graph(4))  # |Y| != degree
     with pytest.raises(ValueError):
         classic_truncation(catalog_graph("base_graph"))  # not cubic
 
@@ -260,8 +251,7 @@ def test_classic_truncation_labeling_independent():
     g = catalog_graph("heawood")
     reference = classic_truncation(g)
     for seed in range(20):
-        lab = neighborhood_labeling(g, LabelingStrategy.seeded(seed))
-        assert is_isomorphic(classic_truncation(g, lab), reference)
+        assert is_isomorphic(classic_truncation(g, seeded_orders(g, seed)), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +292,8 @@ def test_quotient_rejects_non_covering_orbit():
 def test_truncation_quotient_round_trip():
     for name, y in (("icosahedron", cycle_graph(5)), ("k4", cycle_graph(3))):
         entry = catalog_build(name)
-        strategy = (
-            LabelingStrategy.from_rotation(entry.rotation)
-            if entry.rotation
-            else LabelingStrategy.ADJACENCY
-        )
-        lab = neighborhood_labeling(entry.graph, strategy)
-        t = generalized_truncation(entry.graph, lab, y)
+        orders = entry.rotation or entry.graph.adj
+        t = generalized_truncation(entry.graph, orders, y)
         orbit = [
             tuple(sorted((u * y.n + a, u * y.n + b)))
             for u in range(entry.graph.n)
