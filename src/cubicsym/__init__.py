@@ -6,7 +6,6 @@ isomorph-free enumeration of connected cubic graphs at desk scale.
 """
 
 from .graph import (
-    CycleSeq,
     Graph,
     GraphConstructionError,
     build_graph,
@@ -41,15 +40,11 @@ from .autgrp import (
     is_isomorphic,
 )
 from .symmetry import (
-    EdgeOrbitSummary,
-    StabilizerClass,
     TransitivityProfile,
     consistent_cycles,
     consistent_girth_cycles,
-    edge_orbit_summary,
     local_action_order,
     local_fixity_check,
-    stabilizer_class,
     transitivity_profile,
 )
 from .distinguishing import (

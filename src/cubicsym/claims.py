@@ -12,7 +12,10 @@ which ``filtered_enumeration`` (``cubicsym enumerate --predicate``)
 shares.  Predicates test a ``Record``: one graph whose canonical form,
 girth, transitivity profile and distinguishing cost are each computed
 at most once, on demand, by the exact library operations, so a failure
-is attributable to a single tested primitive.  Census strings are
+is attributable to a single tested primitive.  The profile carries the
+edge orbits and the vertex-stabilizer order too: ``cor33`` reads the
+order from the record's profile, and ``brbb_unique_path_property``
+(``thm34``) the matching and cycle orbits from a profile of its graph.  Census strings are
 canonical graph6 already, so a census record never searches for its
 form.
 
@@ -51,20 +54,15 @@ from functools import cache, cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from .autgrp import automorphism_group, canonical_form
+from .autgrp import canonical_form
 from .catalog import catalog_graph
 from .distinguishing import distinguishing_cost
 from .enumeration import _check_order, enumerate_cubic_graph6
 from .graph import (Graph, distance_profiles, edge_components,
                     every_3_arc_in_cycle, every_edge_in_cycle, girth)
 from .graph6 import decode_graph6
-from .perm import stabilizer
-from .symmetry import (
-    consistent_cycles,
-    consistent_girth_cycles,
-    edge_orbit_summary,
-    transitivity_profile,
-)
+from .symmetry import (consistent_cycles, consistent_girth_cycles,
+                       transitivity_profile)
 
 
 class UnknownClaimError(ValueError):
@@ -323,7 +321,7 @@ def _thm34(r: Record, _forms) -> Verdict:
 
 
 def _cor33(r: Record, _forms) -> Verdict:
-    order = stabilizer(automorphism_group(r.graph), [0]).order
+    order = r.profile.vertex_stabilizer_order
     if order not in (1, 2, 4):
         return f"{r.name}: vertex stabilizer order {order} not in {{1, 2, 4}}", None
     return None, f"{r.name}: |G_v| = {order}"
@@ -439,9 +437,9 @@ def brbb_unique_path_property(graph: Graph) -> bool:
     walk u1-u2-u3, the path v2-v1-u1-u2-u3 must be the unique
     black-red-black-black path of length 4 between v2 and u3.
     """
-    summary = edge_orbit_summary(graph)
-    red = summary.orbit_with_tag("perfect-matching")
-    black_orbit = summary.orbit_with_tag("disjoint-cycles")
+    profile = transitivity_profile(graph)
+    red = profile.orbit_with_tag("perfect-matching")
+    black_orbit = profile.orbit_with_tag("disjoint-cycles")
     if red is None or black_orbit is None:
         return False
     red_set = set(red)

@@ -36,16 +36,12 @@ from .enumeration import EnumerationRangeError, enumerate_cubic_graph6
 from .graph import Graph, girth
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .perm import GroupTooLargeError, cycle_notation
-from .symmetry import (
-    consistent_girth_cycles,
-    edge_orbit_summary,
-    stabilizer_class,
-    transitivity_profile,
-)
+from .symmetry import consistent_girth_cycles, transitivity_profile
 from .truncation import (
     classic_truncation,
     cycle_quotient,
     generalized_truncation,
+    require_regular,
     seeded_orders,
 )
 
@@ -132,16 +128,14 @@ def _analysis_report(graph: Graph) -> dict:
         report["max_s"] = profile.max_s
         report["s_regular_at_max"] = profile.s_regular_at_max
         report["edge_orbit_count"] = profile.edge_orbit_count
-        sc = stabilizer_class(graph)
-        report["vertex_stabilizer_order"] = sc.vertex_stabilizer_order
-        report["stabilizer_class"] = sc.kind
-        summary = edge_orbit_summary(graph)
+        report["vertex_stabilizer_order"] = profile.vertex_stabilizer_order
+        report["stabilizer_class"] = profile.stabilizer_class
         report["edge_orbits"] = [
             {"size": len(orb), "structure": tag.kind, "profile": list(tag.profile)}
-            for orb, tag in zip(summary.orbits, summary.tags)
+            for orb, tag in zip(profile.edge_orbits, profile.edge_orbit_tags)
         ]
-        if summary.findings:
-            report["findings"] = list(summary.findings)
+        if profile.findings:
+            report["findings"] = list(profile.findings)
         report["consistent_girth_cycles"] = (
             0 if report["girth"] is None else len(consistent_girth_cycles(graph))
         )
@@ -250,12 +244,13 @@ def _cmd_truncate(args) -> int:
     try:
         if args.classic:
             result = classic_truncation(entry.graph, orders)
+        elif args.y_graph6:
+            y = decode_graph6(args.y_graph6)
+            result = generalized_truncation(entry.graph, orders, y)
         else:
-            y = (
-                decode_graph6(args.y_graph6)
-                if args.y_graph6
-                else cycle_graph(args.y_cycle)
-            )
+            if args.y_cycle >= 3:  # fail before the K-cycle's K rows of K bits
+                require_regular(entry.graph, args.y_cycle)
+            y = cycle_graph(args.y_cycle)
             result = generalized_truncation(entry.graph, orders, y)
     except Graph6Error as exc:  # --y-graph6
         raise _CliError(str(exc), EXIT_PARSE) from exc
@@ -267,8 +262,8 @@ def _cmd_truncate(args) -> int:
 
 def _cmd_quotient(args) -> int:
     graph = _load_entry(args).graph
-    try:  # a disconnected graph has no edge-orbit summary
-        orbit = edge_orbit_summary(graph).orbit_with_tag("disjoint-cycles")
+    try:  # a disconnected graph has no symmetry profile
+        orbit = transitivity_profile(graph).orbit_with_tag("disjoint-cycles")
         if orbit is None:
             raise ValueError("no disjoint-cycles edge orbit to contract")
         result = cycle_quotient(graph, orbit)

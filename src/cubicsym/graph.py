@@ -10,7 +10,6 @@ workers once built.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 
@@ -141,57 +140,6 @@ def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     return Graph(n, [sorted(s) for s in adj])
 
 
-def _canonical_cycle(vertices: Sequence[int]) -> Tuple[int, ...]:
-    """Lexicographically least sequence among all rotations and reflections."""
-    vs = tuple(vertices)
-    g = len(vs)
-    best: Optional[Tuple[int, ...]] = None
-    for seq in (vs, vs[::-1]):
-        for r in range(g):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
-
-
-@dataclass(frozen=True)
-class CycleSeq:
-    """A cycle v0..v_{g-1}, stored as its canonical representative.
-
-    The representative is the lexicographically smallest of the 2g
-    rotations/reflections, so equal cycles compare equal regardless of
-    the traversal they were discovered with.
-    """
-
-    vertices: Tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    @staticmethod
-    def from_vertices(graph: Graph, vertices: Sequence[int]) -> "CycleSeq":
-        vs = tuple(vertices)
-        g = len(vs)
-        if g < 3:
-            raise ValueError("a cycle needs length >= 3")
-        if len(set(vs)) != g:
-            raise ValueError("cycle vertices must be distinct")
-        for i in range(g):
-            if not graph.has_edge(vs[i], vs[(i + 1) % g]):
-                raise ValueError(f"non-adjacent step {vs[i]}-{vs[(i+1)%g]}")
-        return CycleSeq(_canonical_cycle(vs))
-
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        g = len(self.vertices)
-        out = []
-        for i in range(g):
-            u, w = self.vertices[i], self.vertices[(i + 1) % g]
-            out.append((u, w) if u < w else (w, u))
-        return tuple(out)
-
-
 def distance_profiles(
     graph: Graph,
 ) -> Tuple[list[list[int]], list[Tuple[Tuple[int, int], ...]]]:
@@ -256,18 +204,22 @@ def girth(graph: Graph) -> Optional[int]:
     return best
 
 
-def cycles_of_length(graph: Graph, length: int) -> Tuple[CycleSeq, ...]:
-    """All distinct cycles of exactly the given length, canonical form.
+def cycles_of_length(
+    graph: Graph, length: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """All distinct cycles of exactly the given length, sorted, each as its
+    canonical vertex sequence: the least of its rotations and reflections.
 
     Rooted DFS from each vertex, restricted to larger-indexed vertices so
-    each cycle is found from its minimum vertex only; a direction check
-    removes the reflected duplicate, and BFS distances to the root prune
+    each cycle is found from its minimum vertex only, which leads the
+    canonical sequence; keeping the direction with path[1] < path[-1]
+    picks the lesser reflection.  BFS distances to the root prune
     branches that cannot close in time.
     """
     if length < 3:
         raise ValueError("cycle length must be >= 3")
     n = graph.n
-    found: list[CycleSeq] = []
+    found: list[Tuple[int, ...]] = []
     adj = graph.adj
     dists = distance_profiles(graph)[0]
     for root in range(n):
@@ -281,7 +233,7 @@ def cycles_of_length(graph: Graph, length: int) -> Tuple[CycleSeq, ...]:
             remaining = length - len(path)
             if remaining == 0:
                 if graph.has_edge(v, root) and path[1] < path[-1]:
-                    found.append(CycleSeq.from_vertices(graph, path))
+                    found.append(tuple(path))
                 return
             for w in adj[v]:
                 if w <= root or (on_path >> w) & 1:
@@ -295,7 +247,7 @@ def cycles_of_length(graph: Graph, length: int) -> Tuple[CycleSeq, ...]:
                 on_path &= ~(1 << w)
 
         extend()
-    return tuple(sorted(found, key=lambda c: c.vertices))
+    return tuple(sorted(found))
 
 
 def s_arcs(graph: Graph, s: int) -> Iterator[Tuple[int, ...]]:
@@ -368,7 +320,8 @@ def every_edge_in_cycle(graph: Graph, length: int) -> bool:
         return True
     covered = set()
     for cyc in cycles_of_length(graph, length):
-        covered.update(cyc.edges())
+        for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+            covered.add((u, w) if u < w else (w, u))
     return len(covered) == graph.m
 
 
@@ -376,10 +329,8 @@ def every_3_arc_in_cycle(graph: Graph, length: int) -> bool:
     """True iff every 3-arc lies on at least one cycle of the given length."""
     covered = set()
     for cyc in cycles_of_length(graph, length):
-        vs = cyc.vertices
-        g = len(vs)
-        doubled = vs + vs
-        for i in range(g):
+        doubled = cyc + cyc
+        for i in range(len(cyc)):
             run = doubled[i : i + 4]
             covered.add(run)
             covered.add(run[::-1])

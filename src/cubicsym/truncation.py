@@ -36,6 +36,12 @@ def seeded_orders(graph: Graph, seed: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(orders)
 
 
+def require_regular(host: Graph, k: int) -> None:
+    """Raise ValueError unless the host can be truncated by a k-vertex Y."""
+    if k == 0 or not host.is_regular(k):
+        raise ValueError(f"host must be {k}-regular to truncate by a {k}-vertex graph")
+
+
 def generalized_truncation(host: Graph, orders: Orders, y: Graph) -> Graph:
     """Truncation of a k-regular host by a k-vertex graph Y.
 
@@ -44,8 +50,7 @@ def generalized_truncation(host: Graph, orders: Orders, y: Graph) -> Graph:
     cross edge per host edge, joining the ends of its two arcs.
     """
     k = y.n
-    if k == 0 or not host.is_regular(k):
-        raise ValueError(f"host must be {k}-regular to truncate by a {k}-vertex graph")
+    require_regular(host, k)
     if len(orders) != host.n or any(
         tuple(sorted(row)) != adj for row, adj in zip(orders, host.adj)
     ):

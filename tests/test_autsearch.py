@@ -236,7 +236,7 @@ def test_petersen_pentagon_rotation_has_witness():
     from cubicsym import cycles_of_length
 
     g = catalog_graph("petersen")
-    cyc = cycles_of_length(g, 5)[0].vertices
+    cyc = cycles_of_length(g, 5)[0]
     partial = {cyc[i]: cyc[(i + 1) % 5] for i in range(5)}
     p = extend_partial_map(g, partial)
     assert p is not None
@@ -254,8 +254,7 @@ def test_extension_agrees_with_exhaustive_filter(rng):
         cases.append((g, dict(zip(sources, targets))))
     for name in ("heawood", "tutte_coxeter"):
         g = catalog_graph(name)
-        for cyc in cycles_of_length(g, girth(g)):
-            vs = cyc.vertices
+        for vs in cycles_of_length(g, girth(g)):
             rotation = {vs[i]: vs[(i + 1) % len(vs)] for i in range(len(vs))}
             cases.append((g, rotation))
     for g, partial in cases:

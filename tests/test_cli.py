@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import contextlib
 import io
@@ -342,6 +343,51 @@ def test_truncate_outputs_are_pinned(capsys):
     assert digest.hexdigest() == TRUNCATE_GRID_SHA256
 
 
+# sha256 of the stdout and exit code of every `quotient` call in the grid
+# below: two catalog truncations, two seeded truncations and two graphs
+# with no contractible orbit, x output formats
+QUOTIENT_GRID_SHA256 = (
+    "693d5dc119225fa4bd51c18bae8accea5a7dfc09dc5aebec19b97788eb2b0de8"
+)
+
+
+def test_quotient_outputs_are_pinned(capsys):
+    sources = [["--catalog", "truncated_icosahedron"],
+               ["--catalog", "truncated_k4"]]
+    for host, k, seed in (("icosahedron", "5", "7"), ("heawood", "3", "11")):
+        rc, out, _ = run_cli(["truncate", "--catalog", host, "--y-cycle", k,
+                              "--labeling", "seeded", "--seed", seed], capsys)
+        assert rc == 0
+        sources.append(["--graph6", out.strip()])
+    sources += [["--catalog", "petersen"], ["--catalog", "prism(5)"]]
+    digest = hashlib.sha256()
+    codes = []
+    for src in sources:
+        for fmt in ("graph6", "edgelist"):
+            args = ["quotient", *src, "--format", fmt]
+            rc, out, _ = run_cli(args, capsys)
+            codes.append(rc)
+            digest.update(f"{' '.join(args)}\n{rc}\n{out}".encode())
+    assert codes == [0, 0, 0, 0, 2, 2, 0, 0, 2, 2, 2, 2]
+    assert digest.hexdigest() == QUOTIENT_GRID_SHA256
+
+
+def test_truncate_checks_the_host_before_building_a_long_cycle(capsys):
+    # a K-cycle keeps K rows of K bits: a host that is not K-regular must
+    # fail before it is built
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(["truncate", "--catalog", "k4",
+                                "--y-cycle", "20000"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2 and out == ""
+    assert err == ("error: host must be 20000-regular to truncate by a "
+                   "20000-vertex graph\n")
+    assert peak < 5 * 2**20
+
+
 def test_truncate_seeded_determinism(capsys):
     args = ["truncate", "--catalog", "heawood", "--y-cycle", "3",
             "--labeling", "seeded", "--seed", "11"]
@@ -457,6 +503,23 @@ def test_readme_lists_the_claim_ids_and_predicates():
     assert sorted(_readme_paragraph("Claim ids for `verify`:")) == list(CLAIM_IDS)
     named = _readme_paragraph("Predicates for `enumerate --predicate`:")
     assert sorted(p.split("=")[0] for p in named) == sorted(PREDICATES)
+
+
+def test_readme_camel_case_names_exist():
+    # a backticked CamelCase name, dotted or not, must be reachable from
+    # the package, so a deleted class cannot linger in the docs
+    import cubicsym
+
+    prose = re.sub(r"```.*?```", "", _readme_text(), flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    names = {s for s in spans if re.fullmatch(r"[A-Z][a-z]\w*(\.\w+)*", s)}
+    names.discard("None")
+    assert {"Graph", "Graph.from_bits", "PermutationGroup"} <= names
+    for name in sorted(names):
+        obj = cubicsym
+        for part in name.split("."):
+            assert hasattr(obj, part), name
+            obj = getattr(obj, part)
 
 
 def test_readme_library_tour_runs():

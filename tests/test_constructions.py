@@ -13,7 +13,6 @@ from cubicsym import (
     classic_truncation,
     cycle_quotient,
     distinguishing_cost,
-    edge_orbit_summary,
     generalized_truncation,
     girth,
     is_isomorphic,
@@ -259,8 +258,7 @@ def test_classic_truncation_labeling_independent():
 
 def test_quotient_of_truncated_icosahedron_is_icosahedron():
     t = catalog_graph("truncated_icosahedron")
-    summary = edge_orbit_summary(t)
-    orbit = summary.orbit_with_tag("disjoint-cycles")
+    orbit = transitivity_profile(t).orbit_with_tag("disjoint-cycles")
     q = cycle_quotient(t, orbit)
     ico, _ = icosahedron()
     assert is_isomorphic(q, ico)
@@ -268,16 +266,14 @@ def test_quotient_of_truncated_icosahedron_is_icosahedron():
 
 def test_quotient_of_truncated_k4_is_k4():
     t = classic_truncation(complete_graph(4))
-    summary = edge_orbit_summary(t)
-    orbit = summary.orbit_with_tag("disjoint-cycles")
+    orbit = transitivity_profile(t).orbit_with_tag("disjoint-cycles")
     q = cycle_quotient(t, orbit)
     assert is_isomorphic(q, complete_graph(4))
 
 
 def test_quotient_rejects_multi_edges():
     prism5 = catalog_graph("prism(5)")
-    summary = edge_orbit_summary(prism5)
-    orbit = summary.orbit_with_tag("disjoint-cycles")
+    orbit = transitivity_profile(prism5).orbit_with_tag("disjoint-cycles")
     assert orbit is not None  # the two pentagons
     with pytest.raises(QuotientError):
         cycle_quotient(prism5, orbit)

@@ -173,9 +173,13 @@ def test_reducible_edges_of_petersen_all():
     assert len(reducible_edges(g)) == 15  # triangle-free, 3-connected
 
 
+def _cycle_edges(cycle):
+    return {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+
+
 def _brute_short_cycle_key(g, edge):
     return tuple(
-        -sum(edge in c.edges() for c in cycles_of_length(g, length))
+        -sum(edge in _cycle_edges(c) for c in cycles_of_length(g, length))
         for length in (3, 4, 5)
     )
 

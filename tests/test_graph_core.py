@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from cubicsym import (
-    CycleSeq,
     Graph,
     GraphConstructionError,
     build_graph,
@@ -151,6 +150,10 @@ def test_cycle_counts():
     assert len(cycles_of_length(k4(), 3)) == 4
 
 
+def least_rotation_or_reflection(seq):
+    return min(s[r:] + s[:r] for s in (seq, seq[::-1]) for r in range(len(s)))
+
+
 def brute_force_cycles(g, length):
     """Independent oracle: scan all vertex subsets and cyclic orders."""
     found = set()
@@ -161,7 +164,7 @@ def brute_force_cycles(g, length):
             seq = (first,) + order
             if all(g.has_edge(seq[i], seq[(i + 1) % length])
                    for i in range(length)):
-                found.add(CycleSeq.from_vertices(g, seq))
+                found.add(least_rotation_or_reflection(seq))
     return found
 
 
@@ -185,8 +188,7 @@ def test_no_duplicate_cycles_up_to_rotation_reflection():
         seqs = cycles_of_length(g, girth(g))
         # canonical representatives are unique per cycle
         assert len(seqs) == len(set(seqs))
-        for c in seqs:
-            vs = c.vertices
+        for vs in seqs:
             g_len = len(vs)
             variants = set()
             for seq in (vs, vs[::-1]):

@@ -1,5 +1,5 @@
-"""Transitivity profiles, edge orbits, stabilizer classes, consistent
-cycles, and the local fixity condition."""
+"""Transitivity profiles (with their edge orbits and stabilizer classes),
+consistent cycles, and the local fixity condition."""
 
 import pytest
 
@@ -10,13 +10,11 @@ from cubicsym import (
     consistent_cycles,
     consistent_girth_cycles,
     distinguishing_cost,
-    edge_orbit_summary,
     enumerate_cubic,
     girth,
     local_action_order,
     local_fixity_check,
     s_arc_count,
-    stabilizer_class,
     transitivity_profile,
 )
 from cubicsym.catalog import _lcf, icosahedron
@@ -73,73 +71,74 @@ def test_disconnected_input_rejected():
 
 
 # ---------------------------------------------------------------------------
-# edge orbit summary
+# edge orbits in the profile
 
 def test_truncated_icosahedron_orbit_structure():
-    summary = edge_orbit_summary(catalog_graph("truncated_icosahedron"))
-    kinds = sorted(t.kind for t in summary.tags)
+    profile = transitivity_profile(catalog_graph("truncated_icosahedron"))
+    kinds = sorted(t.kind for t in profile.edge_orbit_tags)
     assert kinds == ["disjoint-cycles", "perfect-matching"]
-    cyc = summary.orbit_with_tag("disjoint-cycles")
-    match = summary.orbit_with_tag("perfect-matching")
+    cyc = profile.orbit_with_tag("disjoint-cycles")
+    match = profile.orbit_with_tag("perfect-matching")
     assert len(match) == 30
     assert len(cyc) == 60
-    tag = summary.tags[summary.orbits.index(cyc)]
+    tag = profile.edge_orbit_tags[profile.edge_orbits.index(cyc)]
     assert tag.profile == (5,) * 12
-    assert summary.findings == ()
+    assert profile.findings == ()
 
 
 def test_petersen_single_orbit():
-    summary = edge_orbit_summary(catalog_graph("petersen"))
-    assert len(summary.orbits) == 1
+    profile = transitivity_profile(catalog_graph("petersen"))
+    assert len(profile.edge_orbits) == 1
 
 
 def test_edge_orbits_partition_the_edge_set():
     for name in ("petersen", "heawood", "fig5_lambda", "truncated_k4",
                  "prism(5)"):
         g = catalog_graph(name)
-        summary = edge_orbit_summary(g)
-        seen = [e for orb in summary.orbits for e in orb]
+        profile = transitivity_profile(g)
+        seen = [e for orb in profile.edge_orbits for e in orb]
         assert sorted(seen) == sorted(g.edges())
         assert len(seen) == len(set(seen))
         # matching tags really cover every vertex exactly once
-        for orb, tag in zip(summary.orbits, summary.tags):
+        for orb, tag in zip(profile.edge_orbits, profile.edge_orbit_tags):
             if tag.kind == "perfect-matching":
                 touched = [v for e in orb for v in e]
                 assert sorted(touched) == list(range(g.n))
 
 
 def test_moebius_ladder_orbits():
-    summary = edge_orbit_summary(catalog_graph("moebius(5)"))
-    assert len(summary.orbits) == 2
-    kinds = sorted(t.kind for t in summary.tags)
+    profile = transitivity_profile(catalog_graph("moebius(5)"))
+    assert len(profile.edge_orbits) == 2
+    kinds = sorted(t.kind for t in profile.edge_orbit_tags)
     assert kinds == ["disjoint-cycles", "perfect-matching"]
-    cyc_tag = next(t for t in summary.tags if t.kind == "disjoint-cycles")
+    cyc_tag = next(t for t in profile.edge_orbit_tags
+                   if t.kind == "disjoint-cycles")
     assert cyc_tag.profile == (10,)
 
 
 # ---------------------------------------------------------------------------
-# stabilizer class
+# stabilizer class in the profile
 
 def test_truncated_icosahedron_is_rigid():
-    sc = stabilizer_class(catalog_graph("truncated_icosahedron"))
-    assert sc.vertex_stabilizer_order == 2 and sc.kind == "rigid"
+    p = transitivity_profile(catalog_graph("truncated_icosahedron"))
+    assert p.vertex_stabilizer_order == 2 and p.stabilizer_class == "rigid"
 
 
 def test_fig5_lambda_not_vertex_transitive_class():
-    sc = stabilizer_class(catalog_graph("fig5_lambda"))
-    assert sc.kind == "not-vertex-transitive"
+    p = transitivity_profile(catalog_graph("fig5_lambda"))
+    assert p.stabilizer_class == "not-vertex-transitive"
 
 
 def test_arc_transitive_graphs_are_flexible_by_order():
-    sc = stabilizer_class(catalog_graph("petersen"))
-    assert sc.vertex_stabilizer_order == 12 and sc.kind == "flexible"
+    p = transitivity_profile(catalog_graph("petersen"))
+    assert p.vertex_stabilizer_order == 12 and p.stabilizer_class == "flexible"
 
 
 def test_f26a_is_arc_regular_by_order():
     g = _lcf(26, [-7, 7], 13)  # F26A, the smallest 1-arc-regular cubic graph
     assert automorphism_group(g).order == 78
-    sc = stabilizer_class(g)
-    assert sc.vertex_stabilizer_order == 3 and sc.kind == "arc-regular"
+    p = transitivity_profile(g)
+    assert p.vertex_stabilizer_order == 3 and p.stabilizer_class == "arc-regular"
     assert girth(g) == 6
     assert len(consistent_girth_cycles(g)) == 13
     cost = distinguishing_cost(g)
@@ -149,9 +148,40 @@ def test_f26a_is_arc_regular_by_order():
 def test_stabilizer_order_times_n_is_group_order_for_vt():
     for name in ("k4", "cube", "petersen", "heawood", "moebius(5)", "prism(6)"):
         g = catalog_graph(name)
-        sc = stabilizer_class(g)
-        if sc.kind != "not-vertex-transitive":
-            assert sc.vertex_stabilizer_order * g.n == automorphism_group(g).order
+        p = transitivity_profile(g)
+        if p.stabilizer_class != "not-vertex-transitive":
+            assert p.vertex_stabilizer_order * g.n == automorphism_group(g).order
+
+
+# ---------------------------------------------------------------------------
+# the profile on edge cases and the small census
+
+def test_order_0_graph_has_the_trivial_stabilizer():
+    p = transitivity_profile(build_graph(0, []))
+    assert p.vertex_stabilizer_order == 1
+    assert p.vertex_transitive and p.stabilizer_class == "grr"
+    assert p.edge_orbits == () and p.max_s == 0 and p.findings == ()
+
+
+def test_order_1_graph_is_a_grr():
+    p = transitivity_profile(build_graph(1, []))
+    assert p.vertex_stabilizer_order == 1 and p.stabilizer_class == "grr"
+    assert p.edge_orbit_count == 0 and not p.arc_transitive
+
+
+def test_profile_on_the_census_to_12():
+    vertex_transitive = 0
+    for n in range(4, 13, 2):
+        for g in enumerate_cubic(n):
+            p = transitivity_profile(g)
+            seen = [e for orb in p.edge_orbits for e in orb]
+            assert sorted(seen) == list(g.edges())
+            assert len(p.edge_orbit_tags) == p.edge_orbit_count
+            if p.vertex_transitive:
+                vertex_transitive += 1
+                order = automorphism_group(g).order
+                assert p.vertex_stabilizer_order * g.n == order
+    assert vertex_transitive > 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +217,8 @@ def test_witnesses_rotate_the_stored_sequence():
         group_images = set(automorphism_group(g).elements)
         for cyc, witness in consistent_cycles(g, length):
             assert witness in group_images
-            vs = cyc.vertices
-            for i in range(len(vs)):
-                assert witness[vs[i]] == vs[(i + 1) % len(vs)]
+            for i in range(len(cyc)):
+                assert witness[cyc[i]] == cyc[(i + 1) % len(cyc)]
 
 
 def test_asymmetric_graph_has_no_consistent_cycles():
