@@ -42,7 +42,6 @@ from .autgrp import (
 from .symmetry import (
     TransitivityProfile,
     consistent_cycles,
-    consistent_girth_cycles,
     local_action_order,
     local_fixity_check,
     transitivity_profile,
@@ -73,7 +72,6 @@ from .enumeration import (
     EnumerationRangeError,
     KNOWN_COUNTS,
     enumerate_cubic,
-    enumerate_cubic_bruteforce,
     enumerate_cubic_graph6,
     irreducible_seeds,
 )

@@ -2,10 +2,11 @@
 the enumerated census.
 
 Each claim is one row of the table ``CLAIMS``: ordered hypothesis steps,
-the catalog graphs it allows, names or excludes, and one conclusion.
-A single scan tests hypothesis => conclusion for every graph in range
-(the census, or supplied inputs for ``INPUT_CLAIMS``) and reports Pass
-or a reproducible graph6 counterexample.
+the catalog graphs it allows, names or excludes, one conclusion, and
+its source.  One scan tests hypothesis => conclusion on each record of
+the source (the census to ``n_max``, or the catalog ``inputs`` of the
+``INPUT_CLAIMS``) and reports Pass or a reproducible graph6
+counterexample, the failing record's canonical form.
 
 Hypothesis steps are keys of the predicate registry ``PREDICATES``,
 which ``filtered_enumeration`` (``cubicsym enumerate --predicate``)
@@ -15,9 +16,9 @@ at most once, on demand, by the exact library operations, so a failure
 is attributable to a single tested primitive.  The profile carries the
 edge orbits and the vertex-stabilizer order too: ``cor33`` reads the
 order from the record's profile, and ``brbb_unique_path_property``
-(``thm34``) the matching and cycle orbits from a profile of its graph.  Census strings are
-canonical graph6 already, so a census record never searches for its
-form.
+(``thm34``) the matching and cycle orbits from a profile of its graph.
+Census strings are canonical graph6 already, so a census record never
+searches for its form, not even for a counterexample.
 
 A record also caches one necessary condition for vertex-transitivity:
 every vertex has the same BFS distance histogram.  The predicates whose
@@ -40,15 +41,16 @@ Claim ids:
              with the cost table per regularity level
 * cor410     arc-transitive, finite girth, not one of the five named
              exceptions: cost at most 4
-* thm34      supplied girth-5 vertex-transitive two-orbit graphs have
-             cost exactly 2 (default input: the truncated icosahedron)
-* cor33      supplied girth-5 vertex-transitive graphs other than the
+* thm34      girth-5 vertex-transitive two-orbit input graphs have
+             cost exactly 2 (inputs: the truncated icosahedron)
+* cor33      girth-5 vertex-transitive input graphs other than the
              Petersen graph and the dodecahedron have vertex-stabilizer
-             order in {1, 2, 4}
+             order in {1, 2, 4} (inputs: the truncated icosahedron)
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
@@ -61,8 +63,7 @@ from .enumeration import _check_order, enumerate_cubic_graph6
 from .graph import (Graph, distance_profiles, edge_components,
                     every_3_arc_in_cycle, every_edge_in_cycle, girth)
 from .graph6 import decode_graph6
-from .symmetry import (consistent_cycles, consistent_girth_cycles,
-                       transitivity_profile)
+from .symmetry import consistent_cycles, transitivity_profile
 
 
 class UnknownClaimError(ValueError):
@@ -83,9 +84,9 @@ class ClaimReport:
     counterexample: Optional[str] = None
     notes: List[str] = field(default_factory=list)
 
-    def fail(self, graph: Graph, why: str) -> None:
+    def fail(self, form: bytes, why: str) -> None:
         self.verdict = "Fail"
-        self.counterexample = canonical_form(graph).decode("ascii")
+        self.counterexample = form.decode("ascii")
         self.notes.append(why)
 
     def to_dict(self) -> dict:
@@ -179,8 +180,8 @@ PREDICATES: Dict[str, Predicate] = {
         r.girth is not None and every_edge_in_cycle(r.graph, r.girth))),
     "every-3-arc-in-6-cycle": Predicate(
         2, "", lambda r, _: every_3_arc_in_cycle(r.graph, 6)),
-    "consistent-girth-cycle": Predicate(
-        3, "", lambda r, _: len(consistent_girth_cycles(r.graph)) > 0),
+    "consistent-girth-cycle": Predicate(3, "", lambda r, _: (
+        r.girth is not None and len(consistent_cycles(r.graph, r.girth)) > 0)),
     # on a connected graph, s-arc-transitivity with s >= 1 implies
     # vertex-transitivity, so these entries may test the histograms first
     "vertex-transitive": Predicate(4, "", lambda r, _: (
@@ -196,15 +197,9 @@ PREDICATES: Dict[str, Predicate] = {
 }
 
 
-def _parse_predicate(spec) -> Tuple[str, Optional[int]]:
-    if isinstance(spec, tuple):
-        name, value = spec
-        name, value = str(name), int(value)
-    elif "=" in str(spec):
-        name, text = str(spec).split("=", 1)
-        name, value = name.strip(), int(text)
-    else:
-        name, value = str(spec).strip(), None
+def _parse_predicate(spec: str) -> Tuple[str, Optional[int]]:
+    name, eq, text = spec.partition("=")
+    name, value = name.strip(), int(text) if eq else None
     if name not in PREDICATES:
         raise ValueError(f"unknown predicate {name!r}")
     metavar = PREDICATES[name].metavar
@@ -223,19 +218,24 @@ def _failed_step(record: Record, steps) -> Optional[int]:
     return None
 
 
+def _census(orders: Iterable[int], jobs: int) -> Iterator[Record]:
+    """One record per census string of each order, in order."""
+    for n in orders:
+        for g6 in enumerate_cubic_graph6(n, jobs):
+            yield Record(g6=g6)
+
+
 def filtered_enumeration(
-    n: int, predicates: Sequence, jobs: int = 1
+    n: int, predicates: Sequence[str], jobs: int = 1
 ) -> Iterator[Graph]:
     """Stream of census graphs passing every predicate, cheap tests first.
 
     Predicates are keys of ``PREDICATES``, with "=value" where the entry
-    has a metavar ("girth=6", "vertex-transitive", "edge-orbits=2"), or
-    (name, value) tuples.
+    has a metavar ("girth=6", "vertex-transitive", "edge-orbits=2").
     """
     steps = sorted(map(_parse_predicate, predicates),
                    key=lambda step: PREDICATES[step[0]].rank)
-    for g6 in enumerate_cubic_graph6(n, jobs):
-        record = Record(g6=g6)
+    for record in _census((n,), jobs):
         if _failed_step(record, steps) is None:
             yield record.graph
 
@@ -254,8 +254,9 @@ class Claim:
     allowed: Tuple[str, ...] = ()  # catalog graphs a hit must be one of
     named: Tuple[str, ...] = ()  # further catalog graphs the conclusion names
     excluded: Tuple[str, ...] = ()  # catalog graphs left out of the hypothesis
-    # for claims over supplied inputs: the note printed for an input that
-    # fails the step at the same index
+    # catalog graphs scanned when no inputs are given; none: the census
+    inputs: Tuple[str, ...] = ()
+    # the note printed for an input that fails the step at the same index
     skip_notes: Tuple[str, ...] = ()
 
 
@@ -266,7 +267,7 @@ def _one_of_allowed(r: Record, forms: Dict[str, bytes]) -> Verdict:
 
 
 def _lem45(r: Record, _forms) -> Verdict:
-    if consistent_girth_cycles(r.graph):
+    if consistent_cycles(r.graph, r.girth):
         return None, None
     return (f"{r.girth - 2}-arc-transitive, girth {r.girth}, but no "
             "consistent girth cycle"), None
@@ -347,18 +348,18 @@ CLAIMS: Dict[str, Claim] = {
                     excluded=("k4", "k33", "cube", "petersen", "heawood")),
     "thm34": Claim(
         ("cubic-girth=5", "vertex-transitive", "edge-orbits=2"), _thm34,
-        skip_notes=(_NOT_CUBIC_GIRTH_5,)
+        inputs=("truncated_icosahedron",), skip_notes=(_NOT_CUBIC_GIRTH_5,)
         + ("not vertex-transitive with two edge orbits",) * 2),
     "cor33": Claim(
         ("cubic-girth=5", "vertex-transitive"), _cor33,
-        excluded=("petersen", "dodecahedron"),
+        excluded=("petersen", "dodecahedron"), inputs=("truncated_icosahedron",),
         skip_notes=(_NOT_CUBIC_GIRTH_5, "not vertex-transitive")),
 }
 
 CLAIM_IDS = tuple(sorted(CLAIMS))
 
-# claims that scan supplied inputs instead of the enumerated census
-INPUT_CLAIMS = tuple(key for key, claim in CLAIMS.items() if claim.skip_notes)
+# claims that scan catalog graphs instead of the enumerated census
+INPUT_CLAIMS = tuple(key for key, claim in CLAIMS.items() if claim.inputs)
 
 
 @cache
@@ -385,7 +386,7 @@ def _scan(claim: Claim, report: ClaimReport,
         report.hypothesis_hits.append(record.form.decode("ascii"))
         why, note = claim.conclusion(record, forms)
         if why is not None:
-            report.fail(record.graph, why)
+            report.fail(record.form, why)
             return report
         if note is not None:
             report.notes.append(note)
@@ -398,101 +399,78 @@ def verify_claim(
     jobs: int = 1,
     inputs: Optional[Sequence[Tuple[str, Graph]]] = None,
 ) -> ClaimReport:
-    """Scan the census (or the supplied inputs) and test one claim."""
+    """Test one claim on its source: its inputs, or the census to n_max."""
     key = claim_id.strip().lower()
     if key not in CLAIMS:
         raise UnknownClaimError(
             f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}"
         )
     claim = CLAIMS[key]
-    if key in INPUT_CLAIMS:
-        pairs = inputs or [("truncated_icosahedron",
-                            catalog_graph("truncated_icosahedron"))]
-        orders = [g.n for _, g in pairs]
-        report = ClaimReport(key, (min(orders), max(orders)), 0)
-        return _scan(claim, report, (Record(g, name=name) for name, g in pairs))
-    if inputs:
+    if inputs and not claim.inputs:
         raise ClaimInputError(f"claim {key} scans the census and takes no "
                               f"inputs; only {', '.join(INPUT_CLAIMS)} do")
     n_max -= n_max % 2
     _check_order(n_max)  # before any order is generated
-    report = ClaimReport(key, (4, n_max), 0)
-    oversize = [name for name in claim.allowed if catalog_graph(name).n > n_max]
+    if claim.inputs:
+        pairs = inputs or [(name, catalog_graph(name)) for name in claim.inputs]
+        orders = [g.n for _, g in pairs]
+        n_range = (min(orders), max(orders))
+        records = (Record(g, name=name) for name, g in pairs)
+    else:
+        n_range = (4, n_max)
+        records = _census(range(4, n_max + 1, 2), jobs)
+    report = ClaimReport(key, n_range, 0)
+    oversize = [name for name in claim.allowed if catalog_graph(name).n > n_range[1]]
     if oversize:
         report.notes.append(
             "allowed graphs beyond the scanned range: " + ", ".join(oversize)
         )
-    census = (Record(g6=g6) for n in range(4, n_max + 1, 2)
-              for g6 in enumerate_cubic_graph6(n, jobs))
-    return _scan(claim, report, census)
+    return _scan(claim, report, records)
 
 
 def brbb_unique_path_property(graph: Graph) -> bool:
     """The unique-path mechanics behind the cost-2 witness.
 
     Edges split into the matching orbit (red) and the cycles orbit
-    (black).  For every red edge v1-u1 with black 5-cycles C1 (through
+    (black).  For every red edge v1-u1 with black cycles C1 (through
     v1) and C2 (through u1): v1-u1 must be the only edge between C1 and
     C2, and for each choice of black neighbor v2 of v1 and black 2-step
     walk u1-u2-u3, the path v2-v1-u1-u2-u3 must be the unique
-    black-red-black-black path of length 4 between v2 and u3.
+    black-red-black-black path of length 4 between v2 and u3, where
+    inside a path "black" means "not red".
     """
     profile = transitivity_profile(graph)
     red = profile.orbit_with_tag("perfect-matching")
-    black_orbit = profile.orbit_with_tag("disjoint-cycles")
-    if red is None or black_orbit is None:
+    black = profile.orbit_with_tag("disjoint-cycles")
+    if red is None or black is None:
         return False
-    red_set = set(red)
-    black = set(black_orbit)
     cycle_of = edge_components(graph.n, black)  # each vertex's black cycle
     if -1 in cycle_of:  # the black cycles must cover every vertex
         return False
+    mate = {a: b for u, w in red for a, b in ((u, w), (w, u))}  # red neighbor
     incident: Dict[int, List[int]] = {}
     for u, w in black:
         incident.setdefault(u, []).append(w)
         incident.setdefault(w, []).append(u)
-
-    def edge_color_is_red(a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in red_set
-
+    # a red edge inside one cycle meets that cycle's black edges here too
+    between = Counter(tuple(sorted((cycle_of[a], cycle_of[b])))
+                      for a, b in graph.edges())
     for v1, u1 in red:
-        c1, c2 = cycle_of[v1], cycle_of[u1]
-        between = [
-            (a, b)
-            for a, b in graph.edges()
-            if (cycle_of[a], cycle_of[b]) in ((c1, c2), (c2, c1))
-        ]
-        if len(between) != 1:
+        if between[tuple(sorted((cycle_of[v1], cycle_of[u1])))] != 1:
             return False
         for v2 in incident[v1]:
             for u2 in incident[u1]:
                 for u3 in incident[u2]:
                     if u3 == u1:
                         continue
-                    # v2-v1-u1-u2-u3 is one such path (v1, v2 on one black
-                    # cycle, u1, u2, u3 on another), so it must be the only one
-                    count = _count_brbb_paths(
-                        graph, v2, u3, edge_color_is_red
+                    # v2-v1-u1-u2-u3 is one such path v2-a-mate[a]-c-u3, so
+                    # it must be the only one; v2 on C1 is neither u3 nor
+                    # adjacent to it, so a, c != u3 and c != v2 always hold
+                    count = sum(
+                        graph.has_edge(c, u3) and u3 not in (mate[a], mate[c])
+                        for a in graph.adj[v2] if a != mate[v2]
+                        for c in graph.adj[mate[a]] if c != a
                     )
                     if count != 1:
                         return False
     return True
-
-
-def _count_brbb_paths(graph: Graph, start: int, end: int, is_red) -> int:
-    pattern = (False, True, False, False)
-    count = 0
-    stack = [(start, (start,))]
-    while stack:
-        v, path = stack.pop()
-        i = len(path) - 1
-        if i == 4:
-            if v == end:
-                count += 1
-            continue
-        for w in graph.adj[v]:
-            if w in path:
-                continue
-            if is_red(v, w) == pattern[i]:
-                stack.append((w, path + (w,)))
-    return count

@@ -20,6 +20,7 @@ from .autgrp import automorphism_group, canonical_form
 from .catalog import CatalogEntry, CatalogError, catalog_build, catalog_names, cycle_graph
 from .claims import (
     CLAIM_IDS,
+    INPUT_CLAIMS,
     PREDICATES,
     ClaimInputError,
     UnknownClaimError,
@@ -36,7 +37,7 @@ from .enumeration import EnumerationRangeError, enumerate_cubic_graph6
 from .graph import Graph, girth
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .perm import GroupTooLargeError, cycle_notation
-from .symmetry import consistent_girth_cycles, transitivity_profile
+from .symmetry import consistent_cycles, transitivity_profile
 from .truncation import (
     classic_truncation,
     cycle_quotient,
@@ -137,8 +138,8 @@ def _analysis_report(graph: Graph) -> dict:
         if profile.findings:
             report["findings"] = list(profile.findings)
         report["consistent_girth_cycles"] = (
-            0 if report["girth"] is None else len(consistent_girth_cycles(graph))
-        )
+            0 if report["girth"] is None
+            else len(consistent_cycles(graph, report["girth"])))
     else:
         report["note"] = "symmetry profile requires a connected graph"
     cost = distinguishing_cost(graph)
@@ -399,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=14)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--catalog-input", action="append", metavar="NAME",
-                   help="verify on catalog graphs instead of the census "
-                        "(thm34/cor33)")
+                   help="verify on catalog graphs in place of the claim's "
+                        f"inputs ({', '.join(INPUT_CLAIMS)})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

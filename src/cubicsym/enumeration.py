@@ -26,8 +26,8 @@ Contracting diamonds therefore leaves a multigraph on degree-2 "diamond"
 nodes and degree-3 plain nodes whose plain-plain edges are bridges; the
 seeder enumerates those multigraphs directly, expands them, and keeps
 exactly the graphs that pass the direct edge-by-edge irreducibility
-check.  The structure argument is cross-validated against the brute-force
-oracle at small orders and against the published census counts.
+check.  The structure argument is cross-validated against a brute-force
+oracle in the tests and against the published census counts.
 """
 
 from __future__ import annotations
@@ -389,65 +389,3 @@ def enumerate_cubic(n: int, jobs: int = 1) -> Iterator[Graph]:
     class of connected cubic graphs on n vertices."""
     for g6 in enumerate_cubic_graph6(n, jobs):
         yield decode_graph6(g6)
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracle
-
-def enumerate_cubic_bruteforce(n: int) -> Tuple[str, ...]:
-    """Exhaustive degree-pruned edge-subset generation plus canonical
-    dedup; independent of the construction-path generator.
-
-    Two completeness-preserving symmetry cuts keep the labeled search
-    small: N(0) = {1, 2, 3} (every cubic graph admits such a labeling),
-    and isolated vertices are consumed in ascending index order (names of
-    still-isolated vertices are interchangeable, so any labeling can be
-    rewritten step by step to respect this).  Feasible for n <= 12."""
-    if n % 2 or n < 4:
-        raise EnumerationRangeError(f"no cubic graphs on order {n}")
-    if n > 12:
-        raise EnumerationRangeError("brute-force oracle capped at n = 12")
-    if n == 4:
-        k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
-        return (canonical_form(k4).decode("ascii"),)
-    adj: List[Set[int]] = [set() for _ in range(n)]
-    deg = [0] * n
-    for w in (1, 2, 3):
-        adj[0].add(w)
-        adj[w].add(0)
-        deg[0] += 1
-        deg[w] += 1
-    out: Set[str] = set()
-
-    def smallest_deficient(after: int) -> int:
-        for v in range(after, n):
-            if deg[v] < 3:
-                return v
-        return n
-
-    def rec(v: int, floor: int, fresh: int) -> None:
-        if v == n:
-            g = Graph(n, [sorted(s) for s in adj])
-            if g.is_connected():
-                out.add(canonical_form(g).decode("ascii"))
-            return
-        top = min(n, fresh + 1)
-        for w in range(max(v + 1, floor), top):
-            if deg[w] >= 3 or w in adj[v]:
-                continue
-            adj[v].add(w)
-            adj[w].add(v)
-            deg[v] += 1
-            deg[w] += 1
-            new_fresh = fresh + 1 if w == fresh else fresh
-            if deg[v] == 3:
-                rec(smallest_deficient(v + 1), 0, new_fresh)
-            else:
-                rec(v, w + 1, new_fresh)
-            adj[v].discard(w)
-            adj[w].discard(v)
-            deg[v] -= 1
-            deg[w] -= 1
-
-    rec(1, 0, 4)
-    return tuple(sorted(out))

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .autgrp import automorphism_group, extend_partial_map
-from .graph import (Graph, cycles_of_length, edge_components, girth,
-                    s_arc_count, s_arcs)
+from .graph import Graph, cycles_of_length, edge_components, s_arc_count, s_arcs
 from .perm import Action, Images, PermutationGroup, orbits, stabilizer
 
 MAX_S = 7
@@ -169,13 +168,6 @@ def consistent_cycles(
         if witness is not None:
             out.append((cyc, witness))
     return tuple(out)
-
-
-def consistent_girth_cycles(
-    graph: Graph,
-) -> Tuple[Tuple[Cycle, Images], ...]:
-    length = girth(graph)
-    return () if length is None else consistent_cycles(graph, length)
 
 
 def local_fixity_check(graph: Graph, edge: Edge) -> bool:

@@ -20,7 +20,6 @@ from cubicsym import (
     distinguishing_cost,
     encode_graph6,
     enumerate_cubic,
-    enumerate_cubic_bruteforce,
     enumerate_cubic_graph6,
     every_3_arc_in_cycle,
     every_edge_in_cycle,
@@ -37,6 +36,7 @@ from cubicsym.claims import brbb_unique_path_property
 
 from conftest import (
     backtracking_automorphisms,
+    enumerate_cubic_bruteforce,
     random_cubic,
     random_relabel,
     setwise_trivial,

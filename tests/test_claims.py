@@ -112,7 +112,7 @@ def test_fail_reports_carry_a_reproducible_witness():
 
     report = ClaimReport("demo", (10, 10), 1)
     g = catalog_graph("petersen")
-    report.fail(g, "synthetic failure for the serialization contract")
+    report.fail(canonical_form(g), "synthetic failure for the serialization contract")
     assert report.verdict == "Fail"
     assert is_isomorphic(decode_graph6(report.counterexample), g)
     assert "counterexample" in report.summary()
@@ -222,4 +222,26 @@ def test_catalog_forms_are_searched_once_per_process(monkeypatch):
 
     monkeypatch.setattr(autgrp, "_ir_search", counting)
     assert verify_claim("cor49", n_max=4).verdict == "Pass"
+    assert searches == []
+
+
+def test_census_counterexample_runs_no_search(monkeypatch):
+    from cubicsym import autgrp
+
+    always_fails = claims.Claim(("girth=4",), lambda r, _forms: ("demo", None))
+    monkeypatch.setitem(CLAIMS, "demo", always_fails)
+    census = _census_g6(8)  # built before the search is watched
+    searches = []
+    search = autgrp._ir_search
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(autgrp, "_ir_search", counting)
+    report = verify_claim("demo", n_max=8)
+    assert report.verdict == "Fail"
+    assert report.counterexample == report.hypothesis_hits[0]
+    first_hit = next(g6 for g6 in census if girth(decode_graph6(g6)) == 4)
+    assert report.counterexample == first_hit
     assert searches == []

@@ -416,16 +416,18 @@ def test_verify_unknown_claim_exit_2(capsys):
     assert rc == 2
 
 
-def test_verify_max_n_below_range_exit_2(capsys):
-    rc, out, err = run_cli(["verify", "lem45", "--max-n", "2"], capsys)
+@pytest.mark.parametrize("claim", ["lem45", "thm34", "cor33"])
+def test_verify_max_n_below_range_exit_2(claim, capsys):
+    rc, out, err = run_cli(["verify", claim, "--max-n", "2"], capsys)
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
 
-def test_verify_max_n_above_range_exit_2_before_generating(capsys):
+@pytest.mark.parametrize("claim", ["lem45", "thm34", "cor33"])
+def test_verify_max_n_above_range_exit_2_before_generating(claim, capsys):
     start = time.perf_counter()
-    rc, out, err = run_cli(["verify", "lem45", "--max-n", "22"], capsys)
+    rc, out, err = run_cli(["verify", claim, "--max-n", "22"], capsys)
     assert time.perf_counter() - start < 0.5
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")

@@ -9,16 +9,26 @@ from cubicsym import (
     SearchBudgetExceeded,
     automorphism_group,
     build_graph,
+    catalog_build,
     catalog_graph,
+    classic_truncation,
+    close_generators,
+    decode_graph6,
     distinguishing_cost,
     distinguishing_number,
     enumerate_cubic,
+    enumerate_cubic_graph6,
+    generalized_truncation,
     is_distinguishing_set,
+    seeded_orders,
 )
 from cubicsym import autgrp
+from cubicsym.catalog import cycle_graph
 from cubicsym.claims import brbb_unique_path_property
 
-from conftest import backtracking_automorphisms, random_cubic, setwise_trivial
+import conftest
+from conftest import (FIXED_CATALOG, backtracking_automorphisms, random_cubic,
+                      random_relabel, setwise_trivial)
 
 
 def test_whole_vertex_set_distinguishing_iff_asymmetric():
@@ -114,6 +124,55 @@ def test_truncated_icosahedron_cost_2_and_brbb_witness():
 def test_brbb_false_when_the_black_cycles_miss_a_vertex():
     # GP(7, 2): the first disjoint-cycles orbit is the outer 7-cycle only
     assert not brbb_unique_path_property(catalog_graph("gp(7,2)"))
+
+
+def _cayley(generators):
+    """The Cayley graph x ~ x*s of the group the permutations generate."""
+    elements = close_generators(generators, len(generators[0])).elements
+    index = {x: i for i, x in enumerate(elements)}
+    edges = {tuple(sorted((index[x], index[tuple(x[i] for i in s)])))
+             for x in elements for s in generators}
+    return build_graph(len(elements), sorted(edges))
+
+
+def test_brbb_agrees_with_the_path_search_reference(monkeypatch, rng):
+    reached = []  # graphs whose orbits pass every check before the path count
+    count_paths = conftest._count_brbb_paths
+
+    def counting(graph, *args):
+        if not reached or reached[-1] is not graph:
+            reached.append(graph)
+        return count_paths(graph, *args)
+
+    monkeypatch.setattr(conftest, "_count_brbb_paths", counting)
+    family = [f"gp({n},{k})" for n in range(3, 16) for k in range(1, (n + 1) // 2)]
+    family += [f"{name}({n})" for name in ("prism", "moebius") for n in range(3, 16)]
+    named = [catalog_graph(name) for name in FIXED_CATALOG + tuple(family)]
+    ico = catalog_build("icosahedron")
+    graphs = [decode_graph6(g6) for n in range(4, 13, 2)
+              for g6 in enumerate_cubic_graph6(n)]
+    graphs += named
+    graphs += [generalized_truncation(ico.graph, orders, cycle_graph(5)) for orders
+               in [ico.rotation] + [seeded_orders(ico.graph, s) for s in range(40)]]
+    graphs += [classic_truncation(g) for g in [g for g in named if g.is_cubic()][:40]]
+    # the permutohedron of S4: its 4-cycles give a second path from v2 to
+    # u3 around C2, so BRBB fails
+    graphs.append(_cayley([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]))
+    # 5-regular: two cycle orbits and a matching, so "black" inside a path
+    # (not red) takes edges of both cycle orbits
+    graphs.append(_cayley([(4, 1, 3, 2, 0), (0, 3, 2, 4, 1), (1, 3, 0, 2, 4)]))
+    outcomes = set()
+    for g in graphs:
+        expected = conftest.brbb_unique_path_property(g)
+        assert brbb_unique_path_property(g) == expected
+        if reached and reached[-1] is g:
+            outcomes.add(expected)
+            for _ in range(2):
+                h = random_relabel(g, rng)
+                assert brbb_unique_path_property(h) == expected
+                assert conftest.brbb_unique_path_property(h) == expected
+    assert outcomes == {True, False}
+    assert len(reached) == 3 * 20  # 20 graphs and two relabellings of each
 
 
 def test_budget_exhaustion_reports_progress():

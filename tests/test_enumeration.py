@@ -13,7 +13,6 @@ from cubicsym import (
     cycles_of_length,
     decode_graph6,
     enumerate_cubic,
-    enumerate_cubic_bruteforce,
     enumerate_cubic_graph6,
     filtered_enumeration,
     irreducible_seeds,
@@ -25,7 +24,7 @@ from cubicsym.graph import bridges
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
 from cubicsym.perm import Action, orbits
 
-from conftest import random_cubic
+from conftest import enumerate_cubic_bruteforce, random_cubic
 
 # sha256 of the sorted census strings for n = 4..14, each followed by "\n"
 CENSUS_14_SHA256 = "b68745dbc048cffd55c6f9b50e939ae1a4b5e5ca78b48ad228dd046eb93095b5"

@@ -8,7 +8,6 @@ from cubicsym import (
     build_graph,
     catalog_graph,
     consistent_cycles,
-    consistent_girth_cycles,
     distinguishing_cost,
     enumerate_cubic,
     girth,
@@ -140,7 +139,7 @@ def test_f26a_is_arc_regular_by_order():
     p = transitivity_profile(g)
     assert p.vertex_stabilizer_order == 3 and p.stabilizer_class == "arc-regular"
     assert girth(g) == 6
-    assert len(consistent_girth_cycles(g)) == 13
+    assert len(consistent_cycles(g, 6)) == 13
     cost = distinguishing_cost(g)
     assert (cost.kind, cost.cost, cost.witness) == ("cost", 2, (0, 2))
 
@@ -228,7 +227,7 @@ def test_asymmetric_graph_has_no_consistent_cycles():
             target = g
             break
     assert target is not None
-    assert consistent_girth_cycles(target) == ()
+    assert consistent_cycles(target, girth(target)) == ()
 
 
 # ---------------------------------------------------------------------------
