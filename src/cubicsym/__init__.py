@@ -8,6 +8,7 @@ isomorph-free enumeration of connected cubic graphs at desk scale.
 from .graph import (
     Graph,
     GraphConstructionError,
+    balls,
     build_graph,
     cycles_of_length,
     distance_profiles,

@@ -21,11 +21,14 @@ Census strings are canonical graph6 already, so a census record never
 searches for its form, not even for a counterexample.
 
 A record also caches one necessary condition for vertex-transitivity:
-every vertex has the same BFS distance histogram.  The predicates whose
-truth implies vertex-transitivity (``vertex-transitive``,
-``arc-transitive``, ``s-arc-transitive=S`` for S >= 1 and
-``s-arc-transitive-of-girth-s+2``) test it first and build the group
-only when it holds, so most census graphs never reach the group.
+every vertex has the same BFS distance histogram, read as equal ball
+sizes at every radius from ``graph.balls`` and stopped at the first
+radius where they differ (radius 2 or 3 for most census graphs).  The
+predicates whose truth implies vertex-transitivity
+(``vertex-transitive``, ``arc-transitive``, ``s-arc-transitive=S`` for
+S >= 1 and ``s-arc-transitive-of-girth-s+2``) test it first and build
+the group only when it holds, so most census graphs never reach the
+group.
 
 Claim ids:
 
@@ -59,9 +62,10 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
 from .autgrp import canonical_form
 from .catalog import catalog_graph
 from .distinguishing import distinguishing_cost
-from .enumeration import _check_order, enumerate_cubic_graph6
-from .graph import (Graph, distance_profiles, edge_components,
-                    every_3_arc_in_cycle, every_edge_in_cycle, girth)
+from .enumeration import (MAX_ORDER, MIN_ORDER, EnumerationRangeError,
+                          enumerate_cubic_graph6)
+from .graph import (Graph, balls, edge_components, every_3_arc_in_cycle,
+                    every_edge_in_cycle, girth)
 from .graph6 import decode_graph6
 from .symmetry import consistent_cycles, transitivity_profile
 
@@ -122,7 +126,9 @@ class Record:
     functions are looked up in this module's namespace at call time.
     ``histograms_agree`` is the cheap necessary condition for
     vertex-transitivity that the transitivity predicates test before
-    ``profile``, which builds the automorphism group.
+    ``profile``, which builds the automorphism group: every vertex's ball
+    has the same size at every radius, which is every vertex having the
+    same distance histogram, unreached vertices included.
     """
 
     def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
@@ -151,7 +157,10 @@ class Record:
     def histograms_agree(self) -> bool:
         # an automorphism preserves distances, so a vertex-transitive graph
         # has one BFS distance histogram at every vertex
-        return len(set(distance_profiles(self.graph)[1])) <= 1
+        for ball in balls(self.graph):
+            if len(set(map(int.bit_count, ball))) > 1:
+                return False
+        return True
 
     @cached_property
     def profile(self):
@@ -409,8 +418,12 @@ def verify_claim(
     if inputs and not claim.inputs:
         raise ClaimInputError(f"claim {key} scans the census and takes no "
                               f"inputs; only {', '.join(INPUT_CLAIMS)} do")
+    # the census runs to the even part of n_max; checked before any order
+    # is generated, and the error names the n_max given
+    if not MIN_ORDER <= n_max - n_max % 2 <= MAX_ORDER:
+        raise EnumerationRangeError(f"order {n_max} outside the supported "
+                                    f"range [{MIN_ORDER}, {MAX_ORDER}]")
     n_max -= n_max % 2
-    _check_order(n_max)  # before any order is generated
     if claim.inputs:
         pairs = inputs or [(name, catalog_graph(name)) for name in claim.inputs]
         orders = [g.n for _, g in pairs]

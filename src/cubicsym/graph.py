@@ -9,7 +9,6 @@ workers once built.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 
@@ -41,10 +40,19 @@ class Graph:
         symmetric and loop-free.  ``build_graph`` is the validating entry
         point for edge lists.
         """
+        adj_bits = tuple(bits)
+        return cls._from_rows(tuple(map(_set_bits, adj_bits)), adj_bits)
+
+    @classmethod
+    def _from_rows(cls, adj: Tuple[Tuple[int, ...], ...],
+                   adj_bits: Tuple[int, ...]) -> "Graph":
+        """Graph with the ascending neighbour tuples ``adj`` and the same
+        sets as the bitmasks ``adj_bits``, both kept as given and unchecked,
+        for builders that have the two already."""
         graph = cls.__new__(cls)
-        graph.n = len(bits)
-        graph.adj_bits = tuple(bits)
-        graph.adj = tuple(map(_set_bits, graph.adj_bits))
+        graph.n = len(adj_bits)
+        graph.adj = adj
+        graph.adj_bits = adj_bits
         graph._edges = None
         return graph
 
@@ -173,35 +181,85 @@ def distance_profiles(
     return dists, profiles
 
 
-def girth(graph: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or None for a forest.
+def balls(graph: Graph) -> Iterator[list[int]]:
+    """Every vertex's radius-r ball as a bitmask, for r = 0, 1, 2, ...
 
-    One BFS per root: an edge from v to an already-reached w with
-    dist(w) >= dist(v) closes a cycle of length at most dist(v) + dist(w)
-    + 1, and the minimum over all roots is the girth.  An edge to a w with
-    dist(w) < dist(v) is either v's tree edge or closes a cycle already
-    counted from w.  A root stops once no shorter cycle can close.
+    ``B_r[v] = B_{r-1}[v] | OR of B_{r-1}[u] over u in adj[v]``: 2m
+    big-int ORs move all roots one step at once, and B_1 is read off the
+    neighbour bitmasks.  The last list yielded is the first radius at
+    which no ball grew, so each ball is then its vertex's component;
+    every graph yields at least two lists.
     """
-    n = graph.n
-    best: Optional[int] = None
-    for root in range(n):
-        dist = [-1] * n
-        dist[root] = 0
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            dv = dist[v]
-            if best is not None and 2 * dv + 1 > best:
-                break
-            for w in graph.adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    q.append(w)
-                elif dist[w] >= dv:
-                    cand = dv + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-    return best
+    adj = graph.adj
+    ball = [1 << v for v in range(graph.n)]
+    grown = [bits | 1 << v for v, bits in enumerate(graph.adj_bits)]
+    yield ball
+    while True:
+        yield grown
+        if grown == ball:
+            return
+        ball = grown
+        grown = []
+        for b, row in zip(ball, adj):
+            for u in row:
+                b |= ball[u]
+            grown.append(b)
+
+
+def girth(graph: Graph) -> Optional[int]:
+    """Length of a shortest cycle, or None for a forest, read off ball growth.
+
+    Let L_j(v) be the vertices at distance exactly j from v, and let its
+    stubs be the sum of deg(u) - 1 over u in L_j(v) (deg(v) for j = 0).
+    Always |L_{j+1}(v)| <= stubs, with equality exactly when every u in
+    L_j(v) has one neighbour in L_{j-1}(v), no edge lies inside L_j(v),
+    and every vertex of L_{j+1}(v) has one neighbour in L_j(v).  Each of
+    those failures closes a cycle of length at most 2j + 2, so a
+    shortfall at layer j + 1 forces girth <= 2j + 2.  Conversely, a
+    shortest cycle of length 2j + 1 or 2j + 2 is isometric, so from any of
+    its vertices the two cycle arcs meet in L_j (an edge inside it) or at
+    one vertex of L_{j+1} (two neighbours in L_j): a shortfall at layer
+    j + 1.  The first j with a shortfall at some vertex therefore gives
+    girth 2j + 1 or 2j + 2.  It is 2j + 1 iff some vertex w has an edge
+    inside L_j(w): that edge and the two paths from w close a walk of
+    length 2j + 1, which holds an odd cycle, and a shortest odd cycle has
+    such an edge at each of its vertices.  Such a w has a shortfall
+    itself, so only those vertices are searched.
+
+    Summed over layers 0..j, no layer up to j + 1 falls short at v iff
+    |B_{j+1}(v)| = 2 + the sum of deg(u) - 1 over the ball B_j(v), which
+    is one popcount per ball and degree class.  A vertex of degree below
+    the maximum ``top`` is counted through the mask of its deficit
+    top - deg, so irregular and disconnected graphs work too.
+    """
+    degrees = list(map(len, graph.adj))
+    top = max(degrees, default=0)
+    deficits: dict[int, int] = {}
+    for v, d in enumerate(degrees):
+        if d != top:
+            deficits[top - d] = deficits.get(top - d, 0) | 1 << v
+    grown = balls(graph)
+    inner = next(grown)  # B_{j-1}
+    ball = next(grown)  # B_j; no shortfall is possible at j = 0
+    for j, outer in enumerate(grown, start=1):  # B_{j+1}
+        tree = [(top - 1) * b.bit_count() + 2 for b in ball]
+        for deficit, mask in deficits.items():
+            tree = [t - deficit * (b & mask).bit_count()
+                    for t, b in zip(tree, ball)]
+        short = [b & ~b_in for b_in, b, b_out, t in zip(inner, ball, outer, tree)
+                 if b_out.bit_count() < t]
+        if short:
+            adj_bits = graph.adj_bits
+            for layer in short:  # L_j(w) of each w that falls short
+                rest = layer
+                while rest:
+                    low = rest & -rest
+                    if adj_bits[low.bit_length() - 1] & layer:
+                        return 2 * j + 1
+                    rest ^= low
+            return 2 * j + 2
+        inner, ball = ball, outer
+    return None
 
 
 def cycles_of_length(

@@ -63,9 +63,11 @@ def decode_graph6(text: str) -> Graph:
     """Decode one graph6 string, in time linear in its length.
 
     The adjacency bytes are joined into one string of '0'/'1' characters,
-    and column j of the upper triangle is the next j of them, read into
-    vertex j's bitmask in one step; bit j is then set in the row of every
-    i it names.  Any character outside 63..126 is rejected at its offset.
+    and one walk over its set bits, with a running column start, reads
+    each edge (i, j) once: j goes to row i and i to row j, in both the
+    sorted neighbour rows and the bitmasks.  Columns come in ascending
+    order, so every row comes out sorted.  Any character outside 63..126
+    is rejected at its offset.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -102,18 +104,22 @@ def decode_graph6(text: str) -> Graph:
     pad = seq.find("1", nbits)
     if pad >= 0:
         raise Graph6Error("nonzero padding bits", pos + pad // 6)
+    rows: List[List[int]] = [[] for _ in range(n)]
     bits = [0] * n
+    j = 1  # the column of bit t is j, its row t - start
     start = 0
-    for j in range(1, n):
-        end = start + j
-        bj = 1 << j
-        i = seq.find("1", start, end)
-        while i >= 0:
-            bits[i - start] |= bj
-            i = seq.find("1", i + 1, end)
-        bits[j] = int(seq[start:end][::-1], 2)
-        start = end
-    return Graph.from_bits(bits)
+    t = seq.find("1", 0, nbits)
+    while t >= 0:
+        while t >= start + j:
+            start += j
+            j += 1
+        i = t - start
+        rows[i].append(j)
+        rows[j].append(i)
+        bits[i] |= 1 << j
+        bits[j] |= 1 << i
+        t = seq.find("1", t + 1, nbits)
+    return Graph._from_rows(tuple(map(tuple, rows)), tuple(bits))
 
 
 def parse_edge_list(text: str) -> Graph:

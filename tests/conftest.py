@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Set, Tuple
+from collections import deque
+from math import comb
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import pytest
 
 from cubicsym import (EnumerationRangeError, Graph, build_graph, canonical_form,
-                      transitivity_profile)
+                      distance_profiles, transitivity_profile)
 from cubicsym.graph import edge_components
+from cubicsym.graph6 import _NON_PRINTABLE, _SEXTETS, Graph6Error
 
 # every catalog graph that takes no parameters
 FIXED_CATALOG = (
@@ -261,3 +264,150 @@ def _count_brbb_paths(graph: Graph, start: int, end: int, is_red) -> int:
             if is_red(v, w) == pattern[i]:
                 stack.append((w, path + (w,)))
     return count
+
+
+# ---------------------------------------------------------------------------
+# reference per-graph kernels of a census scan: a BFS per root for the girth,
+# full distance histograms for the vertex-transitivity prefilter, and a
+# column-at-a-time graph6 decoder, kept to compare the bitmask kernels
+# against
+
+
+def girth(graph: Graph) -> Optional[int]:
+    """Length of a shortest cycle, or None for a forest.
+
+    One BFS per root: an edge from v to an already-reached w with
+    dist(w) >= dist(v) closes a cycle of length at most dist(v) + dist(w)
+    + 1, and the minimum over all roots is the girth.  An edge to a w with
+    dist(w) < dist(v) is either v's tree edge or closes a cycle already
+    counted from w.  A root stops once no shorter cycle can close.
+    """
+    n = graph.n
+    best: Optional[int] = None
+    for root in range(n):
+        dist = [-1] * n
+        dist[root] = 0
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            dv = dist[v]
+            if best is not None and 2 * dv + 1 > best:
+                break
+            for w in graph.adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dv + 1
+                    q.append(w)
+                elif dist[w] >= dv:
+                    cand = dv + dist[w] + 1
+                    if best is None or cand < best:
+                        best = cand
+    return best
+
+
+def histograms_agree(graph: Graph) -> bool:
+    """Every vertex has the same BFS distance histogram."""
+    return len(set(distance_profiles(graph)[1])) <= 1
+
+
+def decode_graph6(text: str) -> Graph:
+    """Decode one graph6 string, in time linear in its length.
+
+    The adjacency bytes are joined into one string of '0'/'1' characters,
+    and column j of the upper triangle is the next j of them, read into
+    vertex j's bitmask in one step; bit j is then set in the row of every
+    i it names.  Any character outside 63..126 is rejected at its offset.
+    """
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    bad = _NON_PRINTABLE.search(s)
+    if bad is not None:
+        raise Graph6Error(
+            f"non-printable graph6 byte {ord(bad.group())}", bad.start()
+        )
+    data = s.encode("ascii")
+    pos = 0
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6Error("8-byte order form is not supported", 0)
+        if len(data) < 4:
+            raise Graph6Error("truncated extended order", len(data))
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        if n < 63:
+            raise Graph6Error("extended order used for n < 63", 0)
+        pos = 4
+    else:
+        n = data[0] - 63
+        pos = 1
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos != nbytes:
+        raise Graph6Error(
+            f"expected {nbytes} adjacency bytes for n={n}, got {len(data) - pos}",
+            pos,
+        )
+    seq = "".join([_SEXTETS[b - 63] for b in data[pos:]])
+    pad = seq.find("1", nbits)
+    if pad >= 0:
+        raise Graph6Error("nonzero padding bits", pos + pad // 6)
+    bits = [0] * n
+    start = 0
+    for j in range(1, n):
+        end = start + j
+        bj = 1 << j
+        i = seq.find("1", start, end)
+        while i >= 0:
+            bits[i - start] |= bj
+            i = seq.find("1", i + 1, end)
+        bits[j] = int(seq[start:end][::-1], 2)
+        start = end
+    return Graph.from_bits(bits)
+
+
+# ---------------------------------------------------------------------------
+# labelled cubic graphs, counted without generating any: the census must
+# satisfy the mass formula sum of n!/|Aut| = the labelled connected count
+
+
+def labelled_cubic(n: int) -> int:
+    """Labelled cubic graphs on n vertices, connected or not.
+
+    The vertex with the largest residual degree d is joined to d distinct
+    partners among the vertices not yet joined, whose residual degrees
+    drop by one; the number of completions depends only on how many
+    unjoined vertices have residual degree 1, 2 and 3.
+    """
+    memo: Dict[Tuple[int, int, int], int] = {(0, 0, 0): 1}
+
+    def completions(c1: int, c2: int, c3: int) -> int:
+        key = (c1, c2, c3)
+        if key in memo:
+            return memo[key]
+        # join one vertex of the largest residual degree d; a1, a2 and a3
+        # of its partners have residual degree 1, 2 and 3
+        d = 3 if c3 else 2 if c2 else 1
+        c1, c2, c3 = c1 - (d == 1), c2 - (d == 2), c3 - (d == 3)
+        total = 0
+        for a3 in range(min(d, c3) + 1):
+            for a2 in range(min(d - a3, c2) + 1):
+                a1 = d - a3 - a2
+                if a1 <= c1:
+                    total += (comb(c1, a1) * comb(c2, a2) * comb(c3, a3)
+                              * completions(c1 - a1 + a2, c2 - a2 + a3, c3 - a3))
+        memo[key] = total
+        return total
+
+    return completions(0, 0, n)
+
+
+def labelled_connected_cubic(n: int) -> int:
+    """The connected part of labelled_cubic: split off the component of
+    one fixed vertex, a(m) = sum over k of C(m-1, k-1) c(k) a(m-k)."""
+    a = [labelled_cubic(m) for m in range(n + 1)]
+    c = [0] * (n + 1)
+    for m in range(1, n + 1):
+        c[m] = a[m] - sum(comb(m - 1, k - 1) * c[k] * a[m - k]
+                          for k in range(1, m))
+    return c[n]

@@ -426,12 +426,14 @@ def test_verify_max_n_below_range_exit_2(claim, capsys):
 
 @pytest.mark.parametrize("claim", ["lem45", "thm34", "cor33"])
 def test_verify_max_n_above_range_exit_2_before_generating(claim, capsys):
-    start = time.perf_counter()
-    rc, out, err = run_cli(["verify", claim, "--max-n", "22"], capsys)
-    assert time.perf_counter() - start < 0.5
-    assert rc == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "Traceback" not in err
+    for max_n in ("22", "99"):  # the census runs to the even part of 99
+        start = time.perf_counter()
+        rc, out, err = run_cli(["verify", claim, "--max-n", max_n], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        assert max_n in err and "[4, 20]" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -475,6 +477,25 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "petersen" in proc.stdout
+
+
+def _run_package(args):
+    """``python -m cubicsym`` from the source tree, not an installed copy."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", "cubicsym"] + args,
+                          capture_output=True, text=True, env=env)
+
+
+def test_package_runs_as_a_module(capsys):
+    args = ["analyze", "--catalog", "k4", "--json"]
+    proc = _run_package(args)
+    rc, out, _ = run_cli(args, capsys)
+    assert proc.returncode == rc == 0
+    assert proc.stdout == out
+    proc = _run_package(["verify", "nope"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
 def test_verify_reports_match_golden_bytes(capsys):

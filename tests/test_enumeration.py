@@ -1,6 +1,7 @@
 """Isomorph-free generation: counts, seeds, determinism, filtering."""
 
 import hashlib
+from math import factorial
 
 import pytest
 
@@ -24,7 +25,8 @@ from cubicsym.graph import bridges
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
 from cubicsym.perm import Action, orbits
 
-from conftest import enumerate_cubic_bruteforce, random_cubic
+from conftest import (enumerate_cubic_bruteforce, labelled_connected_cubic,
+                      random_cubic)
 
 # sha256 of the sorted census strings for n = 4..14, each followed by "\n"
 CENSUS_14_SHA256 = "b68745dbc048cffd55c6f9b50e939ae1a4b5e5ca78b48ad228dd046eb93095b5"
@@ -44,6 +46,15 @@ def test_count_at_12_matches_published_census():
 
 def test_count_at_14_matches_published_census():
     assert len(enumerate_cubic_graph6(14)) == KNOWN_COUNTS[14]
+
+
+@pytest.mark.parametrize("n", range(4, 15, 2))
+def test_census_satisfies_the_mass_formula(n):
+    # every labelled connected cubic graph is counted once, so a missing
+    # class is seen even when a duplicate keeps the class count right
+    labelled = sum(factorial(n) // automorphism_group(decode_graph6(g6)).order
+                   for g6 in enumerate_cubic_graph6(n))
+    assert labelled == labelled_connected_cubic(n)
 
 
 def test_census_to_14_is_byte_identical():

@@ -108,9 +108,45 @@ def test_relabel_matches_sorted_row_construction(rng):
 # girth
 
 def test_girth_examples():
+    assert [girth(cycle(k)) for k in range(3, 13)] == list(range(3, 13))
+    assert girth(catalog_graph("k33")) == 4
     assert girth(catalog_graph("petersen")) == 5
     assert girth(catalog_graph("heawood")) == 6
+    assert girth(catalog_graph("tutte_coxeter")) == 8
     assert girth(path(5)) is None
+    assert girth(build_graph(0, [])) is None
+
+
+def _theta(*lengths):
+    """Two hubs 0 and 1 joined by internally disjoint paths of the given
+    lengths; its cycles have the sums of two lengths."""
+    edges, top = [], 2
+    for length in lengths:
+        chain = [0] + list(range(top, top + length - 1)) + [1]
+        top += length - 1
+        edges += zip(chain, chain[1:])
+    return build_graph(top, edges)
+
+
+def _union(*graphs):
+    edges, shift = [], 0
+    for g in graphs:
+        edges += [(u + shift, w + shift) for u, w in g.edges()]
+        shift += g.n
+    return build_graph(shift, edges)
+
+
+@pytest.mark.parametrize("graph, expected", [
+    # a 5- and a 6-cycle both first fall short of a tree at layer 3 from
+    # their vertices; only the odd one has an edge inside layer 2
+    (_union(cycle(6), cycle(5)), 5),
+    (_union(cycle(6), cycle(7)), 6),
+    (_theta(2, 3, 3), 5),  # cycles 5, 5, 6
+    (_theta(3, 3, 4), 6),  # cycles 6, 7, 7
+    (_theta(1, 3, 4), 4),  # cycles 4, 5, 7
+])
+def test_girth_separates_odd_from_even(graph, expected):
+    assert girth(graph) == expected
 
 
 def test_girth_agrees_with_cycle_enumeration(rng):
