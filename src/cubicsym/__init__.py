@@ -11,7 +11,6 @@ from .graph import (
     balls,
     build_graph,
     cycles_of_length,
-    distance_profiles,
     every_3_arc_in_cycle,
     every_edge_in_cycle,
     girth,

@@ -208,15 +208,19 @@ PREDICATES: Dict[str, Predicate] = {
 
 def _parse_predicate(spec: str) -> Tuple[str, Optional[int]]:
     name, eq, text = spec.partition("=")
-    name, value = name.strip(), int(text) if eq else None
+    name = name.strip()
     if name not in PREDICATES:
         raise ValueError(f"unknown predicate {name!r}")
     metavar = PREDICATES[name].metavar
-    if metavar and value is None:
+    if metavar and not eq:
         raise ValueError(f"predicate {name!r} needs a value: {name}={metavar}")
-    if not metavar and value is not None:
+    if not metavar and eq:
         raise ValueError(f"predicate {name!r} takes no value")
-    return name, value
+    try:
+        return name, int(text) if eq else None
+    except ValueError:
+        raise ValueError(f"predicate {name!r} needs an integer value: "
+                         f"{name}={metavar}") from None
 
 
 def _failed_step(record: Record, steps) -> Optional[int]:

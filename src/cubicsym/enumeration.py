@@ -12,11 +12,11 @@ child, so every isomorphism class with a reducible edge is produced
 exactly once from its canonical parent.  The canonical orbit is the
 argmin of a relabeling-invariant edge score in two stages, compared
 lexicographically: first the numbers of 3-, 4- and 5-cycles through the
-edge (more first), read off neighbour bitmasks; then BFS distance
-profiles of the endpoints.  Ties are broken by canonical labeling and
-automorphism orbits.  Most children lose at stage 1 to an edge on more
-short cycles, which is never a bridge, so they are rejected before any
-BFS or bridge search.
+edge (more first), read off neighbour bitmasks; then the sizes of the
+balls about the endpoints, read off ``graph.balls``.  Ties are broken by
+canonical labeling and automorphism orbits.  Most children lose at
+stage 1 to an edge on more short cycles, which is never a bridge, so
+they are rejected before any ball or bridge search.
 
 Graphs with no reducible edge cannot be reached that way and are seeded
 directly.  They have a rigid shape: every triangle sits inside a diamond
@@ -38,7 +38,7 @@ from multiprocessing import get_context
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .autgrp import automorphism_group, canonical_form, canonical_labeling
-from .graph import Graph, build_graph, bridges, distance_profiles
+from .graph import Graph, balls, build_graph, bridges
 from .graph6 import decode_graph6
 from .perm import Action, orbits
 
@@ -169,19 +169,25 @@ def _short_cycle_key(graph: Graph, u: int, v: int) -> Tuple[int, int, int]:
 def _edge_scores(
     graph: Graph, edges: Sequence[Tuple[int, int]]
 ) -> Dict[Tuple[int, int], tuple]:
-    """Stage 2: BFS distance sums and vertex profiles of the endpoints.
+    """Stage 2: ball sizes about the endpoints, jointly, then one by one.
 
-    It only ranks edges tied at stage 1, which share their number of
-    common neighbours (triangles), so that count is not repeated here.
+    For uv, ``joint`` holds -|B_r(u) & B_r(v)| and -|B_r(u) | B_r(v)| for
+    r = 0, 1, ...; as u ~ v, these count the w with d(u, w) + d(v, w) <= 2r
+    and <= 2r + 1, and sorted lists of those sums first differ where such a
+    count does, the larger count giving the lesser list.  The endpoints'
+    ball sizes order like their distance histograms, which first differ at
+    the same radius; in a connected child neither runs out first.
     """
-    dists, profiles = distance_profiles(graph)
-    n = graph.n
+    layers = list(balls(graph))
     scores = {}
     for u, v in edges:
-        du, dv = dists[u], dists[v]
-        joint = sorted(du[w] + dv[w] for w in range(n))
-        pair = sorted((profiles[u], profiles[v]))
-        scores[(u, v)] = (tuple(joint), pair[0], pair[1])
+        joint = []
+        for ball in layers:
+            joint += (-(ball[u] & ball[v]).bit_count(),
+                      -(ball[u] | ball[v]).bit_count())
+        first, second = sorted([ball[w].bit_count() for ball in layers]
+                               for w in (u, v))
+        scores[(u, v)] = (tuple(joint), first, second)
     return scores
 
 
@@ -192,12 +198,12 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
     """Canonical graph6 of the child if the inserted edge sits in the
     canonical reduction orbit, else None.
 
-    The canonical reduction edge minimizes (short-cycle key, BFS score,
+    The canonical reduction edge minimizes (short-cycle key, ball score,
     canonical image) over the reducible edges; the inserted edge is
     always reducible (its contraction gives back the parent).  An edge
     whose key beats the inserted edge's lies on a short cycle, so it is
     no bridge, and the first reducible one rejects the child.  The bridge
-    DFS runs only for a tie on no short cycle, and the BFS score only
+    DFS runs only for a tie on no short cycle, and the ball score only
     ranks the reducible edges tied with the inserted edge at stage 1.
     """
     key = _short_cycle_key(child, *inserted)

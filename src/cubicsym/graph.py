@@ -2,9 +2,9 @@
 
 Graphs are stored as sorted adjacency tuples plus per-vertex neighbor
 bitmasks; the bitmasks make popcount-style set intersections cheap in the
-refinement and search loops that sit on top of this module.  Everything
-here is pure and deterministic, and graphs are safe to share between
-workers once built.
+refinement and search loops above this module, and in ``balls``, the one
+distance kernel.  Everything here is pure and deterministic, and graphs
+are safe to share between workers once built.
 """
 
 from __future__ import annotations
@@ -148,39 +148,6 @@ def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
     return Graph(n, [sorted(s) for s in adj])
 
 
-def distance_profiles(
-    graph: Graph,
-) -> Tuple[list[list[int]], list[Tuple[Tuple[int, int], ...]]]:
-    """BFS distances from every root (-1 where unreachable) and, per root,
-    the sorted (distance, count) histogram of its row."""
-    n = graph.n
-    dists: list[list[int]] = []
-    profiles: list[Tuple[Tuple[int, int], ...]] = []
-    for root in range(n):
-        dist = [-1] * n
-        dist[root] = 0
-        frontier = [root]
-        hist = [(0, 1)]
-        reached = 1
-        while frontier:
-            nxt = []
-            for x in frontier:
-                dx = dist[x] + 1
-                for y in graph.adj[x]:
-                    if dist[y] < 0:
-                        dist[y] = dx
-                        nxt.append(y)
-            if nxt:
-                hist.append((len(hist), len(nxt)))
-                reached += len(nxt)
-            frontier = nxt
-        if reached < n:
-            hist.insert(0, (-1, n - reached))
-        dists.append(dist)
-        profiles.append(tuple(hist))
-    return dists, profiles
-
-
 def balls(graph: Graph) -> Iterator[list[int]]:
     """Every vertex's radius-r ball as a bitmask, for r = 0, 1, 2, ...
 
@@ -271,17 +238,17 @@ def cycles_of_length(
     Rooted DFS from each vertex, restricted to larger-indexed vertices so
     each cycle is found from its minimum vertex only, which leads the
     canonical sequence; keeping the direction with path[1] < path[-1]
-    picks the lesser reflection.  BFS distances to the root prune
-    branches that cannot close in time.
+    picks the lesser reflection.  A step to w with r edges left needs w
+    in the root's radius-r ball (past the last radius, its component).
     """
     if length < 3:
         raise ValueError("cycle length must be >= 3")
-    n = graph.n
     found: list[Tuple[int, ...]] = []
     adj = graph.adj
-    dists = distance_profiles(graph)[0]
-    for root in range(n):
-        dist = dists[root]
+    layers = list(balls(graph))
+    last = len(layers) - 1
+    for root in range(graph.n):
+        within = [layers[min(r, last)][root] & -2 << root for r in range(length)]
         path = [root]
         on_path = 1 << root
 
@@ -293,16 +260,14 @@ def cycles_of_length(
                 if graph.has_edge(v, root) and path[1] < path[-1]:
                     found.append(tuple(path))
                 return
+            allowed = within[remaining] & ~on_path
             for w in adj[v]:
-                if w <= root or (on_path >> w) & 1:
-                    continue
-                if dist[w] < 0 or dist[w] > remaining:
-                    continue
-                path.append(w)
-                on_path |= 1 << w
-                extend()
-                path.pop()
-                on_path &= ~(1 << w)
+                if (allowed >> w) & 1:
+                    path.append(w)
+                    on_path |= 1 << w
+                    extend()
+                    path.pop()
+                    on_path &= ~(1 << w)
 
         extend()
     return tuple(sorted(found))

@@ -6,12 +6,12 @@ import itertools
 import random
 from collections import deque
 from math import comb
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
 from cubicsym import (EnumerationRangeError, Graph, build_graph, canonical_form,
-                      distance_profiles, transitivity_profile)
+                      transitivity_profile)
 from cubicsym.graph import edge_components
 from cubicsym.graph6 import _NON_PRINTABLE, _SEXTETS, Graph6Error
 
@@ -267,10 +267,109 @@ def _count_brbb_paths(graph: Graph, start: int, end: int, is_red) -> int:
 
 
 # ---------------------------------------------------------------------------
-# reference per-graph kernels of a census scan: a BFS per root for the girth,
-# full distance histograms for the vertex-transitivity prefilter, and a
-# column-at-a-time graph6 decoder, kept to compare the bitmask kernels
-# against
+# reference per-graph kernels of a census scan: a BFS per root for the
+# distances, the girth and the cycle search's pruning, full distance
+# histograms for the vertex-transitivity prefilter and the census edge
+# score, and a column-at-a-time graph6 decoder, kept to compare the bitmask
+# kernels against
+
+
+def distance_profiles(
+    graph: Graph,
+) -> Tuple[list[list[int]], list[Tuple[Tuple[int, int], ...]]]:
+    """BFS distances from every root (-1 where unreachable) and, per root,
+    the sorted (distance, count) histogram of its row."""
+    n = graph.n
+    dists: list[list[int]] = []
+    profiles: list[Tuple[Tuple[int, int], ...]] = []
+    for root in range(n):
+        dist = [-1] * n
+        dist[root] = 0
+        frontier = [root]
+        hist = [(0, 1)]
+        reached = 1
+        while frontier:
+            nxt = []
+            for x in frontier:
+                dx = dist[x] + 1
+                for y in graph.adj[x]:
+                    if dist[y] < 0:
+                        dist[y] = dx
+                        nxt.append(y)
+            if nxt:
+                hist.append((len(hist), len(nxt)))
+                reached += len(nxt)
+            frontier = nxt
+        if reached < n:
+            hist.insert(0, (-1, n - reached))
+        dists.append(dist)
+        profiles.append(tuple(hist))
+    return dists, profiles
+
+
+def edge_scores(
+    graph: Graph, edges: Sequence[Tuple[int, int]]
+) -> Dict[Tuple[int, int], tuple]:
+    """Stage 2: BFS distance sums and vertex profiles of the endpoints.
+
+    It only ranks edges tied at stage 1, which share their number of
+    common neighbours (triangles), so that count is not repeated here.
+    """
+    dists, profiles = distance_profiles(graph)
+    n = graph.n
+    scores = {}
+    for u, v in edges:
+        du, dv = dists[u], dists[v]
+        joint = sorted(du[w] + dv[w] for w in range(n))
+        pair = sorted((profiles[u], profiles[v]))
+        scores[(u, v)] = (tuple(joint), pair[0], pair[1])
+    return scores
+
+
+def cycles_of_length(
+    graph: Graph, length: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """All distinct cycles of exactly the given length, sorted, each as its
+    canonical vertex sequence: the least of its rotations and reflections.
+
+    Rooted DFS from each vertex, restricted to larger-indexed vertices so
+    each cycle is found from its minimum vertex only, which leads the
+    canonical sequence; keeping the direction with path[1] < path[-1]
+    picks the lesser reflection.  BFS distances to the root prune
+    branches that cannot close in time.
+    """
+    if length < 3:
+        raise ValueError("cycle length must be >= 3")
+    n = graph.n
+    found: list[Tuple[int, ...]] = []
+    adj = graph.adj
+    dists = distance_profiles(graph)[0]
+    for root in range(n):
+        dist = dists[root]
+        path = [root]
+        on_path = 1 << root
+
+        def extend() -> None:
+            nonlocal on_path
+            v = path[-1]
+            remaining = length - len(path)
+            if remaining == 0:
+                if graph.has_edge(v, root) and path[1] < path[-1]:
+                    found.append(tuple(path))
+                return
+            for w in adj[v]:
+                if w <= root or (on_path >> w) & 1:
+                    continue
+                if dist[w] < 0 or dist[w] > remaining:
+                    continue
+                path.append(w)
+                on_path |= 1 << w
+                extend()
+                path.pop()
+                on_path &= ~(1 << w)
+
+        extend()
+    return tuple(sorted(found))
 
 
 def girth(graph: Graph) -> Optional[int]:

@@ -1,18 +1,20 @@
 """The bitmask kernels of a census scan against the per-root references in
-conftest: `girth` and the vertex-transitivity prefilter from BFS balls,
-and the edge-at-a-time graph6 decoder."""
+conftest: `girth`, the vertex-transitivity prefilter and the pruning of
+`cycles_of_length` from BFS balls, and the edge-at-a-time graph6
+decoder."""
 
 import random
 
 import conftest
-from conftest import FIXED_CATALOG, random_graph
-from cubicsym import (balls, build_graph, catalog_graph, decode_graph6,
-                      distance_profiles, encode_graph6, enumerate_cubic_graph6,
+from conftest import FIXED_CATALOG, distance_profiles, random_graph
+from cubicsym import (balls, build_graph, catalog_graph, cycles_of_length,
+                      decode_graph6, encode_graph6, enumerate_cubic_graph6,
                       girth)
 from cubicsym.catalog import (complete_graph, cycle_graph, edgeless_graph,
                               generalized_petersen, moebius_ladder, path_ladder,
                               prism)
 from cubicsym.claims import Record
+from cubicsym.graph import edge_components
 
 
 def _random_forest(n, rng):
@@ -47,11 +49,38 @@ def _grid():
 GRID = _grid()
 
 
+def _cycle_rank(g):
+    """Independent cycles: m - n + the number of components."""
+    comp = edge_components(g.n, g.edges())
+    return g.m - g.n + max(comp, default=-1) + 1 + comp.count(-1)
+
+
+# the cycle search grows exponentially with the length on dense graphs, so
+# it takes the graphs of maximum degree 3 or of cycle rank at most 10
+CYCLE_GRID = [g for g in GRID
+              if max(map(len, g.adj), default=0) <= 3 or _cycle_rank(g) <= 10]
+
+
+def _cycle_lengths(g):
+    return range(3, min(g.n + 2, 12) + 1)
+
+
 def test_grid_covers_forests_disconnected_graphs_and_isolated_vertices():
     assert len(GRID) > 2000
     assert sum(conftest.girth(g) is None and g.m > 0 for g in GRID) > 100
     assert sum(not g.is_connected() for g in GRID) > 500
     assert sum(0 in map(len, g.adj) and g.m > 0 for g in GRID) > 500
+
+
+def test_cycle_grid_covers_every_kind_and_lengths_past_the_last_radius():
+    assert len(CYCLE_GRID) > 2000
+    assert sum(max(map(len, g.adj), default=0) > 3 for g in CYCLE_GRID) > 400
+    assert sum(conftest.girth(g) is None and g.m > 0 for g in CYCLE_GRID) > 100
+    assert sum(not g.is_connected() for g in CYCLE_GRID) > 500
+    assert sum(0 in map(len, g.adj) and g.m > 0 for g in CYCLE_GRID) > 500
+    # a length above the number of radii reads the last ball, clamped
+    assert sum(max(_cycle_lengths(g), default=0) > len(list(balls(g)))
+               and girth(g) is not None for g in CYCLE_GRID) > 500
 
 
 def test_girth_matches_the_bfs_reference():
@@ -74,6 +103,17 @@ def test_balls_are_the_distance_balls():
         for r, ball in enumerate(grown):
             assert ball == [sum(1 << u for u, d in enumerate(row) if 0 <= d <= r)
                             for row in dists]
+
+
+def test_cycles_of_length_matches_the_distance_reference():
+    found = 0
+    for g in CYCLE_GRID:
+        for length in _cycle_lengths(g):
+            cycles = cycles_of_length(g, length)
+            assert cycles == conftest.cycles_of_length(g, length), \
+                (encode_graph6(g), length)
+            found += len(cycles)
+    assert found > 50000
 
 
 def test_decoder_matches_the_column_reference():

@@ -10,7 +10,6 @@ from cubicsym import (
     catalog_graph,
     catalog_names,
     decode_graph6,
-    distance_profiles,
     encode_graph6,
     enumerate_cubic_graph6,
     filtered_enumeration,
@@ -22,7 +21,7 @@ from cubicsym import claims
 from cubicsym.claims import CLAIMS, INPUT_CLAIMS, PREDICATES, Record
 from cubicsym.symmetry import MAX_S
 
-from conftest import random_relabel
+from conftest import distance_profiles, random_relabel
 
 
 def forms(*names):

@@ -245,8 +245,11 @@ def test_enumerate_malformed_predicate_exit_2(spec, capsys):
     "args",
     [["cost", "--catalog", "petersen", "--budget", "-1"],
      ["quotient", "--graph6", "G~?GW["],  # two disjoint K4s
-     ["verify", "lem45", "--catalog-input", "k4", "--max-n", "6"]],
-    ids=["negative-budget", "disconnected-quotient", "census-claim-input"],
+     ["verify", "lem45", "--catalog-input", "k4", "--max-n", "6"],
+     ["enumerate", "8", "--predicate", "girth=abc"],
+     ["enumerate", "8", "--predicate", "girth="]],
+    ids=["negative-budget", "disconnected-quotient", "census-claim-input",
+         "non-integer-predicate-value", "empty-predicate-value"],
 )
 def test_usage_errors_exit_2(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -255,6 +258,8 @@ def test_usage_errors_exit_2(args, capsys):
     assert "Traceback" not in err
     if args[0] == "verify":
         assert "thm34" in err and "cor33" in err
+    if args[0] == "enumerate":
+        assert "'girth'" in err and "girth=G" in err
 
 
 def _assert_documented_exit(argv):

@@ -1,6 +1,8 @@
 """Isomorph-free generation: counts, seeds, determinism, filtering."""
 
 import hashlib
+import itertools
+import random
 from math import factorial
 
 import pytest
@@ -25,6 +27,7 @@ from cubicsym.graph import bridges
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
 from cubicsym.perm import Action, orbits
 
+import conftest
 from conftest import (enumerate_cubic_bruteforce, labelled_connected_cubic,
                       random_cubic)
 
@@ -206,11 +209,11 @@ def test_short_cycle_key_matches_brute_force(rng):
 
 def _reference_accept(child, inserted):
     """The acceptance rule spelled out: score every reducible edge by
-    (short-cycle key, BFS score), break ties by canonical image, accept
+    (short-cycle key, ball score), break ties by canonical image, accept
     iff the inserted edge shares an automorphism orbit with the winner."""
     red = reducible_edges(child)
-    bfs = enumeration._edge_scores(child, red)
-    score = {e: (enumeration._short_cycle_key(child, *e), bfs[e]) for e in red}
+    balls = enumeration._edge_scores(child, red)
+    score = {e: (enumeration._short_cycle_key(child, *e), balls[e]) for e in red}
     best = min(score.values())
     label = canonical_labeling(child)
     target = min(
@@ -250,7 +253,7 @@ def _heawood_pair_joined_by_a_bridge():
 
 def test_accept_child_never_ranks_a_bridge(monkeypatch):
     # every edge ties at stage 1 on no short cycle, so only the bridge
-    # check keeps the bridge out of the BFS score
+    # check keeps the bridge out of the ball score
     graph, bridge = _heawood_pair_joined_by_a_bridge()
     assert graph.is_cubic() and bridges(graph) == {bridge}
     ranked = []
@@ -265,6 +268,43 @@ def test_accept_child_never_ranks_a_bridge(monkeypatch):
         enumeration._accept_child(graph, e)
     assert ranked
     assert bridge not in ranked
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+def _assert_same_order(score, graph, edges):
+    """``score`` ranks every pair of the edges as the distance reference."""
+    new, old = score(graph, edges), conftest.edge_scores(graph, edges)
+    for e, f in itertools.combinations(edges, 2):
+        assert _sign(new[e], new[f]) == _sign(old[e], old[f]), (e, f)
+
+
+def test_stage_2_orders_edges_as_the_distance_reference(monkeypatch):
+    score = enumeration._edge_scores
+    calls = []
+
+    def checked(child, edges):
+        calls.append(len(edges))
+        _assert_same_order(score, child, edges)
+        return score(child, edges)
+
+    monkeypatch.setattr(enumeration, "_edge_scores", checked)
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    for n in range(4, 13, 2):
+        assert len(enumerate_cubic_graph6(n)) == KNOWN_COUNTS[n]
+    assert len(calls) > 50 and max(calls) > 5
+    # every reducible edge of random connected cubic graphs, at once
+    rng = random.Random(1818)
+    off_short_cycles = 0
+    for i in range(40):
+        g = random_cubic(8 + 2 * (i % 12), rng, connected=True)
+        edges = reducible_edges(g)
+        off_short_cycles += sum(enumeration._short_cycle_key(g, *e)
+                                == enumeration._NO_SHORT_CYCLE for e in edges)
+        _assert_same_order(score, g, edges)
+    assert off_short_cycles > 100
 
 
 def test_reduction_yields_connected_cubic(rng):

@@ -12,7 +12,6 @@ from cubicsym import (
     catalog_graph,
     catalog_names,
     cycles_of_length,
-    distance_profiles,
     enumerate_cubic,
     every_3_arc_in_cycle,
     every_edge_in_cycle,
@@ -22,7 +21,7 @@ from cubicsym import (
 )
 from cubicsym.graph import bridges, edge_components
 
-from conftest import random_cubic, random_graph
+from conftest import distance_profiles, random_cubic, random_graph
 
 
 def k4():
