@@ -14,7 +14,6 @@ from .graph import (
     every_3_arc_in_cycle,
     every_edge_in_cycle,
     girth,
-    s_arc_count,
     s_arcs,
 )
 from .graph6 import (

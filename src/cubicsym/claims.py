@@ -240,8 +240,9 @@ def _census(orders: Iterable[int], jobs: int) -> Iterator[Record]:
 
 def filtered_enumeration(
     n: int, predicates: Sequence[str], jobs: int = 1
-) -> Iterator[Graph]:
-    """Stream of census graphs passing every predicate, cheap tests first.
+) -> Iterator[str]:
+    """Stream of the canonical graph6 strings of the census graphs passing
+    every predicate, cheap tests first.
 
     Predicates are keys of ``PREDICATES``, with "=value" where the entry
     has a metavar ("girth=6", "vertex-transitive", "edge-orbits=2").
@@ -250,7 +251,7 @@ def filtered_enumeration(
                    key=lambda step: PREDICATES[step[0]].rank)
     for record in _census((n,), jobs):
         if _failed_step(record, steps) is None:
-            yield record.graph
+            yield record.g6
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 enumerate, cost, verify.
 
 Exit codes: 0 pass/ok, 1 claim failed, 2 usage error, 3 input parse
-error, 4 resource limit (group cap, cost-search budget, color cap),
-5 internal error (any other exception, reported on one line).
+error, 4 resource limit (group cap, cost-search budget, color cap,
+search depth), 5 internal error (any other exception, reported on one
+line).
 Reports add nothing to the library results; identical inputs produce
 byte-identical JSON across runs and worker counts.  All
 randomness (seeded labelings) flows from an explicit --seed.
@@ -33,7 +34,7 @@ from .distinguishing import (
     distinguishing_cost,
     distinguishing_number,
 )
-from .enumeration import EnumerationRangeError, enumerate_cubic_graph6
+from .enumeration import EnumerationRangeError
 from .graph import Graph, girth
 from .graph6 import Graph6Error, decode_graph6, encode_graph6, format_edge_list, parse_edge_list
 from .perm import GroupTooLargeError, cycle_notation
@@ -279,13 +280,8 @@ def _cmd_quotient(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     try:
-        preds = args.predicate or []
-        if preds:
-            for g in filtered_enumeration(args.n, preds, jobs=args.jobs):
-                print(encode_graph6(g))
-        else:
-            for g6 in enumerate_cubic_graph6(args.n, jobs=args.jobs):
-                print(g6)
+        for g6 in filtered_enumeration(args.n, args.predicate or [], args.jobs):
+            print(g6)
     except (EnumerationRangeError, ValueError) as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     return EXIT_OK
@@ -421,7 +417,9 @@ def main(argv: Optional[list] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (GroupTooLargeError, SearchBudgetExceeded, ColorCapExceeded) as exc:
+    # RecursionError: a search as deep as a large input's order
+    except (GroupTooLargeError, SearchBudgetExceeded, ColorCapExceeded,
+            RecursionError) as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:

@@ -294,26 +294,6 @@ def s_arcs(graph: Graph, s: int) -> Iterator[Tuple[int, ...]]:
             yield from extend((u, w))
 
 
-def s_arc_count(graph: Graph, s: int) -> int:
-    """Number of s-arcs; equals n * 3 * 2^(s-1) for connected cubic graphs."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    # dynamic count over directed edges avoids materializing the arcs
-    adj = graph.adj
-    counts = {}
-    for u in range(graph.n):
-        for w in adj[u]:
-            counts[(u, w)] = 1
-    for _ in range(s - 1):
-        nxt = {}
-        for (u, w), c in counts.items():
-            for x in adj[w]:
-                if x != u:
-                    nxt[(w, x)] = nxt.get((w, x), 0) + c
-        counts = nxt
-    return sum(counts.values())
-
-
 def edge_components(n: int, edges: Iterable[Tuple[int, int]]) -> list[int]:
     """Component index of each vertex in the subgraph spanned by ``edges``,
     numbered in order of least vertex; -1 where no edge touches the vertex."""

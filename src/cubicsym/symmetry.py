@@ -3,13 +3,21 @@ local fixity.
 
 Everything is computed from the full materialized automorphism group and
 the pointwise stabilizers of its vertex tuples.  ``transitivity_profile``
-reads the group's action once: vertex orbits, edge orbits with their
-structure tags, the stabilizer of vertex 0, and the s-arc loop.
-s-arc-transitivity is decided by the size of the orbit of a single
-s-arc, |G| over the order of its stabilizer, and s-regularity at the
-maximal s by |G| equal to the number of s-arcs.  The s iteration is
-capped at 7: the graphs at desk scale satisfy s <= 5, and cycles
-(transitive on s-arcs for every s) should not loop forever.
+reads the edge orbits with their structure tags, and the rest off one
+chain of pointwise stabilizers G >= G_0 >= G_(0,v1) >= ..., each link
+filtered from the survivors of the last.  G is vertex-transitive iff
+|G| = n |G_0|, by orbit-stabilizer.  s-arc-transitivity is decided
+locally (Tutte): G is s-arc-transitive iff it is (s-1)-arc-transitive
+and the stabilizer of one (s-1)-arc A, the current link, is transitive
+on A's extensions (the neighbours of its last vertex but the one before
+it), since every s-arc extends an image of A.  A grows from the 0-arc
+(0) while that holds; with no extension there is no s-arc at all.  On a
+connected graph with n >= 2, arc-transitivity implies vertex-
+transitivity, so the loop may require it first.  At the largest s, G is
+s-regular iff the last link is trivial: |G| is then the number of
+s-arcs.  The s iteration is capped at 7: the graphs at desk scale
+satisfy s <= 5, and cycles (transitive on s-arcs for every s) should
+not loop forever.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .autgrp import automorphism_group, extend_partial_map
-from .graph import Graph, cycles_of_length, edge_components, s_arc_count, s_arcs
-from .perm import Action, Images, PermutationGroup, orbits, stabilizer
+from .graph import Graph, cycles_of_length, edge_components
+from .perm import Action, Images, orbits, stabilizer
 
 MAX_S = 7
 
@@ -41,7 +49,8 @@ class EdgeOrbitTag:
 
 @dataclass(frozen=True)
 class TransitivityProfile:
-    """The automorphism group's action on vertices, edges and s-arcs."""
+    """The automorphism group's action on vertices, edges and s-arcs: the
+    vertex and s-arc fields read off one stabilizer chain (see above)."""
 
     vertex_transitive: bool
     max_s: int  # largest s with s-arc-transitivity (0 if none), capped at MAX_S
@@ -98,15 +107,6 @@ def _tag_orbit(graph: Graph, orbit: Sequence[Edge]) -> EdgeOrbitTag:
     return EdgeOrbitTag("other", tuple(sorted(nonzero)))
 
 
-def _s_arc_transitive(group: PermutationGroup, graph: Graph, s: int) -> bool:
-    total = s_arc_count(graph, s)
-    if total == 0:
-        return False
-    first = next(iter(s_arcs(graph, s)))
-    # |orbit| = |G| / |G_first|, whatever generators G carries
-    return group.order == total * stabilizer(group, first).order
-
-
 def transitivity_profile(graph: Graph) -> TransitivityProfile:
     """The symmetry profile of a connected graph.
 
@@ -116,7 +116,10 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
     """
     _require_connected(graph)
     group = automorphism_group(graph)
-    vt = len(orbits(group, Action.VERTICES, graph)) <= 1
+    n = graph.n
+    link = stabilizer(group, range(min(n, 1)))  # G_0; G if n = 0, trivial
+    stab_order = link.order
+    vt = n == 0 or group.order == n * stab_order
     edge_orbs = orbits(group, Action.EDGES, graph)
     tags = tuple(_tag_orbit(graph, orb) for orb in edge_orbs)
     findings = ()
@@ -126,16 +129,19 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
         findings = ("cubic vertex-transitive graph with two edge orbits did "
                     f"not split into matching + cycles (tags: {kinds})",)
     max_s = 0
-    while max_s < MAX_S and _s_arc_transitive(group, graph, max_s + 1):
+    back, last = -1, 0  # the fixed max_s-arc's last two vertices; -1: none
+    while vt and n and max_s < MAX_S:
+        ext = [w for w in graph.adj[last] if w != back]
+        if not ext or {p[ext[0]] for p in link.elements} != set(ext):
+            break
+        back, last = last, ext[0]
+        link = stabilizer(link, [last])
         max_s += 1
     return TransitivityProfile(
         vertex_transitive=vt,
         max_s=max_s,
-        # transitive on max_s-arcs: an arc's stabilizer is trivial exactly
-        # when |G| equals the number of arcs
-        s_regular_at_max=max_s >= 1 and group.order == s_arc_count(graph, max_s),
-        # the order-0 graph has no vertex 0: G_0 is then the whole, trivial group
-        vertex_stabilizer_order=stabilizer(group, range(min(graph.n, 1))).order,
+        s_regular_at_max=max_s >= 1 and link.order == 1,
+        vertex_stabilizer_order=stab_order,
         edge_orbits=edge_orbs,
         edge_orbit_tags=tags,
         findings=findings,

@@ -10,9 +10,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from cubicsym import (EnumerationRangeError, Graph, build_graph, canonical_form,
+from cubicsym import (EnumerationRangeError, Graph, automorphism_group,
+                      build_graph, canonical_form, orbits, s_arcs, stabilizer,
                       transitivity_profile)
 from cubicsym.graph import edge_components
+from cubicsym.perm import Action, PermutationGroup
+from cubicsym.symmetry import MAX_S
 from cubicsym.graph6 import _NON_PRINTABLE, _SEXTETS, Graph6Error
 
 # every catalog graph that takes no parameters
@@ -463,6 +466,61 @@ def decode_graph6(text: str) -> Graph:
         bits[j] = int(seq[start:end][::-1], 2)
         start = end
     return Graph.from_bits(bits)
+
+
+# ---------------------------------------------------------------------------
+# reference transitivity fields: every s-arc counted by a dynamic program,
+# s-arc-transitivity as |G| = (number of s-arcs) |G_A| for the first s-arc
+# A, and the vertex orbits, kept to compare the one stabilizer chain of
+# `transitivity_profile` against
+
+
+def s_arc_count(graph: Graph, s: int) -> int:
+    """Number of s-arcs; equals n * 3 * 2^(s-1) for connected cubic graphs."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    # dynamic count over directed edges avoids materializing the arcs
+    adj = graph.adj
+    counts = {}
+    for u in range(graph.n):
+        for w in adj[u]:
+            counts[(u, w)] = 1
+    for _ in range(s - 1):
+        nxt = {}
+        for (u, w), c in counts.items():
+            for x in adj[w]:
+                if x != u:
+                    nxt[(w, x)] = nxt.get((w, x), 0) + c
+        counts = nxt
+    return sum(counts.values())
+
+
+def _s_arc_transitive(group: PermutationGroup, graph: Graph, s: int) -> bool:
+    total = s_arc_count(graph, s)
+    if total == 0:
+        return False
+    first = next(iter(s_arcs(graph, s)))
+    # |orbit| = |G| / |G_first|, whatever generators G carries
+    return group.order == total * stabilizer(group, first).order
+
+
+def transitivity_fields(graph: Graph) -> Tuple[bool, int, bool, int]:
+    """(vertex_transitive, max_s, s_regular_at_max, vertex_stabilizer_order)
+    of a connected graph, by counting."""
+    group = automorphism_group(graph)
+    vt = len(orbits(group, Action.VERTICES, graph)) <= 1
+    max_s = 0
+    while max_s < MAX_S and _s_arc_transitive(group, graph, max_s + 1):
+        max_s += 1
+    return (
+        vt,
+        max_s,
+        # transitive on max_s-arcs: an arc's stabilizer is trivial exactly
+        # when |G| equals the number of arcs
+        max_s >= 1 and group.order == s_arc_count(graph, max_s),
+        # the order-0 graph has no vertex 0: G_0 is then the whole, trivial group
+        stabilizer(group, range(min(graph.n, 1))).order,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from cubicsym import (
     extend_partial_map,
     girth,
     is_isomorphic,
-    s_arc_count,
 )
 from cubicsym import autgrp
 from cubicsym.autgrp import _refine_cells
@@ -28,6 +27,7 @@ from conftest import (
     random_cubic,
     random_graph,
     random_relabel,
+    s_arc_count,
 )
 
 

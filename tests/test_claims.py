@@ -128,8 +128,8 @@ def test_census_hits_equal_filtered_enumeration(claim_id):
     excluded = {canonical_form(catalog_graph(n)) for n in claim.excluded}
     expected = []
     for n in range(4, 13, 2):
-        for g in filtered_enumeration(n, claim.hypothesis):
-            form = canonical_form(g)
+        for g6 in filtered_enumeration(n, claim.hypothesis):
+            form = canonical_form(decode_graph6(g6))
             if form not in excluded:
                 expected.append(form.decode("ascii"))
     assert verify_claim(claim_id, n_max=12).hypothesis_hits == expected

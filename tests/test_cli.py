@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicsym import catalog_graph, decode_graph6, encode_graph6, is_isomorphic
+from cubicsym import (build_graph, catalog_graph, decode_graph6, encode_graph6,
+                      is_isomorphic)
 from cubicsym import cli
 from cubicsym.cli import main
 
@@ -97,6 +98,25 @@ def test_unreadable_input_exit_2(capsys):
     assert rc == 2
 
 
+def test_analyze_computes_the_vertex_orbits_once(monkeypatch, capsys):
+    from cubicsym import perm
+
+    real = perm.orbits
+    actions = []
+
+    def counted(group, action, host):
+        actions.append(action)
+        return real(group, action, host)
+
+    for name, module in list(sys.modules.items()):  # every name bound to it
+        if name.startswith("cubicsym") and getattr(module, "orbits", None) is real:
+            monkeypatch.setattr(module, "orbits", counted)
+    rc, _, _ = run_cli(["analyze", "--catalog", "truncated_icosahedron", "--json"],
+                       capsys)
+    assert rc == 0
+    assert actions.count(perm.Action.VERTICES) == 1
+
+
 def test_bad_graph6_exit_3(capsys):
     rc, _, err = run_cli(["analyze", "--graph6", "C~~~"], capsys)
     assert rc == 3
@@ -150,6 +170,28 @@ def _assert_resource_limit(argv, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+EDGELESS_1100 = encode_graph6(build_graph(1100, [])) + "\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["analyze"], EDGELESS_1100),
+    (["cost"], EDGELESS_1100),
+    (["analyze", "--format", "edgelist"],
+     "".join(f"0 {v}\n" for v in range(1, 1101))),  # the star K_{1,1100}
+    (["analyze", "--format", "edgelist"], "0 3000\n"),
+], ids=["edgeless-analyze", "edgeless-cost", "star", "one-far-edge"])
+def test_search_deeper_than_the_stack_exit_4(argv, text, tmp_path, capsys):
+    # the search's depth grows with the input's order
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv + ["--input", str(path)], capsys)
+    assert time.perf_counter() - start < 5.0
+    assert rc == cli.EXIT_RESOURCE == 4
+    assert out == ""
+    assert err.startswith("error: resource limit: ") and err.count("\n") == 1
 
 
 def test_group_cap_exit_4(monkeypatch, capsys):
@@ -474,22 +516,28 @@ def test_reports_identical_across_jobs(capsys):
     assert out1 == out2
 
 
+def _source_env():
+    """The environment with the source tree on the path, not an installed
+    copy."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.path.abspath(src))
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cubicsym.cli", "catalog", "list"],
         capture_output=True,
         text=True,
+        env=_source_env(),
     )
     assert proc.returncode == 0
     assert "petersen" in proc.stdout
 
 
 def _run_package(args):
-    """``python -m cubicsym`` from the source tree, not an installed copy."""
-    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    """``python -m cubicsym`` from the source tree."""
     return subprocess.run([sys.executable, "-m", "cubicsym"] + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_source_env())
 
 
 def test_package_runs_as_a_module(capsys):

@@ -350,27 +350,32 @@ def test_girth5_consistent_coverage_filter_yields_petersen():
         )
     )
     assert len(hits) == 1
-    assert is_isomorphic(hits[0], catalog_graph("petersen"))
+    assert is_isomorphic(decode_graph6(hits[0]), catalog_graph("petersen"))
 
 
 def test_girth4_filter_subset_of_k33_cube():
     allowed = {canonical_form(catalog_graph("k33")),
                canonical_form(catalog_graph("cube"))}
     for n in (6, 8, 10, 12):
-        for g in filtered_enumeration(
+        for g6 in filtered_enumeration(
             n, ["girth=4", "consistent-girth-cycle", "every-edge-in-girth-cycle"]
         ):
-            assert canonical_form(g) in allowed
+            assert canonical_form(decode_graph6(g6)) in allowed
 
 
 def test_edge_orbit_and_transitivity_predicates():
     hits = list(filtered_enumeration(8, ["vertex-transitive", "edge-orbits=2"]))
-    for g in hits:
+    for g6 in hits:
         from cubicsym import transitivity_profile
 
-        p = transitivity_profile(g)
+        p = transitivity_profile(decode_graph6(g6))
         assert p.vertex_transitive and p.edge_orbit_count == 2
     assert hits  # the cube-order prism and Moebius ladder land here
+
+
+def test_filtered_enumeration_yields_the_census_strings():
+    for n in (4, 6, 8, 10):
+        assert list(filtered_enumeration(n, [])) == list(enumerate_cubic_graph6(n))
 
 
 def test_unknown_predicate_rejected():

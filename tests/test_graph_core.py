@@ -16,12 +16,11 @@ from cubicsym import (
     every_3_arc_in_cycle,
     every_edge_in_cycle,
     girth,
-    s_arc_count,
     s_arcs,
 )
 from cubicsym.graph import bridges, edge_components
 
-from conftest import distance_profiles, random_cubic, random_graph
+from conftest import distance_profiles, random_cubic, random_graph, s_arc_count
 
 
 def k4():

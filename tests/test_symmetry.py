@@ -13,10 +13,11 @@ from cubicsym import (
     girth,
     local_action_order,
     local_fixity_check,
-    s_arc_count,
     transitivity_profile,
 )
 from cubicsym.catalog import _lcf, icosahedron
+
+from conftest import s_arc_count
 
 
 def cycle(n):
