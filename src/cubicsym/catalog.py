@@ -173,6 +173,11 @@ def _tutte_coxeter() -> Graph:
     return _lcf(30, [-13, -9, 7, -7, 9, 13], 5)
 
 
+def _f26a() -> Graph:
+    # the arc-regular graph F26A (Conder & Dobcsanyi 2002)
+    return _lcf(26, [-7, 7], 13)
+
+
 def icosahedron() -> Tuple[Graph, Orders]:
     return build_graph(12, _ICOSAHEDRON_EDGES), _ICOSAHEDRON_ROTATION
 
@@ -193,6 +198,7 @@ _PLAIN: Dict[str, Callable[[], Graph]] = {
     "base_graph": _base_graph,
     "omega18": _omega18,
     "fig5_lambda": _fig5_lambda,
+    "f26a": _f26a,
 }
 
 _PARAMETRIC: Dict[str, Callable[..., Graph]] = {

@@ -30,6 +30,16 @@ S >= 1 and ``s-arc-transitive-of-girth-s+2``) test it first and build
 the group only when it holds, so most census graphs never reach the
 group.
 
+The census's two cheap facts, the girth and that histogram test, are
+also kept across scans in a per-process memo, ``_FACTS``: for each order,
+one ``bytearray`` per fact with one byte per string of the order's level
+(``enumeration._LEVEL_CACHE`` keeps the strings by order the same way), 0
+while unread.  A slot is filled only when a predicate first asks for it,
+so a single claim computes no fact it does not test, and a later claim
+decodes only the strings that pass the facts it reads.  The memo holds
+two bytes per string, about 1.1 MB for every order up to 20, and no
+graph, record or profile.
+
 Claim ids:
 
 * thm41-g4   girth-4 graphs with a consistent girth cycle and every edge
@@ -128,7 +138,11 @@ class Record:
     vertex-transitivity that the transitivity predicates test before
     ``profile``, which builds the automorphism group: every vertex's ball
     has the same size at every radius, which is every vertex having the
-    same distance histogram, unreached vertices included.
+    same distance histogram, unreached vertices included.  A census
+    record (``_CensusRecord``) keeps ``girth`` and ``histograms_agree`` in
+    the per-order memo ``_FACTS`` instead, for every later scan in the
+    process: one byte per census string and fact, about 1.1 MB for every
+    order up to 20, each computed only when a predicate first asks.
     """
 
     def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
@@ -169,6 +183,39 @@ class Record:
     @cached_property
     def cost(self):
         return distinguishing_cost(self.graph)
+
+
+# order -> (girths, histogram tests), one byte per string of the level
+_FACTS: Dict[int, Tuple[bytearray, bytearray]] = {}
+_UNREAD = 0
+
+
+class _CensusRecord(Record):
+    """A census string whose girth and histogram test are read from its
+    order's slots in ``_FACTS``, and computed into them on first demand.
+    A cubic graph has a cycle, so a census girth is a byte, never None;
+    a histogram test is stored as 1 + the bool.  A missing fact is
+    computed by ``Record``'s own property function, without its cache."""
+
+    def __init__(self, g6: str, facts: Tuple[bytearray, bytearray], index: int):
+        super().__init__(g6=g6)
+        self._girths, self._histograms = facts
+        self._index = index
+
+    @property
+    def girth(self) -> int:
+        value = self._girths[self._index]
+        if value == _UNREAD:
+            value = self._girths[self._index] = Record.girth.func(self)
+        return value
+
+    @property
+    def histograms_agree(self) -> bool:
+        value = self._histograms[self._index]
+        if value == _UNREAD:
+            value = self._histograms[self._index] = (
+                1 + Record.histograms_agree.func(self))
+        return value == 2
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +279,15 @@ def _failed_step(record: Record, steps) -> Optional[int]:
 
 
 def _census(orders: Iterable[int], jobs: int) -> Iterator[Record]:
-    """One record per census string of each order, in order."""
+    """One record per census string of each order, in order, sharing the
+    order's slots in ``_FACTS``."""
     for n in orders:
-        for g6 in enumerate_cubic_graph6(n, jobs):
-            yield Record(g6=g6)
+        level = enumerate_cubic_graph6(n, jobs)
+        if n not in _FACTS:
+            _FACTS[n] = (bytearray(len(level)), bytearray(len(level)))
+        facts = _FACTS[n]
+        for index, g6 in enumerate(level):
+            yield _CensusRecord(g6, facts, index)
 
 
 def filtered_enumeration(

@@ -244,3 +244,78 @@ def test_census_counterexample_runs_no_search(monkeypatch):
     first_hit = next(g6 for g6 in census if girth(decode_graph6(g6)) == 4)
     assert report.counterexample == first_hit
     assert searches == []
+
+
+# ---------------------------------------------------------------------------
+# the census facts memo
+
+
+def _fresh_facts(monkeypatch):
+    facts = {}
+    monkeypatch.setattr(claims, "_FACTS", facts)
+    return facts
+
+
+def _check_filled_slots(facts):
+    """Every filled slot holds the uncached fact; the count of filled
+    (girth, histogram) slots."""
+    filled = [0, 0]
+    for n, (girths, histograms) in facts.items():
+        level = enumerate_cubic_graph6(n)
+        assert len(girths) == len(histograms) == len(level)
+        for g6, g, h in zip(level, girths, histograms):
+            if g:
+                assert g == girth(decode_graph6(g6)), g6
+                filled[0] += 1
+            if h:
+                assert h == 1 + Record(g6=g6).histograms_agree, g6
+                filled[1] += 1
+    return filled
+
+
+def test_census_facts_equal_the_uncached_facts(monkeypatch):
+    facts = _fresh_facts(monkeypatch)
+    # a scan that stops early at its first hit fills the memo in part
+    always_fails = claims.Claim(("girth=5", "vertex-transitive"),
+                                lambda r, _forms: ("demo", None))
+    monkeypatch.setitem(CLAIMS, "demo", always_fails)
+    report = verify_claim("demo", n_max=12)
+    assert report.verdict == "Fail"
+    assert sorted(facts) == [4, 6, 8, 10]  # the Petersen graph stops it
+    partial = _check_filled_slots(facts)
+    assert 0 < partial[1] < partial[0] < len(_census_g6(10))
+    # later scans read the partial memo and fill the rest
+    reports = {claim: verify_claim(claim, n_max=12).to_dict()
+               for claim in CLAIM_IDS}
+    assert _check_filled_slots(facts) == [112, 112]
+    monkeypatch.setattr(claims, "_FACTS", {})
+    assert reports == {claim: verify_claim(claim, n_max=12).to_dict()
+                       for claim in CLAIM_IDS}
+
+
+def test_census_facts_are_filled_only_on_demand(monkeypatch):
+    facts = _fresh_facts(monkeypatch)
+    assert verify_claim("thm41-g4", n_max=12).verdict == "Pass"
+    assert sorted(facts) == [4, 6, 8, 10, 12]
+    assert all(all(girths) and not any(histograms)
+               for girths, histograms in facts.values())
+    facts = _fresh_facts(monkeypatch)
+    assert verify_claim("cor410", n_max=12).verdict == "Pass"
+    assert all(all(histograms) and not any(girths)
+               for girths, histograms in facts.values())
+
+
+def test_a_later_claim_decodes_only_what_passes_the_memo(monkeypatch):
+    _fresh_facts(monkeypatch)
+    assert verify_claim("thm41-g4", n_max=12).verdict == "Pass"
+    decoded = []
+    decode = claims.decode_graph6
+
+    def recording(g6):
+        decoded.append(g6)
+        return decode(g6)
+
+    monkeypatch.setattr(claims, "decode_graph6", recording)
+    assert verify_claim("thm41-g5", n_max=12).verdict == "Pass"
+    girth_5 = [g6 for g6 in _census_g6(12) if girth(decode_graph6(g6)) == 5]
+    assert decoded == girth_5 and len(girth_5) == 3

@@ -50,6 +50,19 @@ def test_analyze_heawood_matches_golden_bytes(capsys):
         assert out == fh.read()
 
 
+def test_analyze_f26a_matches_golden_bytes(capsys):
+    rc, out, _ = run_cli(["analyze", "--catalog", "f26a", "--json"], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["aut_order"], report["stabilizer_class"]) == (78, "arc-regular")
+    assert (report["vertex_stabilizer_order"], report["girth"]) == (3, 6)
+    assert report["consistent_girth_cycles"] == 13
+    cost = report["distinguishing_cost"]
+    assert (cost["cost"], cost["witness"]) == (2, [0, 2])
+    with open(os.path.join(GOLDEN, "analyze_f26a.json")) as fh:
+        assert out == fh.read()
+
+
 # sha256 of the `analyze --json` stdout of every fixed catalog graph, in
 # FIXED_CATALOG order: it pins generators, costs and cycle counts
 ANALYZE_CATALOG_SHA256 = (
@@ -288,10 +301,12 @@ def test_enumerate_malformed_predicate_exit_2(spec, capsys):
     [["cost", "--catalog", "petersen", "--budget", "-1"],
      ["quotient", "--graph6", "G~?GW["],  # two disjoint K4s
      ["verify", "lem45", "--catalog-input", "k4", "--max-n", "6"],
+     ["verify", "all", "--catalog-input", "k4"],
      ["enumerate", "8", "--predicate", "girth=abc"],
      ["enumerate", "8", "--predicate", "girth="]],
     ids=["negative-budget", "disconnected-quotient", "census-claim-input",
-         "non-integer-predicate-value", "empty-predicate-value"],
+         "verify-all-input", "non-integer-predicate-value",
+         "empty-predicate-value"],
 )
 def test_usage_errors_exit_2(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -514,6 +529,50 @@ def test_reports_identical_across_jobs(capsys):
     )
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_verify_all_json_is_the_golden_reports(capsys):
+    from cubicsym import CLAIM_IDS
+
+    with open(os.path.join(GOLDEN, "verify_reports.json")) as fh:
+        golden = {entry["argv"][1]: json.loads(entry["stdout"])
+                  for entry in json.load(fh)
+                  if entry["argv"][2:] == ["--max-n", "14", "--json"]}
+    assert sorted(golden) == list(CLAIM_IDS)
+    rc, out, err = run_cli(["verify", "all", "--max-n", "14", "--json"], capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == [golden[claim] for claim in CLAIM_IDS]
+
+
+def test_verify_all_text_joins_the_single_claim_summaries(capsys):
+    from cubicsym import CLAIM_IDS
+
+    singles = []
+    for claim in CLAIM_IDS:
+        rc, out, _ = run_cli(["verify", claim, "--max-n", "8"], capsys)
+        assert rc == 0
+        singles.append(out)
+    rc, out, _ = run_cli(["verify", "all", "--max-n", "8"], capsys)
+    assert rc == 0
+    assert out == "\n".join(singles)
+
+
+def test_verify_all_exits_1_if_any_claim_fails(monkeypatch, capsys):
+    from cubicsym import claims
+
+    failing = claims.Claim(("girth=4",), lambda r, _forms: ("demo", None))
+    monkeypatch.setitem(claims.CLAIMS, "demo", failing)
+    monkeypatch.setattr(cli, "CLAIM_IDS", ("cor33", "demo", "lem45"))
+    rc, out, _ = run_cli(["verify", "all", "--max-n", "8", "--json"], capsys)
+    assert rc == 1
+    assert [p["verdict"] for p in json.loads(out)] == ["Pass", "Fail", "Pass"]
+
+
+def test_verify_all_with_inputs_runs_no_claim(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "verify_claim", lambda *a, **k: calls.append(a))
+    rc, out, _ = run_cli(["verify", "all", "--catalog-input", "petersen"], capsys)
+    assert (rc, out, calls) == (2, "", [])
 
 
 def _source_env():
