@@ -240,8 +240,12 @@ def _ir_search(graph: Graph) -> _SearchResult:
     return _SearchResult(tuple(best_code), best_posv, gens)
 
 
-def _reduce_generators(degree: int, elements: Sequence[Images]) -> Tuple[Images, ...]:
-    """Greedy small generating set for a materialized element list."""
+def reduced_generators(group: PermutationGroup) -> Tuple[Images, ...]:
+    """The greedy generating set of the sorted element list: each element
+    not yet generated by the earlier picks is picked; the identity alone
+    for a trivial group.  ``analyze`` prints it; the group itself keeps
+    the search's generators."""
+    degree, elements = group.degree, group.elements
     gens: List[Images] = []
     closed = {tuple(range(degree))}
     for p in elements:
@@ -268,15 +272,14 @@ def _memoized(graph: Graph) -> list:
 
 def automorphism_group(graph: Graph) -> PermutationGroup:
     """Full group of adjacency-preserving bijections; materialized,
-    deterministic.  The found generators are closed (the cap fires during
-    the closure) and reduced to the greedy generating set of the sorted
-    element list."""
+    deterministic.  The group is the closure of the search's generators
+    (the cap fires during the closure), and keeps them as its generating
+    set, the identity alone when the search found none;
+    ``reduced_generators`` gives the greedy set of the element list."""
     memo = _memoized(graph)
     if memo[2] is None:
-        n = graph.n
-        gens = memo[1].generators
-        elements = close_generators(gens, n, DEFAULT_GROUP_CAP).elements
-        memo[2] = PermutationGroup(n, _reduce_generators(n, elements), elements)
+        gens = memo[1].generators or [tuple(range(graph.n))]
+        memo[2] = close_generators(gens, graph.n, DEFAULT_GROUP_CAP)
     return memo[2]
 
 

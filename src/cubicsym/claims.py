@@ -11,34 +11,42 @@ counterexample, the failing record's canonical form.
 Hypothesis steps are keys of the predicate registry ``PREDICATES``,
 which ``filtered_enumeration`` (``cubicsym enumerate --predicate``)
 shares.  Predicates test a ``Record``: one graph whose canonical form,
-girth, transitivity profile and distinguishing cost are each computed
-at most once, on demand, by the exact library operations, so a failure
-is attributable to a single tested primitive.  The profile carries the
-edge orbits and the vertex-stabilizer order too: ``cor33`` reads the
-order from the record's profile, and ``brbb_unique_path_property``
-(``thm34``) the matching and cycle orbits from a profile of its graph.
-Census strings are canonical graph6 already, so a census record never
-searches for its form, not even for a counterexample.
+girth, transitivity profile, distinguishing cost and consistent girth
+cycle test are each computed at most once, on demand, by the exact
+library operations, so a failure is attributable to a single tested
+primitive.  The profile carries the edge orbits and the
+vertex-stabilizer order too: ``cor33`` reads the order from the
+record's profile, and ``brbb_unique_path_property`` (``thm34``) the
+matching and cycle orbits.  Census strings are canonical graph6
+already, so a census record never searches for its form, not even for
+a counterexample.
 
-A record also caches one necessary condition for vertex-transitivity:
+A record also reads one necessary condition for vertex-transitivity:
 every vertex has the same BFS distance histogram, read as equal ball
-sizes at every radius from ``graph.balls`` and stopped at the first
-radius where they differ (radius 2 or 3 for most census graphs).  The
-predicates whose truth implies vertex-transitivity
-(``vertex-transitive``, ``arc-transitive``, ``s-arc-transitive=S`` for
-S >= 1 and ``s-arc-transitive-of-girth-s+2``) test it first and build
-the group only when it holds, so most census graphs never reach the
-group.
+sizes at every radius from ``graph.balls`` (radius 2 or 3 tells most
+census graphs apart).  The predicates whose truth implies
+vertex-transitivity (``vertex-transitive``, ``arc-transitive``,
+``s-arc-transitive=S`` for S >= 1 and ``s-arc-transitive-of-girth-s+2``)
+test it first and build the group only when it holds, so most census
+graphs never reach the group.  The girth and this histogram test come
+from one pass over the balls, ``graph.girth_and_histograms``, whichever
+a predicate reads first.
 
-The census's two cheap facts, the girth and that histogram test, are
-also kept across scans in a per-process memo, ``_FACTS``: for each order,
-one ``bytearray`` per fact with one byte per string of the order's level
-(``enumeration._LEVEL_CACHE`` keeps the strings by order the same way), 0
-while unread.  A slot is filled only when a predicate first asks for it,
-so a single claim computes no fact it does not test, and a later claim
-decodes only the strings that pass the facts it reads.  The memo holds
-two bytes per string, about 1.1 MB for every order up to 20, and no
-graph, record or profile.
+Each census string's readouts are also kept across scans in a
+per-process memo, ``_FACTS``, one ``_Level`` per order indexed like the
+order's level (``enumeration._LEVEL_CACHE`` keeps the strings by order
+the same way): one byte per string for the girth and the histogram
+test, 0 while unread, and dicts by index for the profile, the cost and
+the cycle test of the few strings that reach them.  An entry is filled
+only when a predicate or a conclusion first asks for it, so a later
+claim decodes only the strings whose asked readouts are not yet there,
+and each graph is profiled at most once per process.  The memo keeps
+no graph or record.  After ``verify all --max-n 16`` it held 4,681
+bytes of girths and histogram tests, 37 profiles, 2 costs and 22 cycle
+tests, 56 KB as ``tracemalloc`` counts it.  A claim's own catalog
+input is one ``Record`` kept for the process in ``_INPUTS``, so
+``thm34`` and ``cor33`` share its profile; inputs given by the caller
+are fresh records.
 
 Claim ids:
 
@@ -71,13 +79,14 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
 
 from .autgrp import canonical_form
 from .catalog import catalog_graph
-from .distinguishing import distinguishing_cost
+from .distinguishing import CostResult, distinguishing_cost
 from .enumeration import (MAX_ORDER, MIN_ORDER, EnumerationRangeError,
                           enumerate_cubic_graph6)
-from .graph import (Graph, balls, edge_components, every_3_arc_in_cycle,
-                    every_edge_in_cycle, girth)
+from .graph import (Graph, edge_components, every_3_arc_in_cycle,
+                    every_edge_in_cycle, girth_and_histograms)
 from .graph6 import decode_graph6
-from .symmetry import consistent_cycles, transitivity_profile
+from .symmetry import (TransitivityProfile, consistent_cycles,
+                       transitivity_profile)
 
 
 class UnknownClaimError(ValueError):
@@ -138,11 +147,15 @@ class Record:
     vertex-transitivity that the transitivity predicates test before
     ``profile``, which builds the automorphism group: every vertex's ball
     has the same size at every radius, which is every vertex having the
-    same distance histogram, unreached vertices included.  A census
-    record (``_CensusRecord``) keeps ``girth`` and ``histograms_agree`` in
-    the per-order memo ``_FACTS`` instead, for every later scan in the
-    process: one byte per census string and fact, about 1.1 MB for every
-    order up to 20, each computed only when a predicate first asks.
+    same distance histogram, unreached vertices included.  It and the
+    girth come from one pass over the balls (``girth_and_histograms``),
+    whichever is read first.  ``has_consistent_girth_cycle`` is what the
+    ``consistent-girth-cycle`` predicate, ``lem45`` and ``lem46`` ask.
+
+    A census record (``_CensusRecord``) keeps the girth, the histogram
+    test, the profile, the cost and the cycle test in its order's entry
+    of ``_FACTS`` instead, for every later scan in the process, each
+    computed only when a predicate or a conclusion first asks.
     """
 
     def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
@@ -164,58 +177,92 @@ class Record:
         return canonical_form(self.graph)
 
     @cached_property
-    def girth(self) -> Optional[int]:
-        return girth(self.graph)
-
-    @cached_property
-    def histograms_agree(self) -> bool:
+    def ball_facts(self) -> Tuple[Optional[int], bool]:
+        """(girth, histograms agree)."""
         # an automorphism preserves distances, so a vertex-transitive graph
         # has one BFS distance histogram at every vertex
-        for ball in balls(self.graph):
-            if len(set(map(int.bit_count, ball))) > 1:
-                return False
-        return True
+        return girth_and_histograms(self.graph)
+
+    @property
+    def girth(self) -> Optional[int]:
+        return self.ball_facts[0]
+
+    @property
+    def histograms_agree(self) -> bool:
+        return self.ball_facts[1]
 
     @cached_property
-    def profile(self):
+    def profile(self) -> TransitivityProfile:
         return transitivity_profile(self.graph)
 
     @cached_property
-    def cost(self):
+    def cost(self) -> CostResult:
         return distinguishing_cost(self.graph)
 
+    @cached_property
+    def has_consistent_girth_cycle(self) -> bool:
+        return (self.girth is not None
+                and len(consistent_cycles(self.graph, self.girth)) > 0)
 
-# order -> (girths, histogram tests), one byte per string of the level
-_FACTS: Dict[int, Tuple[bytearray, bytearray]] = {}
-_UNREAD = 0
+
+class _Level:
+    """The memo of one census order, indexed like its level's strings.
+
+    ``ball_facts`` holds one byte per string, girth << 1 | histograms
+    agree, 0 while unread (a cubic graph has a cycle, so a census girth
+    is at least 3); the three dicts hold the readouts that need the
+    group, for the few strings that reach them."""
+
+    __slots__ = ("ball_facts", "profiles", "costs", "cycle_tests")
+
+    def __init__(self, size: int):
+        self.ball_facts = bytearray(size)
+        self.profiles: Dict[int, TransitivityProfile] = {}
+        self.costs: Dict[int, CostResult] = {}
+        self.cycle_tests: Dict[int, bool] = {}
+
+
+# order -> its memo; catalog name -> its input record
+_FACTS: Dict[int, _Level] = {}
+_INPUTS: Dict[str, Record] = {}
 
 
 class _CensusRecord(Record):
-    """A census string whose girth and histogram test are read from its
-    order's slots in ``_FACTS``, and computed into them on first demand.
-    A cubic graph has a cycle, so a census girth is a byte, never None;
-    a histogram test is stored as 1 + the bool.  A missing fact is
-    computed by ``Record``'s own property function, without its cache."""
+    """A census string whose readouts are read from its order's
+    ``_Level``, and computed into it on first demand by ``Record``'s own
+    property functions, without their cache."""
 
-    def __init__(self, g6: str, facts: Tuple[bytearray, bytearray], index: int):
+    def __init__(self, g6: str, level: _Level, index: int):
         super().__init__(g6=g6)
-        self._girths, self._histograms = facts
+        self._level = level
         self._index = index
 
-    @property
-    def girth(self) -> int:
-        value = self._girths[self._index]
-        if value == _UNREAD:
-            value = self._girths[self._index] = Record.girth.func(self)
+    def _read(self, memo: dict, compute: Callable[[Record], object]):
+        value = memo.get(self._index)
+        if value is None:
+            value = memo[self._index] = compute(self)
         return value
 
     @property
-    def histograms_agree(self) -> bool:
-        value = self._histograms[self._index]
-        if value == _UNREAD:
-            value = self._histograms[self._index] = (
-                1 + Record.histograms_agree.func(self))
-        return value == 2
+    def ball_facts(self) -> Tuple[int, bool]:
+        facts, i = self._level.ball_facts, self._index
+        if not facts[i]:
+            length, agree = Record.ball_facts.func(self)
+            facts[i] = length << 1 | agree
+        return facts[i] >> 1, facts[i] & 1 == 1
+
+    @property
+    def profile(self) -> TransitivityProfile:
+        return self._read(self._level.profiles, Record.profile.func)
+
+    @property
+    def cost(self) -> CostResult:
+        return self._read(self._level.costs, Record.cost.func)
+
+    @property
+    def has_consistent_girth_cycle(self) -> bool:
+        return self._read(self._level.cycle_tests,
+                          Record.has_consistent_girth_cycle.func)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +283,8 @@ PREDICATES: Dict[str, Predicate] = {
         r.girth is not None and every_edge_in_cycle(r.graph, r.girth))),
     "every-3-arc-in-6-cycle": Predicate(
         2, "", lambda r, _: every_3_arc_in_cycle(r.graph, 6)),
-    "consistent-girth-cycle": Predicate(3, "", lambda r, _: (
-        r.girth is not None and len(consistent_cycles(r.graph, r.girth)) > 0)),
+    "consistent-girth-cycle": Predicate(
+        3, "", lambda r, _: r.has_consistent_girth_cycle),
     # on a connected graph, s-arc-transitivity with s >= 1 implies
     # vertex-transitivity, so these entries may test the histograms first
     "vertex-transitive": Predicate(4, "", lambda r, _: (
@@ -280,14 +327,21 @@ def _failed_step(record: Record, steps) -> Optional[int]:
 
 def _census(orders: Iterable[int], jobs: int) -> Iterator[Record]:
     """One record per census string of each order, in order, sharing the
-    order's slots in ``_FACTS``."""
+    order's memo in ``_FACTS``."""
     for n in orders:
         level = enumerate_cubic_graph6(n, jobs)
         if n not in _FACTS:
-            _FACTS[n] = (bytearray(len(level)), bytearray(len(level)))
-        facts = _FACTS[n]
+            _FACTS[n] = _Level(len(level))
+        memo = _FACTS[n]
         for index, g6 in enumerate(level):
-            yield _CensusRecord(g6, facts, index)
+            yield _CensusRecord(g6, memo, index)
+
+
+def _input_record(name: str) -> Record:
+    """The record of a claim's own catalog input, kept for the process."""
+    if name not in _INPUTS:
+        _INPUTS[name] = Record(catalog_graph(name), name=name)
+    return _INPUTS[name]
 
 
 def filtered_enumeration(
@@ -333,14 +387,14 @@ def _one_of_allowed(r: Record, forms: Dict[str, bytes]) -> Verdict:
 
 
 def _lem45(r: Record, _forms) -> Verdict:
-    if consistent_cycles(r.graph, r.girth):
+    if r.has_consistent_girth_cycle:
         return None, None
     return (f"{r.girth - 2}-arc-transitive, girth {r.girth}, but no "
             "consistent girth cycle"), None
 
 
 def _lem46(r: Record, _forms) -> Verdict:
-    if consistent_cycles(r.graph, 6):
+    if r.has_consistent_girth_cycle:  # the hypothesis fixes girth 6
         return None, None
     return "3-arc-transitive of girth 6 without a consistent 6-cycle", None
 
@@ -382,7 +436,7 @@ def _cor410(r: Record, _forms) -> Verdict:
 def _thm34(r: Record, _forms) -> Verdict:
     if r.cost.cost != 2:
         return f"{r.name}: distinguishing cost {_cost_text(r.cost)} != 2", None
-    if not brbb_unique_path_property(r.graph):
+    if not brbb_unique_path_property(r.graph, r.profile):
         return f"{r.name}: BRBB unique-path property failed", None
     return None, f"{r.name}: cost 2, BRBB uniqueness holds on every matching edge"
 
@@ -482,10 +536,12 @@ def verify_claim(
                                     f"range [{MIN_ORDER}, {MAX_ORDER}]")
     n_max -= n_max % 2
     if claim.inputs:
-        pairs = inputs or [(name, catalog_graph(name)) for name in claim.inputs]
-        orders = [g.n for _, g in pairs]
+        if inputs:
+            records = [Record(g, name=name) for name, g in inputs]
+        else:
+            records = list(map(_input_record, claim.inputs))
+        orders = [record.graph.n for record in records]
         n_range = (min(orders), max(orders))
-        records = (Record(g, name=name) for name, g in pairs)
     else:
         n_range = (4, n_max)
         records = _census(range(4, n_max + 1, 2), jobs)
@@ -498,7 +554,9 @@ def verify_claim(
     return _scan(claim, report, records)
 
 
-def brbb_unique_path_property(graph: Graph) -> bool:
+def brbb_unique_path_property(
+    graph: Graph, profile: Optional[TransitivityProfile] = None
+) -> bool:
     """The unique-path mechanics behind the cost-2 witness.
 
     Edges split into the matching orbit (red) and the cycles orbit
@@ -507,9 +565,10 @@ def brbb_unique_path_property(graph: Graph) -> bool:
     C2, and for each choice of black neighbor v2 of v1 and black 2-step
     walk u1-u2-u3, the path v2-v1-u1-u2-u3 must be the unique
     black-red-black-black path of length 4 between v2 and u3, where
-    inside a path "black" means "not red".
+    inside a path "black" means "not red".  ``profile`` is the graph's
+    transitivity profile, computed here when not given.
     """
-    profile = transitivity_profile(graph)
+    profile = profile or transitivity_profile(graph)
     red = profile.orbit_with_tag("perfect-matching")
     black = profile.orbit_with_tag("disjoint-cycles")
     if red is None or black is None:

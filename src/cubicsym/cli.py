@@ -17,7 +17,7 @@ import json
 import sys
 from typing import Optional
 
-from .autgrp import automorphism_group, canonical_form
+from .autgrp import automorphism_group, canonical_form, reduced_generators
 from .catalog import CatalogEntry, CatalogError, catalog_build, catalog_names, cycle_graph
 from .claims import (
     CLAIM_IDS,
@@ -121,7 +121,8 @@ def _analysis_report(graph: Graph) -> dict:
     report["girth"] = girth(graph)  # null for a forest
     group = automorphism_group(graph)
     report["aut_order"] = group.order
-    report["aut_generators"] = [cycle_notation(p) for p in group.generators]
+    report["aut_generators"] = [cycle_notation(p)
+                                for p in reduced_generators(group)]
     if graph.is_connected() and graph.n > 0:
         profile = transitivity_profile(graph)
         report["vertex_transitive"] = profile.vertex_transitive
@@ -144,8 +145,7 @@ def _analysis_report(graph: Graph) -> dict:
     else:
         report["note"] = "symmetry profile requires a connected graph"
     cost = distinguishing_cost(graph)
-    number = {"asymmetric": 1, "cost": 2}.get(cost.kind)
-    report["distinguishing_number"] = number or distinguishing_number(graph)
+    report["distinguishing_number"] = distinguishing_number(graph, cost)
     report["distinguishing_cost"] = {
         "kind": cost.kind,
         "cost": cost.cost,
@@ -402,7 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a classification claim")
     p.add_argument("claim", help=f"one of: {', '.join(CLAIM_IDS)}, or all")
-    p.add_argument("--max-n", type=int, default=14)
+    p.add_argument("--max-n", type=int, default=14,
+                   help="largest census order scanned (default 14); its "
+                        "even part must lie in [4, 20] for every claim, "
+                        "but it bounds only the census scans, not the "
+                        f"inputs of {', '.join(INPUT_CLAIMS)}")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--catalog-input", action="append", metavar="NAME",
                    help="verify on catalog graphs in place of the claim's "

@@ -130,21 +130,21 @@ def _preserved(moves: Dict[int, List[Tuple[int, ...]]], cand: Sequence[int]) -> 
     return False
 
 
-def distinguishing_number(graph: Graph) -> int:
+def distinguishing_number(graph: Graph, cost: Optional[CostResult] = None) -> int:
     """Smallest number of colors in a coloring preserved only by the
     identity.
 
     D = 1 iff the graph is asymmetric; D = 2 iff a distinguishing set
-    exists; beyond that, colorings with d <= COLOR_CAP colors are searched as
-    set partitions (restricted-growth strings), which enumerates
-    colorings once per color-permutation class.  Raises ColorCapExceeded
-    past the cap.
+    exists, which ``cost``, the graph's ``distinguishing_cost`` when the
+    caller has it, tells without a second search; beyond that, colorings
+    with d <= COLOR_CAP colors are searched as set partitions
+    (restricted-growth strings), which enumerates colorings once per
+    color-permutation class.  Raises ColorCapExceeded past the cap.
     """
     group = automorphism_group(graph)
     if group.order == 1:
         return 1
-    cost = distinguishing_cost(graph)
-    if cost.is_cost:
+    if (cost or distinguishing_cost(graph)).is_cost:
         return 2
     n = graph.n
     moving = group.elements[1:]

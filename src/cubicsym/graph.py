@@ -199,6 +199,15 @@ def girth(graph: Graph) -> Optional[int]:
     the maximum ``top`` is counted through the mask of its deficit
     top - deg, so irregular and disconnected graphs work too.
     """
+    return girth_and_histograms(graph)[0]
+
+
+def girth_and_histograms(graph: Graph) -> Tuple[Optional[int], bool]:
+    """``girth(graph)``, and whether every vertex has the same BFS distance
+    histogram, unreached vertices included: equal ball sizes at every
+    radius.  One pass over ``balls`` reads both, each ball's size counted
+    once, and stops at the radius where both are known: the girth's, or
+    the first where two sizes differ, whichever is later."""
     degrees = list(map(len, graph.adj))
     top = max(degrees, default=0)
     deficits: dict[int, int] = {}
@@ -206,27 +215,40 @@ def girth(graph: Graph) -> Optional[int]:
         if d != top:
             deficits[top - d] = deficits.get(top - d, 0) | 1 << v
     grown = balls(graph)
-    inner = next(grown)  # B_{j-1}
+    inner = next(grown)  # B_{j-1}; every B_0 has size 1
     ball = next(grown)  # B_j; no shortfall is possible at j = 0
+    sizes = list(map(int.bit_count, ball))
+    agree = len(set(sizes)) <= 1
+    length: Optional[int] = None
     for j, outer in enumerate(grown, start=1):  # B_{j+1}
-        tree = [(top - 1) * b.bit_count() + 2 for b in ball]
-        for deficit, mask in deficits.items():
-            tree = [t - deficit * (b & mask).bit_count()
-                    for t, b in zip(tree, ball)]
-        short = [b & ~b_in for b_in, b, b_out, t in zip(inner, ball, outer, tree)
-                 if b_out.bit_count() < t]
-        if short:
-            adj_bits = graph.adj_bits
-            for layer in short:  # L_j(w) of each w that falls short
-                rest = layer
-                while rest:
-                    low = rest & -rest
-                    if adj_bits[low.bit_length() - 1] & layer:
-                        return 2 * j + 1
-                    rest ^= low
-            return 2 * j + 2
-        inner, ball = ball, outer
-    return None
+        outer_sizes = list(map(int.bit_count, outer))
+        if length is None:
+            tree = [(top - 1) * size + 2 for size in sizes]
+            for deficit, mask in deficits.items():
+                tree = [t - deficit * (b & mask).bit_count()
+                        for t, b in zip(tree, ball)]
+            short = [b & ~b_in for b_in, b, size, t
+                     in zip(inner, ball, outer_sizes, tree) if size < t]
+            if short:  # L_j(w) of each w that falls short
+                odd = any(_has_inner_edge(graph.adj_bits, layer)
+                          for layer in short)
+                length = 2 * j + 2 - odd
+        agree = agree and len(set(outer_sizes)) <= 1
+        if length is not None and not agree:
+            break
+        inner, ball, sizes = ball, outer, outer_sizes
+    return length, agree
+
+
+def _has_inner_edge(adj_bits: Sequence[int], layer: int) -> bool:
+    """Whether an edge joins two vertices of the bitmask ``layer``."""
+    rest = layer
+    while rest:
+        low = rest & -rest
+        if adj_bits[low.bit_length() - 1] & layer:
+            return True
+        rest ^= low
+    return False
 
 
 def cycles_of_length(

@@ -130,6 +130,17 @@ def rng() -> random.Random:
     return random.Random(20240811)
 
 
+@pytest.fixture
+def empty_memos(monkeypatch):
+    """Empty claims memos for one test, so what it counts does not depend
+    on what earlier tests left in them; the census memo is returned."""
+    from cubicsym import claims
+
+    monkeypatch.setattr(claims, "_FACTS", {})
+    monkeypatch.setattr(claims, "_INPUTS", {})
+    return claims._FACTS
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force census oracle
 

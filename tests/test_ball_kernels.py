@@ -1,7 +1,7 @@
 """The bitmask kernels of a census scan against the per-root references in
-conftest: `girth`, the vertex-transitivity prefilter and the pruning of
-`cycles_of_length` from BFS balls, and the edge-at-a-time graph6
-decoder."""
+conftest: `girth`, the vertex-transitivity prefilter, the one pass that
+reads both, the pruning of `cycles_of_length` from BFS balls, and the
+edge-at-a-time graph6 decoder."""
 
 import random
 
@@ -14,7 +14,7 @@ from cubicsym.catalog import (complete_graph, cycle_graph, edgeless_graph,
                               generalized_petersen, moebius_ladder, path_ladder,
                               prism)
 from cubicsym.claims import Record
-from cubicsym.graph import edge_components
+from cubicsym.graph import edge_components, girth_and_histograms
 
 
 def _random_forest(n, rng):
@@ -92,6 +92,12 @@ def test_histograms_agree_matches_the_distance_histograms():
     for g in GRID:
         assert Record(g).histograms_agree == conftest.histograms_agree(g), \
             encode_graph6(g)
+
+
+def test_one_ball_pass_gives_the_girth_and_the_histogram_test():
+    for g in GRID:
+        assert girth_and_histograms(g) == (
+            conftest.girth(g), conftest.histograms_agree(g)), encode_graph6(g)
 
 
 def test_balls_are_the_distance_balls():

@@ -1,6 +1,9 @@
 """Claim verifiers over small census ranges (the acceptance suite runs
 the full stated ranges)."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from cubicsym import (
@@ -17,7 +20,7 @@ from cubicsym import (
     transitivity_profile,
     verify_claim,
 )
-from cubicsym import claims
+from cubicsym import claims, consistent_cycles, distinguishing_cost
 from cubicsym.claims import CLAIMS, INPUT_CLAIMS, PREDICATES, Record
 from cubicsym.symmetry import MAX_S
 
@@ -156,7 +159,7 @@ def _counting_profiles(monkeypatch):
     return calls
 
 
-def test_filtered_enumeration_profiles_each_graph_once(monkeypatch):
+def test_filtered_enumeration_profiles_each_graph_once(monkeypatch, empty_memos):
     # only the census graphs whose distance histograms agree reach the
     # group, each once: 3 of the 5 graphs at n = 8
     calls = _counting_profiles(monkeypatch)
@@ -168,7 +171,8 @@ def test_filtered_enumeration_profiles_each_graph_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_cor410_profiles_only_graphs_whose_histograms_agree(monkeypatch):
+def test_cor410_profiles_only_graphs_whose_histograms_agree(monkeypatch,
+                                                            empty_memos):
     calls = _counting_profiles(monkeypatch)
     assert verify_claim("cor410", n_max=12).verdict == "Pass"
     census = _census_g6(12)
@@ -208,7 +212,7 @@ def test_prefiltered_predicates_agree_with_the_profile():
                 g6, name, value)
 
 
-def test_catalog_forms_are_searched_once_per_process(monkeypatch):
+def test_catalog_forms_are_searched_once_per_process(monkeypatch, empty_memos):
     from cubicsym import autgrp
 
     verify_claim("cor49", n_max=4)
@@ -224,7 +228,7 @@ def test_catalog_forms_are_searched_once_per_process(monkeypatch):
     assert searches == []
 
 
-def test_census_counterexample_runs_no_search(monkeypatch):
+def test_census_counterexample_runs_no_search(monkeypatch, empty_memos):
     from cubicsym import autgrp
 
     always_fails = claims.Claim(("girth=4",), lambda r, _forms: ("demo", None))
@@ -247,66 +251,80 @@ def test_census_counterexample_runs_no_search(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the census facts memo
+# the census memo
 
 
-def _fresh_facts(monkeypatch):
-    facts = {}
-    monkeypatch.setattr(claims, "_FACTS", facts)
-    return facts
-
-
-def _check_filled_slots(facts):
-    """Every filled slot holds the uncached fact; the count of filled
-    (girth, histogram) slots."""
-    filled = [0, 0]
-    for n, (girths, histograms) in facts.items():
-        level = enumerate_cubic_graph6(n)
-        assert len(girths) == len(histograms) == len(level)
-        for g6, g, h in zip(level, girths, histograms):
-            if g:
-                assert g == girth(decode_graph6(g6)), g6
+def _check_filled_entries(memo):
+    """Every filled entry holds the uncached readout; the counts of filled
+    (ball facts, profiles, costs, cycle tests)."""
+    filled = [0, 0, 0, 0]
+    for n, level in memo.items():
+        strings = enumerate_cubic_graph6(n)
+        assert len(level.ball_facts) == len(strings)
+        for index, g6 in enumerate(strings):
+            graph = decode_graph6(g6)
+            if level.ball_facts[index]:
+                expected = girth(graph) << 1 | _histograms_agree(graph)
+                assert level.ball_facts[index] == expected, g6
                 filled[0] += 1
-            if h:
-                assert h == 1 + Record(g6=g6).histograms_agree, g6
-                filled[1] += 1
+        for k, (readouts, uncached) in enumerate((
+            (level.profiles, transitivity_profile),
+            (level.costs, distinguishing_cost),
+            (level.cycle_tests, lambda g: len(consistent_cycles(g, girth(g))) > 0),
+        ), start=1):
+            for index, value in readouts.items():
+                assert value == uncached(decode_graph6(strings[index])), (
+                    strings[index])
+                filled[k] += 1
     return filled
 
 
-def test_census_facts_equal_the_uncached_facts(monkeypatch):
-    facts = _fresh_facts(monkeypatch)
+def test_census_facts_equal_the_uncached_facts(monkeypatch, empty_memos):
     # a scan that stops early at its first hit fills the memo in part
     always_fails = claims.Claim(("girth=5", "vertex-transitive"),
                                 lambda r, _forms: ("demo", None))
     monkeypatch.setitem(CLAIMS, "demo", always_fails)
     report = verify_claim("demo", n_max=12)
     assert report.verdict == "Fail"
-    assert sorted(facts) == [4, 6, 8, 10]  # the Petersen graph stops it
-    partial = _check_filled_slots(facts)
-    assert 0 < partial[1] < partial[0] < len(_census_g6(10))
-    # later scans read the partial memo and fill the rest
-    reports = {claim: verify_claim(claim, n_max=12).to_dict()
+    assert sorted(empty_memos) == [4, 6, 8, 10]  # the Petersen graph stops it
+    partial = _check_filled_entries(empty_memos)
+    # every string read gets both ball facts; only girth 5 reaches the group
+    assert 0 < partial[0] < len(_census_g6(10))
+    assert partial[1:] == [1, 0, 0]
+    # later scans read the partial memo and fill the rest; to n = 14, where
+    # cor49 takes the cost of the Heawood graph (below it, every
+    # arc-transitive graph is one of cor410's exceptions)
+    reports = {claim: verify_claim(claim, n_max=14).to_dict()
                for claim in CLAIM_IDS}
-    assert _check_filled_slots(facts) == [112, 112]
+    filled = _check_filled_entries(empty_memos)
+    assert filled[:3] == [621, 26, 1] and filled[3] > 0
     monkeypatch.setattr(claims, "_FACTS", {})
-    assert reports == {claim: verify_claim(claim, n_max=12).to_dict()
+    monkeypatch.setattr(claims, "_INPUTS", {})
+    assert reports == {claim: verify_claim(claim, n_max=14).to_dict()
                        for claim in CLAIM_IDS}
 
 
-def test_census_facts_are_filled_only_on_demand(monkeypatch):
-    facts = _fresh_facts(monkeypatch)
+def test_census_facts_are_filled_only_on_demand(empty_memos):
+    # girth first: both facts of every string, and no profile or cost
     assert verify_claim("thm41-g4", n_max=12).verdict == "Pass"
-    assert sorted(facts) == [4, 6, 8, 10, 12]
-    assert all(all(girths) and not any(histograms)
-               for girths, histograms in facts.values())
-    facts = _fresh_facts(monkeypatch)
+    assert sorted(empty_memos) == [4, 6, 8, 10, 12]
+    assert all(all(level.ball_facts) and not level.profiles and not level.costs
+               for level in empty_memos.values())
+    assert any(level.cycle_tests for level in empty_memos.values())
+    # a histogram-first claim on fresh memos fills the girths as well
+    claims._FACTS.clear()
     assert verify_claim("cor410", n_max=12).verdict == "Pass"
-    assert all(all(histograms) and not any(girths)
-               for girths, histograms in facts.values())
+    assert all(all(level.ball_facts) and not level.cycle_tests
+               for level in empty_memos.values())
+    profiled = [g6 for n, level in empty_memos.items()
+                for index, g6 in enumerate(enumerate_cubic_graph6(n))
+                if index in level.profiles]
+    assert profiled == [g6 for g6 in _census_g6(12)
+                        if _histograms_agree(decode_graph6(g6))]
 
 
-def test_a_later_claim_decodes_only_what_passes_the_memo(monkeypatch):
-    _fresh_facts(monkeypatch)
+def test_a_later_claim_decodes_only_what_passes_the_memo(monkeypatch,
+                                                         empty_memos):
     assert verify_claim("thm41-g4", n_max=12).verdict == "Pass"
     decoded = []
     decode = claims.decode_graph6
@@ -319,3 +337,54 @@ def test_a_later_claim_decodes_only_what_passes_the_memo(monkeypatch):
     assert verify_claim("thm41-g5", n_max=12).verdict == "Pass"
     girth_5 = [g6 for g6 in _census_g6(12) if girth(decode_graph6(g6)) == 5]
     assert decoded == girth_5 and len(girth_5) == 3
+
+
+def _count_calls(monkeypatch, module, name, key):
+    """Calls of module.name through every cubicsym namespace that binds
+    it, each recorded by key(first argument)."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(first, *args, **kwargs):
+        calls.append(key(first))
+        return real(first, *args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("cubicsym") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_verify_all_reads_each_graph_once(monkeypatch, capsys, empty_memos):
+    from cubicsym import cli, graph, graph6, symmetry
+
+    census = _census_g6(14)  # built before the decoder is watched
+    decoded = _count_calls(monkeypatch, graph6, "decode_graph6", str)
+    passes = _count_calls(monkeypatch, graph, "girth_and_histograms",
+                          encode_graph6)
+    profiled = _count_calls(monkeypatch, symmetry, "transitivity_profile",
+                            encode_graph6)
+    scans = []  # the decodes before each claim
+    verify = cli.verify_claim
+
+    def marking(*args, **kwargs):
+        scans.append(len(decoded))
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_claim", marking)
+    assert cli.main(["verify", "all", "--max-n", "14", "--json"]) == 0
+    capsys.readouterr()
+    assert len(scans) == len(CLAIM_IDS)
+    # every census string once per process through the ball pass, and once
+    # per claim at most; a later claim decodes a string again only for a
+    # test that needs its edges (every-edge-in-girth-cycle for the 140
+    # strings of girth 4 or 5, the cost or cycle test of a hit), as the
+    # memo keeps no graph
+    for start, end in zip(scans, scans[1:] + [len(decoded)]):
+        assert len(set(decoded[start:end])) == end - start
+    assert sorted(set(decoded)) == sorted(census)
+    assert len(decoded) == 765
+    assert sorted(Counter(passes).values()) == [1] * 622  # and the input
+    # each of the 26 census graphs whose histograms agree, and the truncated
+    # icosahedron, profiled once
+    assert sorted(Counter(profiled).values()) == [1] * 27

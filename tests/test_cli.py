@@ -130,6 +130,29 @@ def test_analyze_computes_the_vertex_orbits_once(monkeypatch, capsys):
     assert actions.count(perm.Action.VERTICES) == 1
 
 
+def test_analyze_searches_the_cost_once(monkeypatch, capsys):
+    from cubicsym import distinguishing
+
+    real = distinguishing.distinguishing_cost
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):  # every name bound to it
+        if (name.startswith("cubicsym")
+                and getattr(module, "distinguishing_cost", None) is real):
+            monkeypatch.setattr(module, "distinguishing_cost", counted)
+    # the Petersen graph is not 2-distinguishable: D = 3 needs the cost
+    rc, out, _ = run_cli(["analyze", "--catalog", "petersen", "--json"], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert report["distinguishing_number"] == 3
+    assert report["distinguishing_cost"]["kind"] == "not-two-distinguishable"
+    assert len(calls) == 1
+
+
 def test_bad_graph6_exit_3(capsys):
     rc, _, err = run_cli(["analyze", "--graph6", "C~~~"], capsys)
     assert rc == 3
