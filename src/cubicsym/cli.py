@@ -13,6 +13,7 @@ randomness (seeded labelings) flows from an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -206,6 +207,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
+        if args.name is not None:
+            raise _CliError("`catalog list` takes no name", EXIT_USAGE)
         print(f"{'name':24s} {'order':>5s} {'size':>5s} girth")
         for name in catalog_names():
             if name.endswith("(...)"):
@@ -351,7 +354,17 @@ def _add_input_options(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one `cubicsym` parser of this process, built on the first call.
+
+    Reuse is safe because a parse keeps its state in the returned
+    `Namespace`: the `append` options default to None, and the help width
+    is read when help is formatted, not here.  Callers must not mutate the
+    returned parser.  Each subcommand's handler is bound here, so a patch
+    of a `_cmd_*` function made after the first call is not seen; the
+    handlers look up everything else they call at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="cubicsym",
         description="Symmetry invariants of finite cubic graphs.",

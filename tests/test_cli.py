@@ -1,9 +1,11 @@
 """CLI subcommands, exit codes, and report stability."""
 
+import argparse
 import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -326,10 +328,11 @@ def test_enumerate_malformed_predicate_exit_2(spec, capsys):
      ["verify", "lem45", "--catalog-input", "k4", "--max-n", "6"],
      ["verify", "all", "--catalog-input", "k4"],
      ["enumerate", "8", "--predicate", "girth=abc"],
-     ["enumerate", "8", "--predicate", "girth="]],
+     ["enumerate", "8", "--predicate", "girth="],
+     ["catalog", "list", "extra"]],
     ids=["negative-budget", "disconnected-quotient", "census-claim-input",
          "verify-all-input", "non-integer-predicate-value",
-         "empty-predicate-value"],
+         "empty-predicate-value", "catalog-list-name"],
 )
 def test_usage_errors_exit_2(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -631,6 +634,71 @@ def test_package_runs_as_a_module(capsys):
     proc = _run_package(["verify", "nope"])
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(["verify", "thm34", "--catalog-input", "petersen", "--json"],
+      ["verify", "thm34", "--json"]),
+     (["enumerate", "8", "--predicate", "girth=4"], ["enumerate", "8"]),
+     (["analyze", "--graph6", "C~"], ["analyze", "--catalog", "petersen"])],
+    ids=["catalog-input", "predicate", "input-source"],
+)
+def test_the_shared_parser_carries_nothing_between_calls(first, second, capsys):
+    # the second call of each pair prints what it prints in a fresh process
+    assert cli.build_parser() is cli.build_parser()
+    _, first_out, _ = run_cli(first, capsys)
+    rc, out, err = run_cli(second, capsys)
+    fresh = _run_package(second)
+    assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert rc == 0 and out != first_out
+    if second[0] == "enumerate":
+        assert len(out.splitlines()) == 5
+
+
+def test_a_second_call_builds_no_parser(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cli.build_parser.cache_clear()
+    assert run_cli(["catalog", "get", "k4"], capsys)[0] == 0
+    built = len(calls)
+    assert run_cli(["catalog", "get", "k4"], capsys)[0] == 0
+    assert built > 0 and len(calls) == built
+
+
+def test_help_wraps_to_the_columns_of_each_call(monkeypatch, capsys):
+    widths = []
+    for columns in (60, 200, 60):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--help"])
+        assert exc.value.code == 0
+        out, _ = capsys.readouterr()
+        widths.append(max(len(line) for line in out.splitlines()))
+    # argparse wraps to COLUMNS - 2
+    assert widths[0] == widths[2] <= 58 and 60 < widths[1] <= 198
+
+
+def test_readme_cli_examples_parse():
+    # parsed only: `verify thm44-g6 --max-n 18` would run for minutes
+    section = _readme_text().split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cubicsym ")]
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+        assert args.command == argv[0] and callable(args.func), line
 
 
 def test_verify_reports_match_golden_bytes(capsys):
