@@ -20,6 +20,14 @@ the found automorphisms generate the whole group, which is materialized
 by closing them.  An automorphism stays a plain image tuple from the leaf
 that finds it through the closure to the group's sorted element list.
 
+One cut is proved, not found.  The root of a d-regular graph is one cell,
+and below its child v every leaf has v's neighbors at positions 1..d,
+the item at j being 2 ** (j - 1) plus a bit per earlier neighbor: the
+least run 1, 2, ..., 2 ** (d - 1) if the neighborhood spans no edge, a
+larger one if it does.  Once the best code has the least run, a root
+child whose neighborhood spans an edge is skipped, as every leaf below
+it would stop at a position <= d; it joins `done` as explored ones do.
+
 Refinement is incremental, yet it gives the fragments, in the same order,
 that counting every vertex against every cell gives.  A vertex weighs B ** (n - p), where p is
 the position at which its cell starts and B is a power of two above
@@ -27,10 +35,10 @@ every degree; the sum of its neighbors' weights is its count vector
 against the cells, read as base-B digits with the first cell highest, so
 integer order is count-vector order and fragments keep their order.  A
 pass re-splits only the cells that hold a neighbor of a vertex whose
-weight the previous pass changed, and a child of a search node, whose
-parent partition is equitable, starts from the neighbors of the cell
-it splits.  The leaf code is compared with the best one item by item,
-so a node stops at the first item that exceeds it.
+weight the previous pass changed.  A child starts from its node's
+equitable partition and weights, and its first pass has a closed form.
+The leaf code is compared with the best one item by item, so a node
+stops at the first item that exceeds it.
 """
 
 from __future__ import annotations
@@ -48,11 +56,9 @@ from .perm import (
 )
 
 
-def _refine_cells(
-    adj: Sequence[Sequence[int]],
-    cells: List[Tuple[int, ...]],
-    check: Optional[Set[int]] = None,
-) -> List[Tuple[int, ...]]:
+def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
+                  weight: Optional[List[int]] = None,
+                  check: Optional[Set[int]] = None) -> List[Tuple[int, ...]]:
     """Coarsest equitable refinement of an ordered cell list.
 
     Signature of a vertex: its neighbor counts against every cell, in
@@ -71,20 +77,21 @@ def _refine_cells(
     moved fragments (all but the first of a split cell) their new weights.
     A signature changes only if a neighbor's weight does, so a pass
     re-splits only the cells holding a neighbor of a moved vertex; the
-    others cannot split.  `check`, when given, is that vertex set for the
-    first pass: the caller vouches that no cell avoiding it can split.
+    others cannot split.  A caller may pass `weight`, those of `cells`, to
+    update to the result's, and `check`, that vertex set for a first pass.
     """
     n = len(adj)
     if len(cells) == n:
         return cells
     shift = max(map(len, adj)).bit_length()
-    weight = [0] * n
-    p = n  # n - (start position of the cell)
-    for cell in cells:
-        w = 1 << shift * p
-        for v in cell:
-            weight[v] = w
-        p -= len(cell)
+    if weight is None:
+        weight = [0] * n
+        p = n  # n - (start position of the cell)
+        for cell in cells:
+            w = 1 << shift * p
+            for v in cell:
+                weight[v] = w
+            p -= len(cell)
     if check is None:
         check = set(range(n))
     while True:
@@ -121,6 +128,44 @@ def _refine_cells(
                 check.update(adj[v])
 
 
+def _refine_child(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
+                  weight: List[int], ci: int, v: int) -> List[Tuple[int, ...]]:
+    """The refined child of equitable `cells` that cuts `v` out of cell
+    `ci`, in front of the rest; `weight`, a copy of their weights, ends
+    holding the child's.  The first pass has a closed form: the rest
+    weighs 1/B of what it did, which lowers a signature by a fixed amount
+    per neighbor in `v`'s old cell other than `v`, so within an equitable
+    cell the neighbors of `v` lose least: they split off, first."""
+    shift = max(map(len, adj)).bit_length()
+    rest = tuple(x for x in cells[ci] if x != v)
+    for x in rest:
+        weight[x] = weight[v] >> shift
+    near = set(adj[v])
+    out: List[Tuple[int, ...]] = []
+    check: Set[int] = set()
+    for cell in cells[:ci] + [(v,), rest] + cells[ci + 1 :]:
+        first = () if near.isdisjoint(cell) else tuple(x for x in cell if x in near)
+        if not 0 < len(first) < len(cell):
+            out.append(cell)
+            continue
+        far = tuple(x for x in cell if x not in near)
+        out += (first, far)
+        w = weight[cell[0]] >> shift * len(first)
+        for x in far:
+            weight[x] = w
+            check.update(adj[x])
+    if not check or len(out) == len(adj):
+        return out
+    return _refine_cells(adj, out, weight, check)
+
+
+def _loses_at_root(graph: Graph, v: int, best_code: Optional[List[int]]) -> bool:
+    """Whether root child `v` of a regular graph loses (module docstring)."""
+    row, bits = graph.adj[v], graph.adj_bits
+    return (best_code is not None and any(bits[v] & bits[x] for x in row)
+            and best_code[1 : len(row) + 1] == [1 << j for j in range(len(row))])
+
+
 class _SearchResult:
     __slots__ = ("code", "position_vertex", "generators")
 
@@ -146,15 +191,10 @@ def _ir_search(graph: Graph) -> _SearchResult:
     best_path: Tuple[int, ...] = ()
     gens: List[Tuple[int, ...]] = []
 
-    def rec(
-        cells: List[Tuple[int, ...]],
-        items: List[int],
-        path: Tuple[int, ...],
-        check: Optional[Set[int]],
-    ) -> Optional[int]:
-        """Explore below a node; a depth to unwind to, or None."""
+    def rec(cells: List[Tuple[int, ...]], weight: List[int], items: List[int],
+            path: Tuple[int, ...]) -> Optional[int]:
+        """Explore below an equitable node; a depth to unwind to, or None."""
         nonlocal best_code, best_posv, best_path
-        cells = _refine_cells(adj, cells, check)
         # the parent's discrete prefix is a prefix of this one
         k = len(items)
         t = k
@@ -202,11 +242,6 @@ def _ir_search(graph: Graph) -> _SearchResult:
         target_size = min(s for s in sizes if s > 1)
         ci = sizes.index(target_size)
         cell = cells[ci]
-        # this partition is equitable, so in a child only the cells holding
-        # a neighbor of the split cell can split on the first pass
-        seed: Set[int] = set()
-        for x in cell:
-            seed.update(adj[x])
         # children in one orbit of the found automorphisms fixing the path
         # root isomorphic subtrees with equal leaf codes: explore one each.
         # `done` stays closed under `fixing`, so it is closed again from
@@ -217,11 +252,12 @@ def _ir_search(graph: Graph) -> _SearchResult:
         for v in cell:
             if v in done:
                 continue
-            rest = tuple(x for x in cell if x != v)
-            child = cells[:ci] + [(v,), rest] + cells[ci + 1 :]
-            back = rec(child, items, path + (v,), seed)
-            if back is not None and back < len(path):
-                return back
+            if path or len(cells) > 1 or not _loses_at_root(graph, v, best_code):
+                child_weight = weight[:]
+                child = _refine_child(adj, cells, child_weight, ci, v)
+                back = rec(child, child_weight, items, path + (v,))
+                if back is not None and back < len(path):
+                    return back
             done.add(v)
             new = [g for g in gens[seen:] if all(g[x] == x for x in path)]
             seen = len(gens)
@@ -235,7 +271,8 @@ def _ir_search(graph: Graph) -> _SearchResult:
                         stack.append(g[x])
         return None
 
-    rec([tuple(range(n))], [], (), None)
+    weight = [1 << max(map(len, adj)).bit_length() * n] * n
+    rec(_refine_cells(adj, [tuple(range(n))], weight), weight, [], ())
     assert best_code is not None and best_posv is not None
     return _SearchResult(tuple(best_code), best_posv, gens)
 

@@ -118,22 +118,24 @@ def insert_on_edges(
 ) -> Graph:
     """Subdivide two distinct edges and join the two new vertices.
 
-    The parent's bitmask rows are patched in place of a rebuild: each
-    edge's endpoints swap each other for their new vertex.
+    The parent's rows, tuples and bitmasks, are patched in place of a
+    rebuild: each edge's endpoints swap each other for their new vertex.
     """
     if e1 == e2:
         raise ValueError("insertion needs two distinct edges")
     n = graph.n
+    rows = list(graph.adj)
     bits = list(graph.adj_bits)
     for (a, b), x in ((e1, n), (e2, n + 1)):
         if not (0 <= a < n and 0 <= b < n and (bits[a] >> b) & 1):
             raise ValueError(f"({a}, {b}) is not an edge")
-        bits[a] ^= (1 << b) | (1 << x)
-        bits[b] ^= (1 << a) | (1 << x)
+        for u, w in ((a, b), (b, a)):
+            bits[u] ^= (1 << w) | (1 << x)
+            rows[u] = tuple(y for y in rows[u] if y != w) + (x,)
     (a, b), (c, d) = e1, e2
-    bits.append((1 << a) | (1 << b) | (1 << n + 1))
-    bits.append((1 << c) | (1 << d) | (1 << n))
-    return Graph.from_bits(bits)
+    bits += ((1 << a) | (1 << b) | (1 << n + 1), (1 << c) | (1 << d) | (1 << n))
+    rows += ((min(a, b), max(a, b), n + 1), (min(c, d), max(c, d), n))
+    return Graph._from_rows(tuple(rows), tuple(bits))
 
 
 # ---------------------------------------------------------------------------

@@ -149,22 +149,23 @@ def _reference_insert(graph, e1, e2):
     """The edge-list construction through `build_graph`."""
     n = graph.n
     (a, b), (c, d) = e1, e2
-    edges = [e for e in graph.edges() if e not in (e1, e2)]
+    cut = {frozenset(e1), frozenset(e2)}
+    edges = [e for e in graph.edges() if frozenset(e) not in cut]
     edges += [(a, n), (b, n), (c, n + 1), (d, n + 1), (n, n + 1)]
     return build_graph(n + 2, edges)
 
 
 def test_insert_on_edges_matches_edge_list_construction():
+    # every ordered pair of distinct edges, each edge either way round
     for n in range(4, 11, 2):
         for parent in enumerate_cubic(n):
             edges = parent.edges()
-            for i, e1 in enumerate(edges):
-                for e2 in edges[i + 1:]:
-                    for pair in ((e1, e2), (e2, e1)):
-                        child = insert_on_edges(parent, *pair)
-                        ref = _reference_insert(parent, *pair)
-                        assert (child.n, child.adj, child.adj_bits) == (
-                            ref.n, ref.adj, ref.adj_bits)
+            for e1, e2 in itertools.permutations(edges, 2):
+                for pair in itertools.product((e1, e1[::-1]), (e2, e2[::-1])):
+                    child = insert_on_edges(parent, *pair)
+                    ref = _reference_insert(parent, *pair)
+                    assert (child.n, child.adj, child.adj_bits) == (
+                        ref.n, ref.adj, ref.adj_bits)
 
 
 @pytest.mark.parametrize("e1, e2", [

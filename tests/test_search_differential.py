@@ -3,7 +3,9 @@
 `reference_search` is the search before automorphism pruning: it visits
 every leaf whose code prefix is not already beaten and keeps every
 automorphism that an equal-code leaf yields, so the group is read off
-the leaves with no closure.  It refines with `reference_refine`, the
+the leaves with no closure; its recursion, `reference_leaves`, can start
+at any node, and the root-skip test runs it below each skipped root
+child.  It refines with `reference_refine`, the
 dense-signature refinement that the incremental `_refine_cells`
 replaced, so the engine is compared with the old refinement end to end.
 `reference_reduce` is the greedy generator reduction of that version,
@@ -16,7 +18,7 @@ list, so they agree whenever it does.
 
 import hashlib
 import random
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import pytest
 
@@ -29,8 +31,8 @@ from cubicsym import (
     enumerate_cubic,
 )
 from cubicsym import autgrp
-from cubicsym.autgrp import (_refine_cells, canonical_form, canonical_labeling,
-                             reduced_generators)
+from cubicsym.autgrp import (_refine_cells, _refine_child, canonical_form,
+                             canonical_labeling, reduced_generators)
 from cubicsym.perm import Action, PermutationGroup, orbits
 
 from cubicsym.catalog import complete_bipartite, complete_graph
@@ -69,57 +71,50 @@ def reference_refine(
             return cells
 
 
+def reference_leaves(graph, cells, bound):
+    """Every leaf below the cell list `cells`, depth first, as (code,
+    position -> vertex), with no automorphism pruning: a node is cut only
+    when its code prefix exceeds `bound()`, the best code so far (None
+    for none), which is read again at every node."""
+    adj_bits = graph.adj_bits
+    cells = reference_refine(adj_bits, cells)
+    items = []
+    for j, c in enumerate(cells):
+        if len(c) != 1:
+            break
+        av = adj_bits[c[0]]
+        colbits = 0
+        for i in range(j):
+            colbits = (colbits << 1) | ((av >> cells[i][0]) & 1)
+        items.append(colbits)
+    best_code = bound()
+    if best_code is not None and items > best_code[: len(items)]:
+        return
+    if len(items) == len(cells):
+        yield items, [c[0] for c in cells]
+        return
+    sizes = [len(c) for c in cells]
+    target_size = min(s for s in sizes if s > 1)
+    ci = sizes.index(target_size)
+    for v in cells[ci]:
+        yield from reference_leaves(graph, child_cells(cells, ci, v), bound)
+
+
 def reference_search(graph):
     n = graph.n
-    adj_bits = graph.adj_bits
-
-    best_code: Optional[List[int]] = None
-    best_posv: Optional[List[int]] = None
-    auts: Set[Tuple[int, ...]] = set()
-
-    def rec(cells: List[Tuple[int, ...]], items: List[int]) -> None:
-        nonlocal best_code, best_posv
-        cells = reference_refine(adj_bits, cells)
-        t = 0
-        for c in cells:
-            if len(c) != 1:
-                break
-            t += 1
-        if t > len(items):
-            items = list(items)
-            for j in range(len(items), t):
-                vj = cells[j][0]
-                av = adj_bits[vj]
-                colbits = 0
-                for i in range(j):
-                    colbits = (colbits << 1) | ((av >> cells[i][0]) & 1)
-                items.append(colbits)
-        if best_code is not None and items > best_code[: len(items)]:
-            return
-        if t == len(cells):
-            posv = [c[0] for c in cells]
-            if best_code is None or items < best_code:
-                best_code = items
-                best_posv = posv
-            elif items == best_code:
-                images = [0] * n
-                for p in range(n):
-                    images[posv[p]] = best_posv[p]
-                assert sorted(images) == list(range(n))
-                auts.add(tuple(images))
-            return
-        sizes = [len(c) for c in cells]
-        target_size = min(s for s in sizes if s > 1)
-        ci = sizes.index(target_size)
-        cell = cells[ci]
-        for v in cell:
-            rest = tuple(x for x in cell if x != v)
-            child = cells[:ci] + [(v,), rest] + cells[ci + 1 :]
-            rec(child, items)
-
-    rec([tuple(range(n))], [])
-    auts.add(tuple(range(n)))
-    return tuple(best_code), best_posv, tuple(sorted(auts))
+    best: List = [None, None]  # code, position -> vertex
+    auts: Set[Tuple[int, ...]] = {tuple(range(n))}
+    for items, posv in reference_leaves(
+            graph, [tuple(range(n))], lambda: best[0]):
+        if best[0] is None or items < best[0]:
+            best = [items, posv]
+        elif items == best[0]:
+            images = [0] * n
+            for p in range(n):
+                images[posv[p]] = best[1][p]
+            assert sorted(images) == list(range(n))
+            auts.add(tuple(images))
+    return tuple(best[0]), best[1], tuple(sorted(auts))
 
 
 def reference_reduce(degree: int, elements) -> Tuple[Tuple[int, ...], ...]:
@@ -213,9 +208,29 @@ def random_cells(n: int, rng: random.Random) -> List[Tuple[int, ...]]:
     return [tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+def cell_weights(adj, cells) -> List[int]:
+    """The weight of every vertex under `cells`, as `_refine_cells`
+    documents it: B ** (n - p), B = 2 ** shift above every degree."""
+    shift = max(map(len, adj)).bit_length()
+    weight = [0] * len(adj)
+    p = 0
+    for cell in cells:
+        for v in cell:
+            weight[v] = 1 << shift * (len(adj) - p)
+        p += len(cell)
+    return weight
+
+
+def child_cells(cells, ci: int, v: int) -> List[Tuple[int, ...]]:
+    """`cells` with `v` individualized in front of the rest of cell ci."""
+    rest = tuple(x for x in cells[ci] if x != v)
+    return cells[:ci] + [(v,), rest] + cells[ci + 1 :]
+
+
 def split_equitable(graph, rng: random.Random):
-    """An equitable cell list with one non-singleton cell cut in two, and
-    the neighbors of that cell: the seed the search passes a child."""
+    """An equitable cell list, one of its non-singleton cells and a vertex
+    of it, and that cell cut in two with the cell's neighbors: the seed
+    that vouches for the cut."""
     cells = reference_refine(graph.adj_bits, random_cells(graph.n, rng))
     wide = [i for i, c in enumerate(cells) if len(c) > 1]
     if not wide:
@@ -224,8 +239,9 @@ def split_equitable(graph, rng: random.Random):
     cell = list(cells[ci])
     rng.shuffle(cell)
     cut = rng.randrange(1, len(cell))
-    cells[ci : ci + 1] = [tuple(cell[:cut]), tuple(cell[cut:])]
-    return cells, {w for v in cell for w in graph.adj[v]}
+    cut_cells = cells[:ci] + [tuple(cell[:cut]), tuple(cell[cut:])] + cells[ci + 1 :]
+    return (cells, ci, cell[0], cut_cells,
+            {w for v in cell for w in graph.adj[v]})
 
 
 def refinement_graphs():
@@ -254,10 +270,15 @@ def test_refinement_matches_dense_refinement():
             split = split_equitable(g, rng)
             if split is None:
                 continue
-            cells, seed = split
-            expected = reference_refine(g.adj_bits, list(cells))
-            assert _refine_cells(g.adj, list(cells)) == expected
-            assert _refine_cells(g.adj, list(cells), seed) == expected
+            cells, ci, v, cut_cells, seed = split
+            expected = reference_refine(g.adj_bits, list(cut_cells))
+            assert _refine_cells(g.adj, list(cut_cells)) == expected
+            assert _refine_cells(g.adj, list(cut_cells), check=seed) == expected
+            child = reference_refine(g.adj_bits, child_cells(cells, ci, v))
+            weight = cell_weights(g.adj, cells)
+            assert _refine_child(g.adj, cells, weight, ci, v) == child
+            if len(child) < g.n:
+                assert weight == cell_weights(g.adj, child)
 
 
 def test_base_exceeds_a_count_of_8():
@@ -272,21 +293,98 @@ def test_base_exceeds_a_count_of_8():
 
 
 def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
-    refine = autgrp._refine_cells
+    # every non-root node is refined from its parent's equitable partition
+    # and weights; it must equal the refinement of its cell list from
+    # scratch, and end with the weights of its own partition
+    refine_child = autgrp._refine_child
     seeded = []
 
-    def checked(adj, cells, check=None):
-        out = refine(adj, cells, check)
-        if check is not None:
-            assert out == refine(adj, cells)
-            seeded.append(len(cells))
+    def checked(adj, cells, weight, ci, v):
+        out = refine_child(adj, cells, weight, ci, v)
+        assert out == _refine_cells(adj, child_cells(cells, ci, v))
+        if len(out) < len(adj):
+            assert weight == cell_weights(adj, out)
+        seeded.append(len(cells))
         return out
 
     census = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
-    monkeypatch.setattr(autgrp, "_refine_cells", checked)
+    monkeypatch.setattr(autgrp, "_refine_child", checked)
     for g in census:
         autgrp._ir_search(g)
-    assert len(seeded) == 361  # one per non-root node of these searches
+    # one per refined non-root node of these searches: the root children
+    # skipped by `_loses_at_root` are not refined
+    assert len(seeded) == 305  # 361 before the root skip
+
+
+def record_root_calls(monkeypatch) -> List[Tuple[int, bool]]:
+    """Patch `_loses_at_root` to log each root child it is asked about
+    and whether the search skips it."""
+    loses = autgrp._loses_at_root
+    calls: List[Tuple[int, bool]] = []
+
+    def recording(graph, v, best_code):
+        out = loses(graph, v, best_code)
+        calls.append((v, out))
+        return out
+
+    monkeypatch.setattr(autgrp, "_loses_at_root", recording)
+    return calls
+
+
+def test_skipped_root_children_hold_no_leaf_up_to_the_best(monkeypatch):
+    # below a skipped root child, the reference recursion cut only by the
+    # final best code must find no leaf: none beats it and none ties it,
+    # so the skip loses neither the canonical leaf nor an automorphism
+    graphs = [g for n in (4, 6, 8, 10, 12) for g in enumerate_cubic(n)]
+    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
+    calls = record_root_calls(monkeypatch)
+    rng = random.Random(20261019)
+    skipped = 0
+    for g in graphs:
+        for _ in range(2):
+            h = random_relabel(g, rng)
+            calls.clear()
+            code = list(autgrp._ir_search(h).code)
+            for v in [v for v, out in calls if out]:
+                rest = tuple(x for x in range(h.n) if x != v)
+                assert not list(reference_leaves(h, [(v,), rest], lambda: code))
+                skipped += 1
+    assert skipped > 0
+
+
+def test_root_skip_fires_on_the_census_to_10(monkeypatch):
+    census = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
+    calls = record_root_calls(monkeypatch)
+    for g in census:
+        autgrp._ir_search(g)
+    assert sum(out for _, out in calls) == 33
+
+
+@pytest.mark.parametrize("name", ["petersen", "prism(3)"])
+def test_root_skip_never_fires(monkeypatch, name):
+    # Petersen: no neighborhood spans an edge.  The triangular prism:
+    # every one does, so no leaf has the least items 1, 2, 4
+    g = catalog_graph(name)
+    calls = record_root_calls(monkeypatch)
+    for h in (g, random_relabel(g, random.Random(name))):
+        autgrp._ir_search(h)
+    assert calls and not any(out for _, out in calls)
+
+
+def test_refinement_work_is_pinned(monkeypatch):
+    # a deterministic tripwire on the refinement work of the census to 12:
+    # children refined from their parent, and `_refine_cells` calls (one
+    # per root, the rest passes after a child's closed-form first pass)
+    census = [g for n in (4, 6, 8, 10, 12) for g in enumerate_cubic(n)]
+    counts = {"_refine_child": 0, "_refine_cells": 0}
+    for name in counts:
+        def counting(*args, _f=getattr(autgrp, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(autgrp, name, counting)
+    for g in census:
+        autgrp._ir_search(g)
+    assert counts == {"_refine_child": 1263, "_refine_cells": 112 + 811}
 
 
 # sha256 of the search outputs (code, position_vertex, generator images),
