@@ -58,7 +58,8 @@ from .perm import (
 
 def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
                   weight: Optional[List[int]] = None,
-                  check: Optional[Set[int]] = None) -> List[Tuple[int, ...]]:
+                  check: Optional[Set[int]] = None, *,
+                  shift: Optional[int] = None) -> List[Tuple[int, ...]]:
     """Coarsest equitable refinement of an ordered cell list.
 
     Signature of a vertex: its neighbor counts against every cell, in
@@ -78,12 +79,14 @@ def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
     A signature changes only if a neighbor's weight does, so a pass
     re-splits only the cells holding a neighbor of a moved vertex; the
     others cannot split.  A caller may pass `weight`, those of `cells`, to
-    update to the result's, and `check`, that vertex set for a first pass.
+    update to the result's, `check`, that vertex set for a first pass, and
+    `shift`, a constant of the graph that a search computes once.
     """
     n = len(adj)
     if len(cells) == n:
         return cells
-    shift = max(map(len, adj)).bit_length()
+    if shift is None:
+        shift = max(map(len, adj)).bit_length()
     if weight is None:
         weight = [0] * n
         p = n  # n - (start position of the cell)
@@ -129,14 +132,16 @@ def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
 
 
 def _refine_child(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
-                  weight: List[int], ci: int, v: int) -> List[Tuple[int, ...]]:
+                  weight: List[int], ci: int, v: int, *,
+                  shift: Optional[int] = None) -> List[Tuple[int, ...]]:
     """The refined child of equitable `cells` that cuts `v` out of cell
     `ci`, in front of the rest; `weight`, a copy of their weights, ends
     holding the child's.  The first pass has a closed form: the rest
     weighs 1/B of what it did, which lowers a signature by a fixed amount
     per neighbor in `v`'s old cell other than `v`, so within an equitable
     cell the neighbors of `v` lose least: they split off, first."""
-    shift = max(map(len, adj)).bit_length()
+    if shift is None:
+        shift = max(map(len, adj)).bit_length()
     rest = tuple(x for x in cells[ci] if x != v)
     for x in rest:
         weight[x] = weight[v] >> shift
@@ -156,7 +161,7 @@ def _refine_child(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
             check.update(adj[x])
     if not check or len(out) == len(adj):
         return out
-    return _refine_cells(adj, out, weight, check)
+    return _refine_cells(adj, out, weight, check, shift=shift)
 
 
 def _loses_at_root(graph: Graph, v: int, best_code: Optional[List[int]]) -> bool:
@@ -182,6 +187,7 @@ def _ir_search(graph: Graph) -> _SearchResult:
     if n == 0:
         return _SearchResult((), [], [])
     adj = graph.adj
+    shift = max(map(len, adj)).bit_length()
     # vertex -> position in the discrete prefix of the current path; an
     # entry left by another path is told apart by `cells[i][0] != w`
     pos = [0] * n
@@ -254,7 +260,8 @@ def _ir_search(graph: Graph) -> _SearchResult:
                 continue
             if path or len(cells) > 1 or not _loses_at_root(graph, v, best_code):
                 child_weight = weight[:]
-                child = _refine_child(adj, cells, child_weight, ci, v)
+                child = _refine_child(adj, cells, child_weight, ci, v,
+                                      shift=shift)
                 back = rec(child, child_weight, items, path + (v,))
                 if back is not None and back < len(path):
                     return back
@@ -271,8 +278,8 @@ def _ir_search(graph: Graph) -> _SearchResult:
                         stack.append(g[x])
         return None
 
-    weight = [1 << max(map(len, adj)).bit_length() * n] * n
-    rec(_refine_cells(adj, [tuple(range(n))], weight), weight, [], ())
+    weight = [1 << shift * n] * n
+    rec(_refine_cells(adj, [tuple(range(n))], weight, shift=shift), weight, [], ())
     assert best_code is not None and best_posv is not None
     return _SearchResult(tuple(best_code), best_posv, gens)
 
@@ -305,6 +312,12 @@ def _memoized(graph: Graph) -> list:
     if _memo[0] is not graph:
         _memo[:] = [graph, _ir_search(graph), None]
     return _memo
+
+
+def search_generators(graph: Graph) -> List[Images]:
+    """The memoized search's generators, closed into no group: image
+    tuples that generate the automorphism group, none for a trivial one."""
+    return _memoized(graph)[1].generators
 
 
 def automorphism_group(graph: Graph) -> PermutationGroup:

@@ -34,13 +34,14 @@ a predicate reads first.
 
 Each census string's readouts are also kept across scans in a
 per-process memo, ``_FACTS``, one ``_Level`` per order indexed like the
-order's level (``enumeration._LEVEL_CACHE`` keeps the strings by order
-the same way): one byte per string for the girth and the histogram
-test, 0 while unread, and dicts by index for the profile, the cost and
-the cycle test of the few strings that reach them.  An entry is filled
-only when a predicate or a conclusion first asks for it, so a later
-claim decodes only the strings whose asked readouts are not yet there,
-and each graph is profiled at most once per process.  The memo keeps
+order's level (``enumeration._LEVEL_CACHE`` keeps each order's sorted
+strings, and next to them each string's generators, the same way): one
+byte per string for the girth and the histogram test, 0 while unread,
+and dicts by index for the profile, the cost and the cycle test of the
+few strings that reach them.  An entry is filled only when a predicate
+or a conclusion first asks for it, so a later claim decodes only the
+strings whose asked readouts are not yet there, and each graph is
+profiled at most once per process.  The memo keeps
 no graph or record.  After ``verify all --max-n 16`` it held 4,681
 bytes of girths and histogram tests, 37 profiles, 2 costs and 22 cycle
 tests, 56 KB as ``tracemalloc`` counts it.  A claim's own catalog

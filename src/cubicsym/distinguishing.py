@@ -102,7 +102,8 @@ def distinguishing_cost(graph: Graph, budget: Optional[int] = None) -> CostResul
     if group.order == 1:
         return CostResult("asymmetric", 0, ())
     n = graph.n
-    reps = sorted(min(block) for block in orbits(group, Action.VERTICES, graph))
+    blocks = orbits(group.generators, Action.VERTICES, graph)
+    reps = sorted(min(block) for block in blocks)
     # an element preserving a set maps its least member, a rep, into the
     # set: index the non-identity elements by the image of each rep
     moves: Dict[int, Dict[int, List[Tuple[int, ...]]]] = {r: {} for r in reps}

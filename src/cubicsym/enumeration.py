@@ -18,6 +18,17 @@ canonical labeling and automorphism orbits.  Most children lose at
 stage 1 to an edge on more short cycles, which is never a bridge, so
 they are rejected before any ball or bridge search.
 
+A class is its canonical string and generators of its automorphism
+group.  The search that accepts a child finds them; moved onto the
+canonical labeling they act on the graph the string decodes to, and the
+level cache keeps them next to the string (not at MAX_ORDER, from which
+no level is built).  Expanding a class reads its edge-pair orbits off
+them, one child per orbit, and the tie test reads the child's edge
+orbits off its own search, so the census searches each class once, when
+it is accepted, and closes no group.  Orbits depend only on the group,
+never on which generators give it, so the children and the strings are
+those of a fresh search of each parent.
+
 Graphs with no reducible edge cannot be reached that way and are seeded
 directly.  They have a rigid shape: every triangle sits inside a diamond
 (K4 minus an edge), every non-bridge edge is a diamond edge or touches a
@@ -37,10 +48,10 @@ import os
 from multiprocessing import get_context
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .autgrp import automorphism_group, canonical_form, canonical_labeling
+from .autgrp import canonical_form, canonical_labeling, search_generators
 from .graph import Graph, balls, build_graph, bridges
 from .graph6 import decode_graph6
-from .perm import Action, orbits
+from .perm import Action, Images, orbits
 
 MIN_ORDER = 4
 MAX_ORDER = 20
@@ -50,7 +61,16 @@ MAX_ORDER = 20
 KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060, 18: 41301,
                 20: 510489}
 
-_LEVEL_CACHE: Dict[int, Tuple[str, ...]] = {}
+# a class: its canonical graph6 string and image tuples on the canonical
+# labeling that generate the automorphism group of the string's graph;
+# None at MAX_ORDER, as no level is built from that one
+Generators = Tuple[Images, ...]
+Class = Tuple[str, Optional[Generators]]
+
+# a level: its sorted strings, and each one's generators
+Level = Tuple[Tuple[str, ...], Tuple[Optional[Generators], ...]]
+
+_LEVEL_CACHE: Dict[int, Level] = {}
 
 
 class EnumerationRangeError(ValueError):
@@ -196,9 +216,27 @@ def _edge_scores(
 # ---------------------------------------------------------------------------
 # canonical construction path acceptance
 
-def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
-    """Canonical graph6 of the child if the inserted edge sits in the
-    canonical reduction orbit, else None.
+def _canonical_class(graph: Graph) -> Class:
+    """The graph's canonical string, and its search's generators moved onto
+    the canonical labeling: h[p] = label[g[posv[p]]], where posv, the
+    inverse of label, gives the vertex at canonical position p.  So h is
+    an automorphism of the string's graph, and the h generate its group.
+    A graph of order MAX_ORDER gets None."""
+    g6 = canonical_form(graph).decode("ascii")
+    if graph.n == MAX_ORDER:
+        return g6, None
+    label = canonical_labeling(graph)
+    posv = [0] * graph.n
+    for v, p in enumerate(label):
+        posv[p] = v
+    gens = tuple(tuple([label[g[v]] for v in posv])
+                 for g in search_generators(graph))
+    return g6, gens
+
+
+def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[Class]:
+    """The child's class if the inserted edge sits in the canonical
+    reduction orbit, else None.
 
     The canonical reduction edge minimizes (short-cycle key, ball score,
     canonical image) over the reducible edges; the inserted edge is
@@ -231,7 +269,7 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
             return None
         tied = [e for e in tied if scores[e] == best]
     if len(tied) == 1:
-        return canonical_form(child).decode("ascii")
+        return _canonical_class(child)
     label = canonical_labeling(child)
 
     def image(e: Tuple[int, int]) -> Tuple[int, int]:
@@ -239,23 +277,28 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[str]:
         return (x, y) if x < y else (y, x)
 
     target = min(tied, key=image)
-    group = automorphism_group(child)
-    block = next(b for b in orbits(group, Action.EDGES, child) if target in b)
-    return canonical_form(child).decode("ascii") if inserted in block else None
+    edge_orbits = orbits(search_generators(child), Action.EDGES, child)
+    block = next(b for b in edge_orbits if target in b)
+    return _canonical_class(child) if inserted in block else None
 
 
-def _edge_pair_reps(graph: Graph) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-    """Unordered pairs of distinct edges, one per automorphism orbit."""
-    group = automorphism_group(graph)
-    return [b[0] for b in orbits(group, Action.EDGE_PAIRS, graph)]
+def _edge_pair_reps(
+    graph: Graph, generators: Generators
+) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+    """Unordered pairs of distinct edges, one per orbit of the group that
+    the generators generate."""
+    return [b[0] for b in orbits(generators, Action.EDGE_PAIRS, graph)]
 
 
-def _expand_parent(parent_g6: str) -> List[str]:
-    """All accepted children of one parent, as canonical graph6 strings."""
-    parent = decode_graph6(parent_g6)
+def _expand_parent(parent: Class) -> List[Class]:
+    """All accepted children of one class.  The class carries the
+    generators of its own acceptance search, so the parent is decoded
+    and not searched again."""
+    g6, generators = parent
+    graph = decode_graph6(g6)
     out = []
-    for e1, e2 in _edge_pair_reps(parent):
-        child = insert_on_edges(parent, e1, e2)
+    for e1, e2 in _edge_pair_reps(graph, generators):
+        child = insert_on_edges(graph, e1, e2)
         inserted = (child.n - 2, child.n - 1)
         accepted = _accept_child(child, inserted)
         if accepted is not None:
@@ -328,13 +371,14 @@ def _expand_structure(k: int, f: int, mult: Dict[Tuple[int, int], int]) -> Graph
     return build_graph(4 * k + f, edges)
 
 
-def irreducible_seeds(n: int) -> Tuple[str, ...]:
+def irreducible_seeds(n: int) -> Tuple[Class, ...]:
     """Connected cubic graphs on n vertices with no reducible edge, as
-    sorted canonical graph6 strings.  K4 (order 4) is the generation base
-    and is not produced here."""
+    (canonical graph6, generators) classes sorted by string; the
+    generators act on the string's graph and generate its group.  K4
+    (order 4) is the generation base and is not produced here."""
     if n % 2 or n < 6:
         return ()
-    found: Set[str] = set()
+    found: Dict[str, Optional[Generators]] = {}
     for k in range(1, n // 4 + 1):
         f = n - 4 * k
         if f > max(2 * k - 2, 0):
@@ -346,38 +390,39 @@ def irreducible_seeds(n: int) -> Tuple[str, ...]:
                 continue
             if reducible_edges(g):
                 continue
-            found.add(canonical_form(g).decode("ascii"))
-    return tuple(sorted(found))
+            g6, gens = _canonical_class(g)
+            found.setdefault(g6, gens)
+    return tuple(sorted(found.items()))
 
 
 # ---------------------------------------------------------------------------
 # the generator
 
-def _build_level(n: int, jobs: int) -> Tuple[str, ...]:
+def _build_level(n: int, jobs: int) -> Level:
     if n == MIN_ORDER:
         k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
-        return (canonical_form(k4).decode("ascii"),)
-    parents = _level(n - 2, jobs)
-    workers = min(jobs, len(parents), os.cpu_count() or 1)
-    if workers > 1:
-        ctx = get_context("fork")
-        chunk = max(1, len(parents) // (workers * 8))
-        with ctx.Pool(workers) as pool:
-            results = pool.map(_expand_parent, parents, chunksize=chunk)
+        children = [_canonical_class(k4)]
     else:
-        results = [_expand_parent(p) for p in parents]
-    children: List[str] = []
-    for lst in results:
-        children.extend(lst)
-    children.extend(irreducible_seeds(n))
+        parents = list(zip(*_level(n - 2, jobs)))
+        workers = min(jobs, len(parents), os.cpu_count() or 1)
+        if workers > 1:
+            ctx = get_context("fork")
+            chunk = max(1, len(parents) // (workers * 8))
+            with ctx.Pool(workers) as pool:
+                results = pool.map(_expand_parent, parents, chunksize=chunk)
+        else:
+            results = [_expand_parent(p) for p in parents]
+        children = [c for lst in results for c in lst]
+        children.extend(irreducible_seeds(n))
     children.sort()
-    for a, b in zip(children, children[1:]):
+    for (a, _), (b, _) in zip(children, children[1:]):
         if a == b:
             raise AssertionError(f"duplicate class generated at n={n}: {a}")
-    return tuple(children)
+    strings, generators = zip(*children)
+    return strings, generators
 
 
-def _level(n: int, jobs: int) -> Tuple[str, ...]:
+def _level(n: int, jobs: int) -> Level:
     if n not in _LEVEL_CACHE:
         _LEVEL_CACHE[n] = _build_level(n, jobs)
     return _LEVEL_CACHE[n]
@@ -389,7 +434,7 @@ def enumerate_cubic_graph6(n: int, jobs: int = 1) -> Tuple[str, ...]:
     independent of the worker count).  Each level forks at most
     min(jobs, parents, cores) workers."""
     _check_order(n)
-    return _level(n, jobs)
+    return _level(n, jobs)[0]
 
 
 def enumerate_cubic(n: int, jobs: int = 1) -> Iterator[Graph]:

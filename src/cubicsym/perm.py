@@ -159,10 +159,15 @@ def _image_fn(action: Action) -> Callable[[Images, object], object]:
     return pair_image
 
 
-def orbits(group: PermutationGroup, action: Action, host: Graph):
-    """Orbit partition of the acted-on set; blocks sorted by least member."""
-    if group.degree != host.n:
-        raise ValueError("group degree does not match host order")
+def orbits(generators: Iterable[Images], action: Action, host: Graph):
+    """Orbit partition of the acted-on set under the group the generators
+    generate, none for the trivial group; blocks sorted by least member.
+    Only the generators are read, so a search's generators give the
+    orbits with no closure; a caller holding a group passes
+    ``group.generators``."""
+    generators = tuple(generators)
+    if any(len(g) != host.n for g in generators):
+        raise ValueError("generator degree does not match host order")
     img = _image_fn(action)
     seen: Set[object] = set()
     blocks = []
@@ -172,7 +177,7 @@ def orbits(group: PermutationGroup, action: Action, host: Graph):
         seen.add(start)
         block = [start]
         for x in block:  # grows while it is scanned
-            for g in group.generators:
+            for g in generators:
                 y = img(g, x)
                 if y not in seen:
                     seen.add(y)

@@ -120,7 +120,7 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
     link = stabilizer(group, range(min(n, 1)))  # G_0; G if n = 0, trivial
     stab_order = link.order
     vt = n == 0 or group.order == n * stab_order
-    edge_orbs = orbits(group, Action.EDGES, graph)
+    edge_orbs = orbits(group.generators, Action.EDGES, graph)
     tags = tuple(_tag_orbit(graph, orb) for orb in edge_orbs)
     findings = ()
     kinds = sorted(t.kind for t in tags)

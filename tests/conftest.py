@@ -519,7 +519,7 @@ def transitivity_fields(graph: Graph) -> Tuple[bool, int, bool, int]:
     """(vertex_transitive, max_s, s_regular_at_max, vertex_stabilizer_order)
     of a connected graph, by counting."""
     group = automorphism_group(graph)
-    vt = len(orbits(group, Action.VERTICES, graph)) <= 1
+    vt = len(orbits(group.generators, Action.VERTICES, graph)) <= 1
     max_s = 0
     while max_s < MAX_S and _s_arc_transitive(group, graph, max_s + 1):
         max_s += 1

@@ -199,7 +199,7 @@ def test_criterion_11_property_suites():
                      "truncated_icosahedron", "truncated_k4"):
             g = catalog_graph(name)
             group = automorphism_group(g)
-            for block in orbits(group, Action.VERTICES, g):
+            for block in orbits(group.generators, Action.VERTICES, g):
                 st = stabilizer(group, [block[0]])
                 assert len(block) * st.order == group.order
         # distinguishing sets vs a filter over backtracked automorphisms

@@ -21,11 +21,11 @@ from cubicsym import (
     irreducible_seeds,
     is_isomorphic,
 )
-from cubicsym import enumeration
+from cubicsym import autgrp, enumeration
 from cubicsym.autgrp import automorphism_group, canonical_labeling
 from cubicsym.graph import bridges
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
-from cubicsym.perm import Action, orbits
+from cubicsym.perm import Action, close_generators, orbits
 
 import conftest
 from conftest import (enumerate_cubic_bruteforce, labelled_connected_cubic,
@@ -58,6 +58,75 @@ def test_census_satisfies_the_mass_formula(n):
     labelled = sum(factorial(n) // automorphism_group(decode_graph6(g6)).order
                    for g6 in enumerate_cubic_graph6(n))
     assert labelled == labelled_connected_cubic(n)
+
+
+def _census_levels(monkeypatch, jobs):
+    """The census to 14 built afresh: order -> (strings, generators).  At
+    jobs 2 the pool forks 2 workers even on one core."""
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    return {n: enumeration._level(n, jobs) for n in range(4, 15, 2)}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_carried_generators_generate_each_group(monkeypatch, jobs):
+    # the generators a class carries to its expansion act on its string's
+    # graph and generate its whole group: the elements a fresh search
+    # closes to, and the mass formula over the orders they close to
+    for n, (strings, carried) in _census_levels(monkeypatch, jobs).items():
+        labelled = 0
+        for g6, gens in zip(strings, carried):
+            group = close_generators(gens, n)
+            assert group.elements == automorphism_group(decode_graph6(g6)).elements
+            labelled += factorial(n) // group.order
+        assert labelled == labelled_connected_cubic(n)
+
+
+def test_carried_generators_are_identical_across_jobs(monkeypatch):
+    assert _census_levels(monkeypatch, 1) == _census_levels(monkeypatch, 2)
+
+
+def test_the_top_order_carries_no_generators():
+    # no level is built from order MAX_ORDER, so its classes keep none
+    top = catalog_graph("dodecahedron")
+    assert top.n == enumeration.MAX_ORDER
+    assert enumeration._canonical_class(top) == (canonical_form(top).decode("ascii"), None)
+    assert enumeration._canonical_class(catalog_graph("petersen"))[1]
+
+
+def test_census_searches_each_class_once_and_closes_no_group(monkeypatch):
+    # a parent is expanded with the generators its own acceptance search
+    # found, so a search inside `_expand_parent` is always of a child, and
+    # the orbits are read off generators with no group closed
+    searched, closures, parent = [], [], [None]
+    search, close = autgrp._ir_search, autgrp.close_generators
+    expand = enumeration._expand_parent
+
+    def counting_search(graph):
+        searched.append((parent[0], graph.n))
+        return search(graph)
+
+    def counting_close(*args, **kwargs):
+        closures.append(args)
+        return close(*args, **kwargs)
+
+    def expanding(parent_class):
+        parent[0] = decode_graph6(parent_class[0]).n
+        try:
+            return expand(parent_class)
+        finally:
+            parent[0] = None
+
+    monkeypatch.setattr(autgrp, "_ir_search", counting_search)
+    monkeypatch.setattr(autgrp, "close_generators", counting_close)
+    monkeypatch.setattr(enumeration, "_expand_parent", expanding)
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    for n in range(4, 15, 2):
+        enumerate_cubic_graph6(n)
+    assert closures == []
+    assert all(m == n + 2 for n, m in searched if n is not None)
+    # 802 when each parent was searched again before its expansion
+    assert len(searched) == 690
 
 
 def test_census_to_14_is_byte_identical():
@@ -221,18 +290,20 @@ def _reference_accept(child, inserted):
         (e for e in red if score[e] == best),
         key=lambda e: tuple(sorted((label[e[0]], label[e[1]]))),
     )
-    for block in orbits(automorphism_group(child), Action.EDGES, child):
+    for block in orbits(automorphism_group(child).generators, Action.EDGES, child):
         if target in block:
             return canonical_form(child).decode("ascii") if inserted in block else None
 
 
 def test_accept_child_matches_reference_rule():
     for n in (4, 6, 8, 10):
-        for parent in enumerate_cubic(n):
-            for e1, e2 in enumeration._edge_pair_reps(parent):
+        for g6, generators in zip(*enumeration._level(n, 1)):
+            parent = decode_graph6(g6)
+            for e1, e2 in enumeration._edge_pair_reps(parent, generators):
                 child = insert_on_edges(parent, e1, e2)
                 inserted = (child.n - 2, child.n - 1)
-                assert enumeration._accept_child(child, inserted) == (
+                accepted = enumeration._accept_child(child, inserted)
+                assert (accepted and accepted[0]) == (
                     _reference_accept(child, inserted)
                 )
 
@@ -326,7 +397,7 @@ def test_seeds_match_oracle_irreducibles():
                 g6 for g6 in oracle if not reducible_edges(decode_graph6(g6))
             )
         )
-        assert irr == irreducible_seeds(n)
+        assert irr == tuple(g6 for g6, _ in irreducible_seeds(n))
 
 
 def test_seed_structure():
@@ -335,7 +406,7 @@ def test_seed_structure():
     assert len(irreducible_seeds(6)) == 0
     assert len(irreducible_seeds(8)) == 1
     assert len(irreducible_seeds(10)) == 1
-    g = decode_graph6(irreducible_seeds(8)[0])
+    g = decode_graph6(irreducible_seeds(8)[0][0])
     assert g.is_cubic() and g.is_connected()
     assert not reducible_edges(g)
 
