@@ -43,7 +43,8 @@ stops at the first item that exceeds it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .graph import Graph
 from .graph6 import encode_graph6
@@ -171,13 +172,10 @@ def _loses_at_root(graph: Graph, v: int, best_code: Optional[List[int]]) -> bool
             and best_code[1 : len(row) + 1] == [1 << j for j in range(len(row))])
 
 
-class _SearchResult:
-    __slots__ = ("code", "position_vertex", "generators")
-
-    def __init__(self, code, position_vertex, generators):
-        self.code = code
-        self.position_vertex = position_vertex  # canonical position -> vertex
-        self.generators = generators  # image tuples from equal-code leaves
+class _SearchResult(NamedTuple):
+    code: Tuple[int, ...]
+    position_vertex: List[int]  # canonical position -> vertex
+    generators: List[Images]  # image tuples from equal-code leaves
 
 
 def _ir_search(graph: Graph) -> _SearchResult:

@@ -32,22 +32,20 @@ graphs never reach the group.  The girth and this histogram test come
 from one pass over the balls, ``graph.girth_and_histograms``, whichever
 a predicate reads first.
 
-Each census string's readouts are also kept across scans in a
-per-process memo, ``_FACTS``, one ``_Level`` per order indexed like the
-order's level (``enumeration._LEVEL_CACHE`` keeps each order's sorted
-strings, and next to them each string's generators, the same way): one
-byte per string for the girth and the histogram test, 0 while unread,
-and dicts by index for the profile, the cost and the cycle test of the
-few strings that reach them.  An entry is filled only when a predicate
-or a conclusion first asks for it, so a later claim decodes only the
-strings whose asked readouts are not yet there, and each graph is
-profiled at most once per process.  The memo keeps
-no graph or record.  After ``verify all --max-n 16`` it held 4,681
-bytes of girths and histogram tests, 37 profiles, 2 costs and 22 cycle
-tests, 56 KB as ``tracemalloc`` counts it.  A claim's own catalog
-input is one ``Record`` kept for the process in ``_INPUTS``, so
-``thm34`` and ``cor33`` share its profile; inputs given by the caller
-are fresh records.
+Every record keeps its readouts in a memo at an index, a ``_Memo``.  A
+census string's memo is its order's entry of the per-process ``_FACTS``,
+indexed like the order's level in ``enumeration._LEVEL_CACHE``, so it
+lasts across scans: one byte per string for the girth and the histogram
+test, 0 while unread, and dicts by index for the profile, the cost and
+the cycle test of the few strings that reach them.  An entry is filled
+only when a predicate or a conclusion first asks for it, so a later
+claim decodes only the strings whose asked readouts are not yet there,
+and each census graph is profiled at most once per process; the census
+memo keeps no graph or record.  Any other record has a one-slot memo of
+its own: a caller's input, or one of the fixed catalog graphs, each one
+record per process (``_catalog_record``), so ``thm34`` and ``cor33``
+share their input's profile and an allowed, named or excluded graph's
+form is searched once.
 
 Claim ids:
 
@@ -139,32 +137,52 @@ class ClaimReport:
         return "\n".join(lines)
 
 
+class _Memo:
+    """Readouts by index: of one census order's strings, or of one other
+    graph at index 0.  ``ball_facts`` holds girth << 1 | histograms agree,
+    0 while unread, a forest's girth (None) as 1, which no simple graph
+    has: a byte per census string (girth <= 6), a list for another graph,
+    whose girth may pass 127.  The dicts hold the readouts that need the
+    group."""
+
+    __slots__ = ("ball_facts", "profiles", "costs", "cycle_tests")
+
+    def __init__(self, ball_facts):
+        self.ball_facts = ball_facts
+        self.profiles: Dict[int, TransitivityProfile] = {}
+        self.costs: Dict[int, CostResult] = {}
+        self.cycle_tests: Dict[int, bool] = {}
+
+
+# order -> the memo of its census strings
+_FACTS: Dict[int, _Memo] = {}
+
+
 class Record:
     """One graph under test: a census graph6 string or a named input.
 
-    Every invariant is computed on first use and kept; the library
-    functions are looked up in this module's namespace at call time.
-    ``histograms_agree`` is the cheap necessary condition for
-    vertex-transitivity that the transitivity predicates test before
-    ``profile``, which builds the automorphism group: every vertex's ball
-    has the same size at every radius, which is every vertex having the
-    same distance histogram, unreached vertices included.  It and the
-    girth come from one pass over the balls (``girth_and_histograms``),
-    whichever is read first.  ``has_consistent_girth_cycle`` is what the
-    ``consistent-girth-cycle`` predicate, ``lem45`` and ``lem46`` ask.
-
-    A census record (``_CensusRecord``) keeps the girth, the histogram
-    test, the profile, the cost and the cycle test in its order's entry
-    of ``_FACTS`` instead, for every later scan in the process, each
-    computed only when a predicate or a conclusion first asks.
-    """
+    Each readout is computed on first use, by the library function looked
+    up in this module's namespace at call time, and kept in the record's
+    memo at its index: its order's memo in ``_FACTS`` for a census string
+    (given by ``_census``), else a one-slot memo.  ``histograms_agree`` is
+    the cheap necessary condition for vertex-transitivity that the
+    transitivity predicates test before ``profile``, which builds the
+    automorphism group: every vertex's ball has the same size at every
+    radius, which is every vertex having the same distance histogram,
+    unreached vertices included.  It and the girth come from one pass over
+    the balls (``girth_and_histograms``), whichever is read first.
+    ``has_consistent_girth_cycle`` is what the ``consistent-girth-cycle``
+    predicate, ``lem45`` and ``lem46`` ask."""
 
     def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None, memo: Optional[_Memo] = None,
+                 index: int = 0):
         if graph is not None:
             self.graph = graph
         self.g6 = g6
         self.name = name
+        self._memo = _Memo([0]) if memo is None else memo
+        self._index = index
 
     @cached_property
     def graph(self) -> Graph:
@@ -177,12 +195,17 @@ class Record:
             return self.g6.encode("ascii")
         return canonical_form(self.graph)
 
-    @cached_property
+    @property
     def ball_facts(self) -> Tuple[Optional[int], bool]:
         """(girth, histograms agree)."""
-        # an automorphism preserves distances, so a vertex-transitive graph
-        # has one BFS distance histogram at every vertex
-        return girth_and_histograms(self.graph)
+        facts, i = self._memo.ball_facts, self._index
+        if not facts[i]:
+            # an automorphism preserves distances, so a vertex-transitive
+            # graph has one BFS distance histogram at every vertex
+            length, agree = girth_and_histograms(self.graph)
+            facts[i] = (length or 1) << 1 | agree
+        length = facts[i] >> 1
+        return (None if length == 1 else length), facts[i] & 1 == 1
 
     @property
     def girth(self) -> Optional[int]:
@@ -192,78 +215,25 @@ class Record:
     def histograms_agree(self) -> bool:
         return self.ball_facts[1]
 
-    @cached_property
-    def profile(self) -> TransitivityProfile:
-        return transitivity_profile(self.graph)
-
-    @cached_property
-    def cost(self) -> CostResult:
-        return distinguishing_cost(self.graph)
-
-    @cached_property
-    def has_consistent_girth_cycle(self) -> bool:
-        return (self.girth is not None
-                and len(consistent_cycles(self.graph, self.girth)) > 0)
-
-
-class _Level:
-    """The memo of one census order, indexed like its level's strings.
-
-    ``ball_facts`` holds one byte per string, girth << 1 | histograms
-    agree, 0 while unread (a cubic graph has a cycle, so a census girth
-    is at least 3); the three dicts hold the readouts that need the
-    group, for the few strings that reach them."""
-
-    __slots__ = ("ball_facts", "profiles", "costs", "cycle_tests")
-
-    def __init__(self, size: int):
-        self.ball_facts = bytearray(size)
-        self.profiles: Dict[int, TransitivityProfile] = {}
-        self.costs: Dict[int, CostResult] = {}
-        self.cycle_tests: Dict[int, bool] = {}
-
-
-# order -> its memo; catalog name -> its input record
-_FACTS: Dict[int, _Level] = {}
-_INPUTS: Dict[str, Record] = {}
-
-
-class _CensusRecord(Record):
-    """A census string whose readouts are read from its order's
-    ``_Level``, and computed into it on first demand by ``Record``'s own
-    property functions, without their cache."""
-
-    def __init__(self, g6: str, level: _Level, index: int):
-        super().__init__(g6=g6)
-        self._level = level
-        self._index = index
-
-    def _read(self, memo: dict, compute: Callable[[Record], object]):
+    def _read(self, memo: dict, compute: Callable[[Graph], object]):
         value = memo.get(self._index)
         if value is None:
-            value = memo[self._index] = compute(self)
+            value = memo[self._index] = compute(self.graph)
         return value
 
     @property
-    def ball_facts(self) -> Tuple[int, bool]:
-        facts, i = self._level.ball_facts, self._index
-        if not facts[i]:
-            length, agree = Record.ball_facts.func(self)
-            facts[i] = length << 1 | agree
-        return facts[i] >> 1, facts[i] & 1 == 1
-
-    @property
     def profile(self) -> TransitivityProfile:
-        return self._read(self._level.profiles, Record.profile.func)
+        return self._read(self._memo.profiles, transitivity_profile)
 
     @property
     def cost(self) -> CostResult:
-        return self._read(self._level.costs, Record.cost.func)
+        return self._read(self._memo.costs, distinguishing_cost)
 
     @property
     def has_consistent_girth_cycle(self) -> bool:
-        return self._read(self._level.cycle_tests,
-                          Record.has_consistent_girth_cycle.func)
+        return self._read(self._memo.cycle_tests, lambda graph: (
+            self.girth is not None
+            and len(consistent_cycles(graph, self.girth)) > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +302,18 @@ def _census(orders: Iterable[int], jobs: int) -> Iterator[Record]:
     for n in orders:
         level = enumerate_cubic_graph6(n, jobs)
         if n not in _FACTS:
-            _FACTS[n] = _Level(len(level))
+            _FACTS[n] = _Memo(bytearray(len(level)))
         memo = _FACTS[n]
         for index, g6 in enumerate(level):
-            yield _CensusRecord(g6, memo, index)
+            yield Record(g6=g6, memo=memo, index=index)
 
 
-def _input_record(name: str) -> Record:
-    """The record of a claim's own catalog input, kept for the process."""
-    if name not in _INPUTS:
-        _INPUTS[name] = Record(catalog_graph(name), name=name)
-    return _INPUTS[name]
+@cache
+def _catalog_record(name: str) -> Record:
+    """The record of a fixed catalog graph, kept for the process: a
+    claim's own input, or an allowed, named or excluded graph, whose form
+    is searched once."""
+    return Record(catalog_graph(name), name=name)
 
 
 def filtered_enumeration(
@@ -483,18 +454,13 @@ CLAIM_IDS = tuple(sorted(CLAIMS))
 INPUT_CLAIMS = tuple(key for key, claim in CLAIMS.items() if claim.inputs)
 
 
-@cache
-def _catalog_form(name: str) -> bytes:
-    """Canonical form of a fixed catalog graph, searched once per process."""
-    return canonical_form(catalog_graph(name))
-
-
 def _scan(claim: Claim, report: ClaimReport,
           records: Iterable[Record]) -> ClaimReport:
     """Test hypothesis => conclusion on every record; stop at a failure."""
     steps = [_parse_predicate(spec) for spec in claim.hypothesis]
-    forms = {name: _catalog_form(name) for name in claim.allowed + claim.named}
-    excluded = {_catalog_form(name) for name in claim.excluded}
+    forms = {name: _catalog_record(name).form
+             for name in claim.allowed + claim.named}
+    excluded = {_catalog_record(name).form for name in claim.excluded}
     for record in records:
         report.graphs_scanned += 1
         failed = _failed_step(record, steps)
@@ -540,14 +506,15 @@ def verify_claim(
         if inputs:
             records = [Record(g, name=name) for name, g in inputs]
         else:
-            records = list(map(_input_record, claim.inputs))
+            records = list(map(_catalog_record, claim.inputs))
         orders = [record.graph.n for record in records]
         n_range = (min(orders), max(orders))
     else:
         n_range = (4, n_max)
         records = _census(range(4, n_max + 1, 2), jobs)
     report = ClaimReport(key, n_range, 0)
-    oversize = [name for name in claim.allowed if catalog_graph(name).n > n_range[1]]
+    oversize = [name for name in claim.allowed
+                if _catalog_record(name).graph.n > n_range[1]]
     if oversize:
         report.notes.append(
             "allowed graphs beyond the scanned range: " + ", ".join(oversize)

@@ -137,7 +137,7 @@ def empty_memos(monkeypatch):
     from cubicsym import claims
 
     monkeypatch.setattr(claims, "_FACTS", {})
-    monkeypatch.setattr(claims, "_INPUTS", {})
+    claims._catalog_record.cache_clear()
     return claims._FACTS
 
 

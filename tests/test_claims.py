@@ -299,7 +299,7 @@ def test_census_facts_equal_the_uncached_facts(monkeypatch, empty_memos):
     filled = _check_filled_entries(empty_memos)
     assert filled[:3] == [621, 26, 1] and filled[3] > 0
     monkeypatch.setattr(claims, "_FACTS", {})
-    monkeypatch.setattr(claims, "_INPUTS", {})
+    claims._catalog_record.cache_clear()
     assert reports == {claim: verify_claim(claim, n_max=14).to_dict()
                        for claim in CLAIM_IDS}
 
