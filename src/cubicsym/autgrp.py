@@ -20,13 +20,12 @@ the found automorphisms generate the whole group, which is materialized
 by closing them.  An automorphism stays a plain image tuple from the leaf
 that finds it through the closure to the group's sorted element list.
 
-One cut is proved, not found.  The root of a d-regular graph is one cell,
-and below its child v every leaf has v's neighbors at positions 1..d,
-the item at j being 2 ** (j - 1) plus a bit per earlier neighbor: the
-least run 1, 2, ..., 2 ** (d - 1) if the neighborhood spans no edge, a
-larger one if it does.  Once the best code has the least run, a root
-child whose neighborhood spans an edge is skipped, as every leaf below
-it would stop at a position <= d; it joins `done` as explored ones do.
+The root is split by a vertex invariant before it is refined: its cells
+group the vertices by their ball sizes |B_r(v)|, r = 0..3, read off
+``graph.balls``, in ascending order of that vector.  An automorphism keeps
+every ball size and the cell order reads no vertex id, so the tree stays
+closed under the automorphisms and under relabeling.  A vertex-transitive
+graph keeps a one-cell root; most others get a smaller target cell there.
 
 Refinement is incremental, yet it gives the fragments, in the same order,
 that counting every vertex against every cell gives.  A vertex weighs B ** (n - p), where p is
@@ -43,10 +42,11 @@ stops at the first item that exceeds it.
 
 from __future__ import annotations
 
+from itertools import groupby, islice
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
-from .graph import Graph
+from .graph import Graph, balls
 from .graph6 import encode_graph6
 from .perm import (
     DEFAULT_GROUP_CAP,
@@ -55,6 +55,17 @@ from .perm import (
     close_generators,
     extend_closure,
 )
+
+
+def _cell_weights(cells: List[Tuple[int, ...]], shift: int) -> List[int]:
+    """Every vertex's weight B ** (n - p) under `cells` (`_refine_cells`)."""
+    weight = [0] * sum(map(len, cells))
+    p = len(weight)  # n - (start position of the cell)
+    for cell in cells:
+        for v in cell:
+            weight[v] = 1 << shift * p
+        p -= len(cell)
+    return weight
 
 
 def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
@@ -89,13 +100,7 @@ def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
     if shift is None:
         shift = max(map(len, adj)).bit_length()
     if weight is None:
-        weight = [0] * n
-        p = n  # n - (start position of the cell)
-        for cell in cells:
-            w = 1 << shift * p
-            for v in cell:
-                weight[v] = w
-            p -= len(cell)
+        weight = _cell_weights(cells, shift)
     if check is None:
         check = set(range(n))
     while True:
@@ -163,13 +168,6 @@ def _refine_child(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
     if not check or len(out) == len(adj):
         return out
     return _refine_cells(adj, out, weight, check, shift=shift)
-
-
-def _loses_at_root(graph: Graph, v: int, best_code: Optional[List[int]]) -> bool:
-    """Whether root child `v` of a regular graph loses (module docstring)."""
-    row, bits = graph.adj[v], graph.adj_bits
-    return (best_code is not None and any(bits[v] & bits[x] for x in row)
-            and best_code[1 : len(row) + 1] == [1 << j for j in range(len(row))])
 
 
 class _SearchResult(NamedTuple):
@@ -256,13 +254,11 @@ def _ir_search(graph: Graph) -> _SearchResult:
         for v in cell:
             if v in done:
                 continue
-            if path or len(cells) > 1 or not _loses_at_root(graph, v, best_code):
-                child_weight = weight[:]
-                child = _refine_child(adj, cells, child_weight, ci, v,
-                                      shift=shift)
-                back = rec(child, child_weight, items, path + (v,))
-                if back is not None and back < len(path):
-                    return back
+            child_weight = weight[:]
+            child = _refine_child(adj, cells, child_weight, ci, v, shift=shift)
+            back = rec(child, child_weight, items, path + (v,))
+            if back is not None and back < len(path):
+                return back
             done.add(v)
             new = [g for g in gens[seen:] if all(g[x] == x for x in path)]
             seen = len(gens)
@@ -276,8 +272,12 @@ def _ir_search(graph: Graph) -> _SearchResult:
                         stack.append(g[x])
         return None
 
-    weight = [1 << shift * n] * n
-    rec(_refine_cells(adj, [tuple(range(n))], weight, shift=shift), weight, [], ())
+    # the root: vertices grouped by (|B_0(v)|, ..., |B_3(v)|), ascending
+    sizes = [map(int.bit_count, ball) for ball in islice(balls(graph), 4)]
+    vector = list(zip(*sizes)).__getitem__
+    root = [tuple(c) for _, c in groupby(sorted(range(n), key=vector), vector)]
+    weight = _cell_weights(root, shift)
+    rec(_refine_cells(adj, root, weight, shift=shift), weight, [], ())
     assert best_code is not None and best_posv is not None
     return _SearchResult(tuple(best_code), best_posv, gens)
 

@@ -48,7 +48,7 @@ from .truncation import (
     seeded_orders,
 )
 
-SCHEMA_VERSION = "cubicsym/report-v1"
+SCHEMA_VERSION = "cubicsym/report-v2"
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1

@@ -11,8 +11,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import pytest
 
 from cubicsym import (EnumerationRangeError, Graph, automorphism_group,
-                      build_graph, canonical_form, orbits, s_arcs, stabilizer,
-                      transitivity_profile)
+                      build_graph, canonical_form, encode_graph6, orbits,
+                      s_arcs, stabilizer, transitivity_profile)
+from cubicsym.autgrp import _refine_cells, _refine_child, _SearchResult
 from cubicsym.graph import edge_components
 from cubicsym.perm import Action, PermutationGroup
 from cubicsym.symmetry import MAX_S
@@ -579,3 +580,137 @@ def labelled_connected_cubic(n: int) -> int:
         c[m] = a[m] - sum(comb(m - 1, k - 1) * c[k] * a[m - k]
                           for k in range(1, m))
     return c[n]
+
+
+# ---------------------------------------------------------------------------
+# the canonical search before its root was split by ball sizes (canonical
+# form v1), kept verbatim as the reference for the cross-walk to v2.  It
+# shares the refinement kernels, which did not change.
+#
+# Its one cut is proved, not found (the "module docstring" that
+# `_loses_at_root` cites).  The root of a d-regular graph is one cell,
+# and below its child v every leaf has v's neighbors at positions 1..d,
+# the item at j being 2 ** (j - 1) plus a bit per earlier neighbor: the
+# least run 1, 2, ..., 2 ** (d - 1) if the neighborhood spans no edge, a
+# larger one if it does.  Once the best code has the least run, a root
+# child whose neighborhood spans an edge is skipped, as every leaf below
+# it would stop at a position <= d; it joins `done` as explored ones do.
+
+
+def _loses_at_root(graph: Graph, v: int, best_code: Optional[List[int]]) -> bool:
+    """Whether root child `v` of a regular graph loses (module docstring)."""
+    row, bits = graph.adj[v], graph.adj_bits
+    return (best_code is not None and any(bits[v] & bits[x] for x in row)
+            and best_code[1 : len(row) + 1] == [1 << j for j in range(len(row))])
+
+
+def _ir_search(graph: Graph) -> _SearchResult:
+    """Explore the refinement tree with orbit pruning; return the minimum
+    leaf code, the first leaf reaching it, and generators of the group."""
+    n = graph.n
+    if n == 0:
+        return _SearchResult((), [], [])
+    adj = graph.adj
+    shift = max(map(len, adj)).bit_length()
+    # vertex -> position in the discrete prefix of the current path; an
+    # entry left by another path is told apart by `cells[i][0] != w`
+    pos = [0] * n
+
+    best_code: Optional[List[int]] = None
+    best_posv: Optional[List[int]] = None
+    best_path: Tuple[int, ...] = ()
+    gens: List[Tuple[int, ...]] = []
+
+    def rec(cells: List[Tuple[int, ...]], weight: List[int], items: List[int],
+            path: Tuple[int, ...]) -> Optional[int]:
+        """Explore below an equitable node; a depth to unwind to, or None."""
+        nonlocal best_code, best_posv, best_path
+        # the parent's discrete prefix is a prefix of this one
+        k = len(items)
+        t = k
+        while t < len(cells) and len(cells[t]) == 1:
+            t += 1
+        # the parent's items never exceed the best code's prefix: they are
+        # either equal to it (a tie, compared on below) or less
+        tie = best_code is not None and items == best_code[:k]
+        if t > k:
+            items = list(items)
+            for j in range(k, t):
+                vj = cells[j][0]
+                pos[vj] = j
+                item = 0
+                for w in adj[vj]:
+                    i = pos[w]
+                    if i < j and cells[i][0] == w:
+                        item |= 1 << (j - 1 - i)
+                if tie:
+                    ref = best_code[j]
+                    if item > ref:
+                        return None
+                    tie = item == ref
+                items.append(item)
+        if t == len(cells):  # discrete partition: a leaf
+            posv = [c[0] for c in cells]
+            if not tie:
+                best_code = items
+                best_posv = posv
+                best_path = path
+            else:
+                assert best_posv is not None
+                images = [0] * n
+                for p in range(n):
+                    images[posv[p]] = best_posv[p]
+                gens.append(tuple(images))
+                # its inverse fixes the paths' common prefix and maps the
+                # best path's next child onto this one's: unwind to there
+                d = 0
+                while path[d] == best_path[d]:
+                    d += 1
+                return d
+            return None
+        sizes = [len(c) for c in cells]
+        target_size = min(s for s in sizes if s > 1)
+        ci = sizes.index(target_size)
+        cell = cells[ci]
+        # children in one orbit of the found automorphisms fixing the path
+        # root isomorphic subtrees with equal leaf codes: explore one each.
+        # `done` stays closed under `fixing`, so it is closed again from
+        # all of it only when a fixing generator is new, else from v alone
+        done: Set[int] = set()
+        fixing: List[Tuple[int, ...]] = []
+        seen = 0  # generators already sorted into `fixing` or not
+        for v in cell:
+            if v in done:
+                continue
+            if path or len(cells) > 1 or not _loses_at_root(graph, v, best_code):
+                child_weight = weight[:]
+                child = _refine_child(adj, cells, child_weight, ci, v,
+                                      shift=shift)
+                back = rec(child, child_weight, items, path + (v,))
+                if back is not None and back < len(path):
+                    return back
+            done.add(v)
+            new = [g for g in gens[seen:] if all(g[x] == x for x in path)]
+            seen = len(gens)
+            fixing += new
+            stack = list(done) if new else [v]
+            while stack:
+                x = stack.pop()
+                for g in fixing:
+                    if g[x] not in done:
+                        done.add(g[x])
+                        stack.append(g[x])
+        return None
+
+    weight = [1 << shift * n] * n
+    rec(_refine_cells(adj, [tuple(range(n))], weight, shift=shift), weight, [], ())
+    assert best_code is not None and best_posv is not None
+    return _SearchResult(tuple(best_code), best_posv, gens)
+
+
+def v1_canonical_form(graph: Graph) -> str:
+    """The graph6 string of the v1 canonical labeling."""
+    label = [0] * graph.n
+    for p, v in enumerate(_ir_search(graph).position_vertex):
+        label[v] = p
+    return encode_graph6(graph.relabel(label))

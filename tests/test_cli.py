@@ -68,7 +68,7 @@ def test_analyze_f26a_matches_golden_bytes(capsys):
 # sha256 of the `analyze --json` stdout of every fixed catalog graph, in
 # FIXED_CATALOG order: it pins generators, costs and cycle counts
 ANALYZE_CATALOG_SHA256 = (
-    "73c3fa764052130ef5ccd003ff8b2f410096860a06d437008987f95dba346114"
+    "f5a8c382dce0c002394e142a0edea48b58693cab0a09797b94fdbf6dba04c148"
 )
 
 
@@ -540,7 +540,7 @@ def test_verify_json(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["verdict"] == "Pass"
-    assert payload["schema"] == "cubicsym/report-v1"
+    assert payload["schema"] == "cubicsym/report-v2"
 
 
 def test_reports_identical_across_jobs(capsys):

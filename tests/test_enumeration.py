@@ -32,7 +32,7 @@ from conftest import (enumerate_cubic_bruteforce, labelled_connected_cubic,
                       random_cubic)
 
 # sha256 of the sorted census strings for n = 4..14, each followed by "\n"
-CENSUS_14_SHA256 = "b68745dbc048cffd55c6f9b50e939ae1a4b5e5ca78b48ad228dd046eb93095b5"
+CENSUS_14_SHA256 = "a15f9f8d58825ea761f6fcbee24a06f72074973a9be7bcfff1559f9b934d0b63"
 
 
 def test_counts_match_bruteforce_oracle():

@@ -3,9 +3,9 @@
 `reference_search` is the search before automorphism pruning: it visits
 every leaf whose code prefix is not already beaten and keeps every
 automorphism that an equal-code leaf yields, so the group is read off
-the leaves with no closure; its recursion, `reference_leaves`, can start
-at any node, and the root-skip test runs it below each skipped root
-child.  It refines with `reference_refine`, the
+the leaves with no closure.  It starts from the engine's root, the
+vertices grouped by their ball sizes, which `reference_root` reads off
+BFS distances.  It refines with `reference_refine`, the
 dense-signature refinement that the incremental `_refine_cells`
 replaced, so the engine is compared with the old refinement end to end.
 `reference_reduce` is the greedy generator reduction of that version,
@@ -37,7 +37,8 @@ from cubicsym.perm import Action, orbits
 
 from cubicsym.catalog import complete_bipartite, complete_graph
 
-from conftest import FIXED_CATALOG, random_graph, random_relabel
+from conftest import (FIXED_CATALOG, distance_profiles, random_graph,
+                      random_relabel)
 
 
 def reference_refine(
@@ -100,12 +101,21 @@ def reference_leaves(graph, cells, bound):
         yield from reference_leaves(graph, child_cells(cells, ci, v), bound)
 
 
+def reference_root(graph) -> List[Tuple[int, ...]]:
+    """The vertices grouped by (|B_0(v)|, ..., |B_3(v)|), counted from BFS
+    distances, the cells in ascending order of that vector."""
+    vectors = [tuple(sum(0 <= d <= r for d in row) for r in range(4))
+               for row in distance_profiles(graph)[0]]
+    return [tuple(v for v, x in enumerate(vectors) if x == vector)
+            for vector in sorted(set(vectors))]
+
+
 def reference_search(graph):
     n = graph.n
     best: List = [None, None]  # code, position -> vertex
     auts: Set[Tuple[int, ...]] = {tuple(range(n))}
     for items, posv in reference_leaves(
-            graph, [tuple(range(n))], lambda: best[0]):
+            graph, reference_root(graph), lambda: best[0]):
         if best[0] is None or items < best[0]:
             best = [items, posv]
         elif items == best[0]:
@@ -310,64 +320,8 @@ def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
     monkeypatch.setattr(autgrp, "_refine_child", checked)
     for g in census:
         autgrp._ir_search(g)
-    # one per refined non-root node of these searches: the root children
-    # skipped by `_loses_at_root` are not refined
-    assert len(seeded) == 305  # 361 before the root skip
-
-
-def record_root_calls(monkeypatch) -> List[Tuple[int, bool]]:
-    """Patch `_loses_at_root` to log each root child it is asked about
-    and whether the search skips it."""
-    loses = autgrp._loses_at_root
-    calls: List[Tuple[int, bool]] = []
-
-    def recording(graph, v, best_code):
-        out = loses(graph, v, best_code)
-        calls.append((v, out))
-        return out
-
-    monkeypatch.setattr(autgrp, "_loses_at_root", recording)
-    return calls
-
-
-def test_skipped_root_children_hold_no_leaf_up_to_the_best(monkeypatch):
-    # below a skipped root child, the reference recursion cut only by the
-    # final best code must find no leaf: none beats it and none ties it,
-    # so the skip loses neither the canonical leaf nor an automorphism
-    graphs = [g for n in (4, 6, 8, 10, 12) for g in enumerate_cubic(n)]
-    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
-    calls = record_root_calls(monkeypatch)
-    rng = random.Random(20261019)
-    skipped = 0
-    for g in graphs:
-        for _ in range(2):
-            h = random_relabel(g, rng)
-            calls.clear()
-            code = list(autgrp._ir_search(h).code)
-            for v in [v for v, out in calls if out]:
-                rest = tuple(x for x in range(h.n) if x != v)
-                assert not list(reference_leaves(h, [(v,), rest], lambda: code))
-                skipped += 1
-    assert skipped > 0
-
-
-def test_root_skip_fires_on_the_census_to_10(monkeypatch):
-    census = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
-    calls = record_root_calls(monkeypatch)
-    for g in census:
-        autgrp._ir_search(g)
-    assert sum(out for _, out in calls) == 33
-
-
-@pytest.mark.parametrize("name", ["petersen", "prism(3)"])
-def test_root_skip_never_fires(monkeypatch, name):
-    # Petersen: no neighborhood spans an edge.  The triangular prism:
-    # every one does, so no leaf has the least items 1, 2, 4
-    g = catalog_graph(name)
-    calls = record_root_calls(monkeypatch)
-    for h in (g, random_relabel(g, random.Random(name))):
-        autgrp._ir_search(h)
-    assert calls and not any(out for _, out in calls)
+    # one per refined non-root node of these searches
+    assert len(seeded) == 249
 
 
 def test_refinement_work_is_pinned(monkeypatch):
@@ -383,14 +337,14 @@ def test_refinement_work_is_pinned(monkeypatch):
         monkeypatch.setattr(autgrp, name, counting)
     for g in census:
         autgrp._ir_search(g)
-    assert counts == {"_refine_child": 1263, "_refine_cells": 112 + 811}
+    assert counts == {"_refine_child": 817, "_refine_cells": 112 + 442}
 
 
 # sha256 of the search outputs (code, position_vertex, generator images),
 # one repr per line, over the census to n = 12 and the fixed catalog, each
 # graph in two relabellings: it pins the order the search explores in, not
 # only the canonical forms it reaches
-SEARCH_PIN_SHA256 = "01c980ee4fb1558aebc559b54d4993b63089f8a6fd53af271fa4b741bc297a6c"
+SEARCH_PIN_SHA256 = "8c774d8cdb1e2e7cb82505d2f964524f56af8532fcf41a063070c64cb99abb8a"
 
 
 def test_search_outputs_are_pinned():
