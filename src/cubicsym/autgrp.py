@@ -38,6 +38,12 @@ weight the previous pass changed.  A child starts from its node's
 equitable partition and weights, and its first pass has a closed form.
 The leaf code is compared with the best one item by item, so a node
 stops at the first item that exceeds it.
+
+Item j of a leaf code is the bitmask of the earlier positions adjacent to
+position j, position 0 at its top bit: column j of the adjacency matrix
+relabelled to the leaf's order, which graph6 packs in that bit order.  So
+the canonical string is packed straight from the best leaf code, with no
+relabelled graph built.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .graph import Graph, balls
-from .graph6 import encode_graph6
+from .graph6 import _encode_columns
 from .perm import (
     DEFAULT_GROUP_CAP,
     Images,
@@ -340,8 +346,10 @@ def canonical_labeling(graph: Graph) -> Tuple[int, ...]:
 
 
 def canonical_form(graph: Graph) -> bytes:
-    """Relabeling-invariant byte form: graph6 of the canonical labeling."""
-    return encode_graph6(graph.relabel(canonical_labeling(graph))).encode("ascii")
+    """Relabeling-invariant byte form: graph6 of the canonical labeling,
+    packed from the best leaf code, whose item j is column j of the
+    canonical adjacency matrix."""
+    return _encode_columns(_memoized(graph)[1].code)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -15,8 +15,36 @@ lexicographically: first the numbers of 3-, 4- and 5-cycles through the
 edge (more first), read off neighbour bitmasks; then the sizes of the
 balls about the endpoints, read off ``graph.balls``.  Ties are broken by
 canonical labeling and automorphism orbits.  Most children lose at
-stage 1 to an edge on more short cycles, which is never a bridge, so
-they are rejected before any ball or bridge search.
+stage 1 to an edge on more short cycles, which is never a bridge.
+
+Stage 1 is read off the parent, and a child is built only when it
+survives there.  The construction path fixes the accepted set, not the
+order of the tests (McKay, "Isomorph-free exhaustive generation", 1998):
+a child is rejected at stage 1 iff some reducible edge beats the
+inserted one.  Let C be the child of inserting on e1 = ab and e2 = cd,
+with new vertices x on e1 and y on e2, and call a parent edge f = pq
+*far* when p and q lie outside N[a] | N[b] | N[c] | N[d], the closed
+neighbourhoods in the parent.  A far edge keeps its key and its local
+reducibility in C:
+
+* p and q keep their neighbours in C, and the only edges among those
+  neighbours that C drops are e1 and e2, either of which would put an
+  endpoint of e1 or e2 next to p or q; so f's local reducibility stays.
+* On a cycle of length <= 5 through f, every edge other than f has an
+  endpoint adjacent to p or q, so no such cycle of the parent uses e1 or
+  e2.  In C, p and q gain no neighbour, and x and y are adjacent only to
+  a, b, c, d and each other.  Every vertex of such a cycle other than p
+  and q is adjacent to p or q, except the middle vertex of a 5-cycle; x
+  or y could lie there only with a, b, c or d adjacent to p or q, which
+  f's position excludes.  So f lies on the same short cycles in C.
+
+Each parent's edges are keyed once.  A child's far edges are read off
+them in ascending key order, at no cost per edge, and they reject most
+children before any row of the child is patched.  The other edges, the
+four split edges among them, are keyed on the patched rows; a survivor
+is built once and goes on to stage 2 with the edges that tie with its
+inserted edge.  The bridge search runs only for a tie on no short
+cycle, on the built child, as a far edge may become a bridge there.
 
 A class is its canonical string and generators of its automorphism
 group.  The search that accepts a child finds them; moved onto the
@@ -46,9 +74,9 @@ from __future__ import annotations
 import itertools
 import os
 from multiprocessing import get_context
-from typing import Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .autgrp import canonical_form, canonical_labeling, search_generators
+from .autgrp import _memoized, canonical_form, canonical_labeling, search_generators
 from .graph import Graph, balls, build_graph, bridges
 from .graph6 import decode_graph6
 from .perm import Action, Images, orbits
@@ -89,31 +117,30 @@ def _check_order(n: int) -> None:
 # ---------------------------------------------------------------------------
 # edge reduction / insertion
 
-def _is_reducible(
-    graph: Graph, edge: Tuple[int, int], bridge_set: Collection[Tuple[int, int]]
-) -> bool:
-    """True iff contracting the edge yields a connected simple cubic graph.
-
-    ``bridge_set`` holds the graph's bridges; it may be left empty for an
-    edge known to lie on a cycle, which is never a bridge.
-    """
-    if edge in bridge_set:
-        return False
-    u, v = edge
-    a, b = (x for x in graph.adj[u] if x != v)
-    c, d = (x for x in graph.adj[v] if x != u)
-    if graph.has_edge(a, b) or graph.has_edge(c, d):
-        return False  # a triangle at one endpoint avoiding the other
-    return {a, b} != {c, d}  # else both new edges would coincide
+Edge = Tuple[int, int]
 
 
-def reducible_edges(graph: Graph) -> List[Tuple[int, int]]:
+def _locally_reducible(bits: Sequence[int], u: int, v: int) -> bool:
+    """Reducibility of the edge uv of a cubic graph, but for the bridge
+    test: neither endpoint lies in a triangle avoiding the other, and the
+    endpoints do not share both remaining neighbours.  Read off the
+    bitmasks: ``ab``, u's other two neighbours, holds an edge iff its
+    lowest vertex is adjacent to the rest of it."""
+    ab = bits[u] ^ 1 << v
+    cd = bits[v] ^ 1 << u
+    return (ab != cd and not bits[(ab & -ab).bit_length() - 1] & ab
+            and not bits[(cd & -cd).bit_length() - 1] & cd)
+
+
+def reducible_edges(graph: Graph) -> List[Edge]:
     """Edges whose contraction yields a connected simple cubic graph."""
     bridge_set = bridges(graph)
-    return [e for e in graph.edges() if _is_reducible(graph, e, bridge_set)]
+    bits = graph.adj_bits
+    return [e for e in graph.edges()
+            if e not in bridge_set and _locally_reducible(bits, *e)]
 
 
-def reduce_edge(graph: Graph, edge: Tuple[int, int]) -> Graph:
+def reduce_edge(graph: Graph, edge: Edge) -> Graph:
     """Contract a reducible edge: drop its endpoints, rejoin the stubs.
 
     Remaining vertices are renumbered ascending.
@@ -133,35 +160,73 @@ def reduce_edge(graph: Graph, edge: Tuple[int, int]) -> Graph:
     return build_graph(graph.n - 2, edges)
 
 
-def insert_on_edges(
-    graph: Graph, e1: Tuple[int, int], e2: Tuple[int, int]
-) -> Graph:
+def _insert_bits(graph: Graph, e1: Edge, e2: Edge) -> List[int]:
+    """The bitmasks of the graph that inserting on two distinct edges
+    gives: each edge's endpoints swap each other for their new vertex, n
+    for e1 and n + 1 for e2."""
+    n = graph.n
+    bits = list(graph.adj_bits)
+    for (a, b), x in ((e1, n), (e2, n + 1)):
+        bits[a] ^= 1 << b | 1 << x
+        bits[b] ^= 1 << a | 1 << x
+    (a, b), (c, d) = e1, e2
+    bits += (1 << a | 1 << b | 1 << n + 1, 1 << c | 1 << d | 1 << n)
+    return bits
+
+
+def _insert_rows(graph: Graph, e1: Edge, e2: Edge) -> List[Tuple[int, ...]]:
+    """The neighbour rows of the same graph, patched from the graph's; the
+    new vertices come last, so every row stays ascending."""
+    n = graph.n
+    rows = list(graph.adj)
+    for (a, b), x in ((e1, n), (e2, n + 1)):
+        for u, w in ((a, b), (b, a)):
+            row = rows[u]
+            i = row.index(w)
+            rows[u] = row[:i] + row[i + 1 :] + (x,)
+    (a, b), (c, d) = e1, e2
+    rows += ((min(a, b), max(a, b), n + 1), (min(c, d), max(c, d), n))
+    return rows
+
+
+def insert_on_edges(graph: Graph, e1: Edge, e2: Edge) -> Graph:
     """Subdivide two distinct edges and join the two new vertices.
 
     The parent's rows, tuples and bitmasks, are patched in place of a
     rebuild: each edge's endpoints swap each other for their new vertex.
     """
-    if e1 == e2:
-        raise ValueError("insertion needs two distinct edges")
     n = graph.n
-    rows = list(graph.adj)
-    bits = list(graph.adj_bits)
-    for (a, b), x in ((e1, n), (e2, n + 1)):
-        if not (0 <= a < n and 0 <= b < n and (bits[a] >> b) & 1):
+    for a, b in (e1, e2):
+        if not (0 <= a < n and 0 <= b < n and graph.has_edge(a, b)):
             raise ValueError(f"({a}, {b}) is not an edge")
-        for u, w in ((a, b), (b, a)):
-            bits[u] ^= (1 << w) | (1 << x)
-            rows[u] = tuple(y for y in rows[u] if y != w) + (x,)
-    (a, b), (c, d) = e1, e2
-    bits += ((1 << a) | (1 << b) | (1 << n + 1), (1 << c) | (1 << d) | (1 << n))
-    rows += ((min(a, b), max(a, b), n + 1), (min(c, d), max(c, d), n))
-    return Graph._from_rows(tuple(rows), tuple(bits))
+    if {*e1} == {*e2}:
+        raise ValueError("insertion needs two distinct edges")
+    return Graph._from_rows(tuple(_insert_rows(graph, e1, e2)),
+                            tuple(_insert_bits(graph, e1, e2)))
 
 
 # ---------------------------------------------------------------------------
 # relabeling-invariant edge score, in two stages
 
 _NO_SHORT_CYCLE = (0, 0, 0)
+
+
+def _cycle_key(adj: Sequence[Sequence[int]], bits: Sequence[int],
+               u: int, v: int) -> Tuple[int, int, int]:
+    """`_short_cycle_key` read off neighbour rows and bitmasks."""
+    out_u = bits[u] & ~(1 << v)
+    out_v = bits[v] & ~(1 << u)
+    off_edge = ~((1 << u) | (1 << v))
+    c4 = c5 = 0
+    for x in adj[v]:
+        if x == u:
+            continue
+        bx = bits[x]
+        c4 += (bx & out_u).bit_count()
+        for y in adj[u]:
+            if y != v and y != x:
+                c5 += (bx & bits[y] & off_edge).bit_count()
+    return (-(out_u & out_v).bit_count(), -c4, -c5)
 
 
 def _short_cycle_key(graph: Graph, u: int, v: int) -> Tuple[int, int, int]:
@@ -172,25 +237,10 @@ def _short_cycle_key(graph: Graph, u: int, v: int) -> Tuple[int, int, int]:
     cycles are u-v-x-u (x = y), u-v-x-y-u (x ~ y) and u-v-x-z-y-u (z a
     common neighbour of x and y other than u and v), each counted once.
     """
-    bits = graph.adj_bits
-    out_u = bits[u] & ~(1 << v)
-    out_v = bits[v] & ~(1 << u)
-    off_edge = ~((1 << u) | (1 << v))
-    c4 = c5 = 0
-    for x in graph.adj[v]:
-        if x == u:
-            continue
-        bx = bits[x]
-        c4 += (bx & out_u).bit_count()
-        for y in graph.adj[u]:
-            if y != v and y != x:
-                c5 += (bx & bits[y] & off_edge).bit_count()
-    return (-(out_u & out_v).bit_count(), -c4, -c5)
+    return _cycle_key(graph.adj, graph.adj_bits, u, v)
 
 
-def _edge_scores(
-    graph: Graph, edges: Sequence[Tuple[int, int]]
-) -> Dict[Tuple[int, int], tuple]:
+def _edge_scores(graph: Graph, edges: Sequence[Edge]) -> Dict[Edge, tuple]:
     """Stage 2: ball sizes about the endpoints, jointly, then one by one.
 
     For uv, ``joint`` holds -|B_r(u) & B_r(v)| and -|B_r(u) | B_r(v)| for
@@ -218,50 +268,94 @@ def _edge_scores(
 
 def _canonical_class(graph: Graph) -> Class:
     """The graph's canonical string, and its search's generators moved onto
-    the canonical labeling: h[p] = label[g[posv[p]]], where posv, the
-    inverse of label, gives the vertex at canonical position p.  So h is
-    an automorphism of the string's graph, and the h generate its group.
-    A graph of order MAX_ORDER gets None."""
+    the canonical labeling: h[p] = label[g[posv[p]]], where posv gives the
+    vertex at canonical position p and label is its inverse.  So h is an
+    automorphism of the string's graph, and the h generate its group.  A
+    graph of order MAX_ORDER gets None."""
     g6 = canonical_form(graph).decode("ascii")
     if graph.n == MAX_ORDER:
         return g6, None
+    _, posv, generators = _memoized(graph)[1]
     label = canonical_labeling(graph)
-    posv = [0] * graph.n
-    for v, p in enumerate(label):
-        posv[p] = v
-    gens = tuple(tuple([label[g[v]] for v in posv])
-                 for g in search_generators(graph))
-    return g6, gens
+    return g6, tuple(tuple([label[g[v]] for v in posv]) for g in generators)
 
 
-def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[Class]:
-    """The child's class if the inserted edge sits in the canonical
-    reduction orbit, else None.
+Ranked = List[Tuple[Tuple[int, int, int], Edge, bool]]
+
+
+def _ranked_edges(graph: Graph) -> Ranked:
+    """A parent's edges with their short-cycle keys and local
+    reducibility, by ascending key: computed once per parent."""
+    bits = graph.adj_bits
+    return sorted((_short_cycle_key(graph, u, v), (u, v),
+                   _locally_reducible(bits, u, v)) for u, v in graph.edges())
+
+
+def _survivor(graph: Graph, ranked: Ranked, e1: Edge,
+              e2: Edge) -> Optional[Tuple[Graph, List[Edge]]]:
+    """Stage 1 of the child that inserting on e1 and e2 gives, read off
+    the parent: None if a reducible edge of the child beats the inserted
+    edge's key, else the child, built, and the reducible edges tied with
+    the inserted edge, that one first.
+
+    The far parent edges (module docstring) keep their keys and local
+    reducibility, so they are read off ``ranked`` first; the rows are
+    patched only for a child that none of them rejects, and the other
+    edges are keyed on them.  An edge beating the inserted one lies on a
+    short cycle, so it is no bridge; only a tie on no short cycle asks
+    for the bridges, of the built child.
+    """
+    n = graph.n
+    (a, b), (c, d) = e1, e2
+    bits = _insert_bits(graph, e1, e2)
+    # the inserted edge's key reads the rows of its endpoints alone
+    key = _cycle_key({n: (a, b, n + 1), n + 1: (c, d, n)}, bits, n, n + 1)
+    parent_bits = graph.adj_bits
+    # N[a] | N[b] = N(a) | N(b), as a ~ b in the parent; and so for c ~ d
+    near = parent_bits[a] | parent_bits[b] | parent_bits[c] | parent_bits[d]
+    tied = [(n, n + 1)]
+    for other, (p, q), reducible in ranked:
+        if other > key:
+            break
+        if reducible and not (near >> p & 1 or near >> q & 1):
+            if other < key:
+                return None
+            tied.append((p, q))
+    rows = _insert_rows(graph, e1, e2)
+    split = [(a, n), (b, n), (c, n + 1), (d, n + 1)]
+    for p, q in split + [e for _, e, _ in ranked]:
+        if not (near >> p & 1 or near >> q & 1) or not bits[p] >> q & 1:
+            continue  # a far edge, or e1 or e2, split in the child
+        if not _locally_reducible(bits, p, q):
+            continue
+        other = _cycle_key(rows, bits, p, q)
+        if other <= key:
+            if other < key:
+                return None
+            tied.append((p, q))
+    child = Graph._from_rows(tuple(rows), tuple(bits))
+    if key == _NO_SHORT_CYCLE and len(tied) > 1:
+        bridge_set = bridges(child)
+        tied = [e for e in tied if e not in bridge_set]
+    return child, tied
+
+
+def _accept_child(graph: Graph, ranked: Ranked, e1: Edge,
+                  e2: Edge) -> Optional[Class]:
+    """The class of the child that inserting on e1 and e2 gives, if the
+    inserted edge sits in the canonical reduction orbit, else None.
 
     The canonical reduction edge minimizes (short-cycle key, ball score,
     canonical image) over the reducible edges; the inserted edge is
-    always reducible (its contraction gives back the parent).  An edge
-    whose key beats the inserted edge's lies on a short cycle, so it is
-    no bridge, and the first reducible one rejects the child.  The bridge
-    DFS runs only for a tie on no short cycle, and the ball score only
-    ranks the reducible edges tied with the inserted edge at stage 1.
+    always reducible (its contraction gives back the parent).  Stage 1
+    is read off the parent (`_survivor`), and the ball score only ranks
+    the reducible edges tied with the inserted edge there.
     """
-    key = _short_cycle_key(child, *inserted)
-    bridge_set: Optional[Set[Tuple[int, int]]] = None
-    tied = [inserted]
-    for e in child.edges():
-        if e == inserted:
-            continue
-        other = _short_cycle_key(child, *e)
-        if other > key:
-            continue
-        if other == _NO_SHORT_CYCLE and bridge_set is None:
-            bridge_set = bridges(child)  # a tie on no short cycle
-        if not _is_reducible(child, e, bridge_set or ()):
-            continue
-        if other < key:
-            return None
-        tied.append(e)
+    survivor = _survivor(graph, ranked, e1, e2)
+    if survivor is None:
+        return None
+    child, tied = survivor
+    inserted = tied[0]
     if len(tied) > 1:
         scores = _edge_scores(child, tied)
         best = min(scores.values())
@@ -272,7 +366,7 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[Class]:
         return _canonical_class(child)
     label = canonical_labeling(child)
 
-    def image(e: Tuple[int, int]) -> Tuple[int, int]:
+    def image(e: Edge) -> Edge:
         x, y = label[e[0]], label[e[1]]
         return (x, y) if x < y else (y, x)
 
@@ -282,9 +376,7 @@ def _accept_child(child: Graph, inserted: Tuple[int, int]) -> Optional[Class]:
     return _canonical_class(child) if inserted in block else None
 
 
-def _edge_pair_reps(
-    graph: Graph, generators: Generators
-) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
+def _edge_pair_reps(graph: Graph, generators: Generators) -> List[Tuple[Edge, Edge]]:
     """Unordered pairs of distinct edges, one per orbit of the group that
     the generators generate."""
     return [b[0] for b in orbits(generators, Action.EDGE_PAIRS, graph)]
@@ -293,14 +385,16 @@ def _edge_pair_reps(
 def _expand_parent(parent: Class) -> List[Class]:
     """All accepted children of one class.  The class carries the
     generators of its own acceptance search, so the parent is decoded
-    and not searched again."""
+    and not searched again.  Its edges are keyed once, and each child's
+    stage 1 is read off them: a far edge keeps its key and reducibility
+    in the child (module docstring), so a child is built only when no
+    reducible edge beats its inserted edge."""
     g6, generators = parent
     graph = decode_graph6(g6)
+    ranked = _ranked_edges(graph)
     out = []
     for e1, e2 in _edge_pair_reps(graph, generators):
-        child = insert_on_edges(graph, e1, e2)
-        inserted = (child.n - 2, child.n - 1)
-        accepted = _accept_child(child, inserted)
+        accepted = _accept_child(graph, ranked, e1, e2)
         if accepted is not None:
             out.append(accepted)
     return out

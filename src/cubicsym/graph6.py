@@ -10,7 +10,7 @@ rejected: this toolkit works at desk scale.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .graph import Graph, build_graph
 
@@ -28,35 +28,41 @@ class Graph6Error(ValueError):
 
 
 def encode_graph6(graph: Graph) -> str:
-    n = graph.n
-    if n < 0:
+    if graph.n < 0:
         raise ValueError("negative order")
+    columns = [0] * graph.n
+    for j, row in enumerate(graph.adj):
+        for i in row:
+            if i < j:
+                columns[j] |= 1 << (j - 1 - i)
+    return _encode_columns(columns).decode("ascii")
+
+
+def _encode_columns(columns: Sequence[int]) -> bytes:
+    """graph6 of the graph on len(columns) vertices whose column j, the
+    pairs (i, j) with i < j, is the j-bit number columns[j], read from
+    i = 0 at its top bit (columns[0] is 0).  A search's leaf code has
+    this form, so a canonical string is packed straight from it."""
+    n = len(columns)
     if n >= _MAX_LONG_ORDER + 1:
         raise ValueError(
             f"order {n} needs the 8-byte graph6 form, which is not supported"
         )
-    out: List[int] = []
     if n < 63:
-        out.append(n + 63)
+        out = [n + 63]
     else:
-        out.append(126)
-        out.append(((n >> 12) & 63) + 63)
-        out.append(((n >> 6) & 63) + 63)
-        out.append((n & 63) + 63)
-    bits = 0
-    nbits = 0
+        out = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    bits = nbits = 0  # the bits not yet packed, and their number
     for j in range(1, n):
-        col = graph.adj_bits[j]
-        for i in range(j):
-            bits = (bits << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = 0
-                nbits = 0
+        bits = bits << j | columns[j]
+        nbits += j
+        while nbits >= 6:
+            nbits -= 6
+            out.append((bits >> nbits) + 63)
+            bits &= (1 << nbits) - 1
     if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return "".join(chr(b) for b in out)
+        out.append((bits << 6 - nbits) + 63)
+    return bytes(out)
 
 
 def decode_graph6(text: str) -> Graph:

@@ -9,7 +9,6 @@ an explicit GroupTooLargeError, never silent degradation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
@@ -134,55 +133,58 @@ class Action(Enum):
     EDGE_PAIRS = "edge pairs"  # unordered pairs of distinct edges
 
 
-def _acted_set(action: Action, host: Graph):
-    """The acted-on points in ascending order."""
-    if action is Action.VERTICES:
-        return range(host.n)
-    if action is Action.EDGES:
-        return host.edges()
-    return itertools.combinations(host.edges(), 2)
-
-
-def _image_fn(action: Action) -> Callable[[Images, object], object]:
-    if action is Action.VERTICES:
-        return lambda p, v: p[v]
-
-    def edge_image(p: Images, e):
-        a, b = p[e[0]], p[e[1]]
-        return (a, b) if a < b else (b, a)
-    if action is Action.EDGES:
-        return edge_image
-
-    def pair_image(p: Images, pair):
-        f, g = edge_image(p, pair[0]), edge_image(p, pair[1])
-        return (f, g) if f < g else (g, f)
-    return pair_image
-
-
 def orbits(generators: Iterable[Images], action: Action, host: Graph):
     """Orbit partition of the acted-on set under the group the generators
     generate, none for the trivial group; blocks sorted by least member.
     Only the generators are read, so a search's generators give the
     orbits with no closure; a caller holding a group passes
-    ``group.generators``."""
+    ``group.generators``.
+
+    Edges are walked as their indices in ``host.edges()``, which lists
+    them in ascending order, each generator mapped once to a permutation
+    of the indices; the pair of edge indices i < j is the integer
+    i * m + j of an m-edge graph, so pairs are walked as integers too."""
     generators = tuple(generators)
     if any(len(g) != host.n for g in generators):
         raise ValueError("generator degree does not match host order")
-    img = _image_fn(action)
-    seen: Set[object] = set()
+    if action is Action.VERTICES:
+        return _index_orbits(generators, range(host.n), range(host.n))
+    edges = host.edges()
+    m = len(edges)
+    index = {e: i for i, e in enumerate(edges)}
+    perms = [[index[(a, b) if a < b else (b, a)]
+              for a, b in ((g[u], g[w]) for u, w in edges)] for g in generators]
+    if action is Action.EDGES:
+        return _index_orbits(perms, range(m), edges)
+    # entries with i >= j are never read
+    perms = [[a * m + b if a < b else b * m + a for a in p for b in p]
+             for p in perms]
+    starts = [i * m + j for i in range(m) for j in range(i + 1, m)]
+    return _index_orbits(perms, starts, [(e, f) for e in edges for f in edges])
+
+
+def _index_orbits(perms: Sequence[Sequence[int]], starts: Iterable[int],
+                  points: Sequence) -> Tuple[tuple, ...]:
+    """Orbits of the indices in ascending `starts` under the permutations,
+    in order of their least index, each block sorted and read as the
+    points at its indices."""
+    if not perms:
+        return tuple([(points[i],) for i in starts])
+    seen = bytearray(len(points))
     blocks = []
-    for start in _acted_set(action, host):
-        if start in seen:
+    for start in starts:
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = 1
         block = [start]
         for x in block:  # grows while it is scanned
-            for g in generators:
-                y = img(g, x)
-                if y not in seen:
-                    seen.add(y)
+            for p in perms:
+                y = p[x]
+                if not seen[y]:
+                    seen[y] = 1
                     block.append(y)
-        blocks.append(tuple(sorted(block)))
+        block.sort()
+        blocks.append(tuple(map(points.__getitem__, block)))
     return tuple(blocks)
 
 

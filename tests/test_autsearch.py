@@ -22,6 +22,7 @@ from cubicsym.autgrp import _refine_cells
 from cubicsym.catalog import generalized_petersen, _lcf
 
 from conftest import (
+    FIXED_CATALOG,
     backtracking_automorphisms,
     naive_aut_order,
     random_cubic,
@@ -214,6 +215,23 @@ def test_canonical_form_is_a_graph6_string():
     g = catalog_graph("petersen")
     form = canonical_form(g)
     assert is_isomorphic(decode_graph6(form.decode("ascii")), g)
+
+
+def test_canonical_form_is_packed_from_the_leaf_code():
+    # the string packed from the best leaf code is graph6 of the graph
+    # relabelled canonically: over the profile grid, which holds every
+    # fixed catalog graph, and on order 80, where the header takes 4 bytes
+    from cubicsym import encode_graph6
+    from cubicsym.autgrp import canonical_labeling
+    from cubicsym.catalog import prism
+    from test_profile_reference import GRID
+
+    assert len(GRID) == 1103
+    assert {catalog_graph(name) for name in FIXED_CATALOG} <= set(GRID)
+    for g in GRID + [prism(40)]:
+        relabelled = g.relabel(canonical_labeling(g))
+        assert canonical_form(g) == encode_graph6(relabelled).encode("ascii")
+    assert canonical_form(prism(40))[:4] == b"~?@O"  # 80 = 1 * 64 + 16
 
 
 # ---------------------------------------------------------------------------

@@ -299,10 +299,11 @@ def test_accept_child_matches_reference_rule():
     for n in (4, 6, 8, 10):
         for g6, generators in zip(*enumeration._level(n, 1)):
             parent = decode_graph6(g6)
+            ranked_edges = enumeration._ranked_edges(parent)
             for e1, e2 in enumeration._edge_pair_reps(parent, generators):
                 child = insert_on_edges(parent, e1, e2)
                 inserted = (child.n - 2, child.n - 1)
-                accepted = enumeration._accept_child(child, inserted)
+                accepted = enumeration._accept_child(parent, ranked_edges, e1, e2)
                 assert (accepted and accepted[0]) == (
                     _reference_accept(child, inserted)
                 )
@@ -323,6 +324,16 @@ def _heawood_pair_joined_by_a_bridge():
     return build_graph(30, edges), (14, 29)
 
 
+def _reduction(graph, edge):
+    """The parent that contracting the edge gives, and the two edges of it
+    whose insertion gives the graph back, relabelled, with the edge as
+    the inserted one."""
+    keep = [x for x in range(graph.n) if x not in edge]
+    e1, e2 = (tuple(keep.index(x) for x in graph.adj[w] if x not in edge)
+              for w in edge)
+    return reduce_edge(graph, edge), e1, e2
+
+
 def test_accept_child_never_ranks_a_bridge(monkeypatch):
     # every edge ties at stage 1 on no short cycle, so only the bridge
     # check keeps the bridge out of the ball score
@@ -336,10 +347,102 @@ def test_accept_child_never_ranks_a_bridge(monkeypatch):
         return scores(child, edges)
 
     monkeypatch.setattr(enumeration, "_edge_scores", recording)
+    ranked_any = False
     for e in reducible_edges(graph):
-        enumeration._accept_child(graph, e)
-    assert ranked
-    assert bridge not in ranked
+        parent, e1, e2 = _reduction(graph, e)
+        # the child is the graph relabelled, and its bridge the bridge's image
+        (child_bridge,) = bridges(insert_on_edges(parent, e1, e2))
+        ranked.clear()
+        enumeration._accept_child(parent, enumeration._ranked_edges(parent), e1, e2)
+        assert child_bridge not in ranked
+        ranked_any |= bool(ranked)
+    assert ranked_any
+
+
+def test_census_to_14_builds_only_the_children_stage_1_keeps(monkeypatch):
+    # a child is built only when no reducible edge beats its inserted edge
+    # at stage 1; the rule fixes which children those are, whatever the
+    # order in which the edges are scanned
+    counts = {"children": 0, "built": 0}
+    accept, survivor = enumeration._accept_child, enumeration._survivor
+
+    def counting_accept(*args):
+        counts["children"] += 1
+        return accept(*args)
+
+    def counting_survivor(*args):
+        kept = survivor(*args)
+        counts["built"] += kept is not None
+        return kept
+
+    monkeypatch.setattr(enumeration, "_accept_child", counting_accept)
+    monkeypatch.setattr(enumeration, "_survivor", counting_survivor)
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    for n in range(4, 15, 2):
+        enumerate_cubic_graph6(n)
+    assert counts == {"children": 5539, "built": 837}
+
+
+@pytest.fixture(scope="module")
+def stage_1_parents():
+    """The census parents to order 12, and 40 seeded random connected
+    cubic parents of orders 8 to 30."""
+    parents = [decode_graph6(g6) for n in range(4, 13, 2)
+               for g6 in enumerate_cubic_graph6(n)]
+    rng = random.Random(2727)
+    parents += [random_cubic(8 + 2 * (i % 12), rng, connected=True)
+                for i in range(40)]
+    return parents
+
+
+def _locally_reducible(graph, u, v):
+    """Reducibility of the edge uv but for the bridge test, spelled out."""
+    a, b = (x for x in graph.adj[u] if x != v)
+    c, d = (x for x in graph.adj[v] if x != u)
+    return not graph.has_edge(a, b) and not graph.has_edge(c, d) and {a, b} != {c, d}
+
+
+def test_far_parent_edges_keep_their_key_and_local_reducibility(stage_1_parents):
+    # on every edge pair ab, cd of every parent: a parent edge with no
+    # endpoint in the closed neighbourhoods of a, b, c and d
+    far = 0
+    for parent in stage_1_parents:
+        before = {e: (enumeration._short_cycle_key(parent, *e),
+                      _locally_reducible(parent, *e)) for e in parent.edges()}
+        for e1, e2 in itertools.combinations(parent.edges(), 2):
+            child = insert_on_edges(parent, e1, e2)
+            near = {x for v in e1 + e2 for x in parent.adj[v] + (v,)}
+            for p, q in parent.edges():
+                if p not in near and q not in near:
+                    far += 1
+                    assert before[(p, q)] == (enumeration._short_cycle_key(child, p, q),
+                                              _locally_reducible(child, p, q))
+    assert far > 100_000
+
+
+def test_stage_1_read_off_the_parent_is_the_rule_on_the_child(stage_1_parents):
+    # the rule on the built child: rejected iff a reducible edge beats the
+    # inserted edge's key, else every reducible edge tied with it is kept
+    rejected = kept = 0
+    for parent in stage_1_parents:
+        ranked_edges = enumeration._ranked_edges(parent)
+        for e1, e2 in itertools.combinations(parent.edges(), 2):
+            child = insert_on_edges(parent, e1, e2)
+            key = enumeration._short_cycle_key(child, parent.n, parent.n + 1)
+            red = reducible_edges(child)
+            survivor = enumeration._survivor(parent, ranked_edges, e1, e2)
+            if any(enumeration._short_cycle_key(child, *e) < key for e in red):
+                assert survivor is None
+                rejected += 1
+                continue
+            assert survivor is not None
+            built, tied = survivor
+            assert (built.adj, built.adj_bits) == (child.adj, child.adj_bits)
+            assert tied[0] == (parent.n, parent.n + 1)
+            assert sorted(tied) == [e for e in red
+                                    if enumeration._short_cycle_key(child, *e) == key]
+            kept += 1
+    assert rejected > 20_000 and kept > 3_000
 
 
 def _sign(a, b):
