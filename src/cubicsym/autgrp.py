@@ -35,9 +35,8 @@ against the cells, read as base-B digits with the first cell highest, so
 integer order is count-vector order and fragments keep their order.  A
 pass re-splits only the cells that hold a neighbor of a vertex whose
 weight the previous pass changed.  A child starts from its node's
-equitable partition and weights, and its first pass has a closed form.
-The leaf code is compared with the best one item by item, so a node
-stops at the first item that exceeds it.
+equitable partition and weights.  The leaf code is compared with the best
+one item by item, so a node stops at the first item that exceeds it.
 
 Item j of a leaf code is the bitmask of the earlier positions adjacent to
 position j, position 0 at its top bit: column j of the adjacency matrix
@@ -97,8 +96,10 @@ def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
     A signature changes only if a neighbor's weight does, so a pass
     re-splits only the cells holding a neighbor of a moved vertex; the
     others cannot split.  A caller may pass `weight`, those of `cells`, to
-    update to the result's, `check`, that vertex set for a first pass, and
-    `shift`, a constant of the graph that a search computes once.
+    update to the result's, `shift`, a constant of the graph that a search
+    computes once, and `check`, the vertex set of a first pass: it must
+    cover every vertex with a neighbor whose weight changed since the
+    cells were last equitable.
     """
     n = len(adj)
     if len(cells) == n:
@@ -141,39 +142,6 @@ def _refine_cells(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
             for v in fragment:
                 weight[v] = w
                 check.update(adj[v])
-
-
-def _refine_child(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
-                  weight: List[int], ci: int, v: int, *,
-                  shift: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """The refined child of equitable `cells` that cuts `v` out of cell
-    `ci`, in front of the rest; `weight`, a copy of their weights, ends
-    holding the child's.  The first pass has a closed form: the rest
-    weighs 1/B of what it did, which lowers a signature by a fixed amount
-    per neighbor in `v`'s old cell other than `v`, so within an equitable
-    cell the neighbors of `v` lose least: they split off, first."""
-    if shift is None:
-        shift = max(map(len, adj)).bit_length()
-    rest = tuple(x for x in cells[ci] if x != v)
-    for x in rest:
-        weight[x] = weight[v] >> shift
-    near = set(adj[v])
-    out: List[Tuple[int, ...]] = []
-    check: Set[int] = set()
-    for cell in cells[:ci] + [(v,), rest] + cells[ci + 1 :]:
-        first = () if near.isdisjoint(cell) else tuple(x for x in cell if x in near)
-        if not 0 < len(first) < len(cell):
-            out.append(cell)
-            continue
-        far = tuple(x for x in cell if x not in near)
-        out += (first, far)
-        w = weight[cell[0]] >> shift * len(first)
-        for x in far:
-            weight[x] = w
-            check.update(adj[x])
-    if not check or len(out) == len(adj):
-        return out
-    return _refine_cells(adj, out, weight, check, shift=shift)
 
 
 class _SearchResult(NamedTuple):
@@ -260,8 +228,16 @@ def _ir_search(graph: Graph) -> _SearchResult:
         for v in cell:
             if v in done:
                 continue
+            # v keeps its weight, the rest of its cell moves one position
+            # on: only the rest's neighbors change signature
+            rest = tuple(x for x in cell if x != v)
             child_weight = weight[:]
-            child = _refine_child(adj, cells, child_weight, ci, v, shift=shift)
+            check: Set[int] = set()
+            for x in rest:
+                child_weight[x] = weight[v] >> shift
+                check.update(adj[x])
+            child = _refine_cells(adj, cells[:ci] + [(v,), rest] + cells[ci + 1 :],
+                                  child_weight, check, shift=shift)
             back = rec(child, child_weight, items, path + (v,))
             if back is not None and back < len(path):
                 return back

@@ -211,9 +211,15 @@ def insert_on_edges(graph: Graph, e1: Edge, e2: Edge) -> Graph:
 _NO_SHORT_CYCLE = (0, 0, 0)
 
 
-def _cycle_key(adj: Sequence[Sequence[int]], bits: Sequence[int],
-               u: int, v: int) -> Tuple[int, int, int]:
-    """`_short_cycle_key` read off neighbour rows and bitmasks."""
+def _short_cycle_key(adj: Sequence[Sequence[int]], bits: Sequence[int],
+                     u: int, v: int) -> Tuple[int, int, int]:
+    """Stage 1: the negated numbers of 3-, 4- and 5-cycles through the
+    edge uv, so that edges on more short cycles sort first.
+
+    With x a neighbour of v and y a neighbour of u off the edge, the
+    cycles are u-v-x-u (x = y), u-v-x-y-u (x ~ y) and u-v-x-z-y-u (z a
+    common neighbour of x and y other than u and v), each counted once.
+    """
     out_u = bits[u] & ~(1 << v)
     out_v = bits[v] & ~(1 << u)
     off_edge = ~((1 << u) | (1 << v))
@@ -227,17 +233,6 @@ def _cycle_key(adj: Sequence[Sequence[int]], bits: Sequence[int],
             if y != v and y != x:
                 c5 += (bx & bits[y] & off_edge).bit_count()
     return (-(out_u & out_v).bit_count(), -c4, -c5)
-
-
-def _short_cycle_key(graph: Graph, u: int, v: int) -> Tuple[int, int, int]:
-    """Stage 1: the negated numbers of 3-, 4- and 5-cycles through the
-    edge uv, so that edges on more short cycles sort first.
-
-    With x a neighbour of v and y a neighbour of u off the edge, the
-    cycles are u-v-x-u (x = y), u-v-x-y-u (x ~ y) and u-v-x-z-y-u (z a
-    common neighbour of x and y other than u and v), each counted once.
-    """
-    return _cycle_key(graph.adj, graph.adj_bits, u, v)
 
 
 def _edge_scores(graph: Graph, edges: Sequence[Edge]) -> Dict[Edge, tuple]:
@@ -287,7 +282,7 @@ def _ranked_edges(graph: Graph) -> Ranked:
     """A parent's edges with their short-cycle keys and local
     reducibility, by ascending key: computed once per parent."""
     bits = graph.adj_bits
-    return sorted((_short_cycle_key(graph, u, v), (u, v),
+    return sorted((_short_cycle_key(graph.adj, bits, u, v), (u, v),
                    _locally_reducible(bits, u, v)) for u, v in graph.edges())
 
 
@@ -309,7 +304,8 @@ def _survivor(graph: Graph, ranked: Ranked, e1: Edge,
     (a, b), (c, d) = e1, e2
     bits = _insert_bits(graph, e1, e2)
     # the inserted edge's key reads the rows of its endpoints alone
-    key = _cycle_key({n: (a, b, n + 1), n + 1: (c, d, n)}, bits, n, n + 1)
+    key = _short_cycle_key({n: (a, b, n + 1), n + 1: (c, d, n)}, bits,
+                           n, n + 1)
     parent_bits = graph.adj_bits
     # N[a] | N[b] = N(a) | N(b), as a ~ b in the parent; and so for c ~ d
     near = parent_bits[a] | parent_bits[b] | parent_bits[c] | parent_bits[d]
@@ -328,7 +324,7 @@ def _survivor(graph: Graph, ranked: Ranked, e1: Edge,
             continue  # a far edge, or e1 or e2, split in the child
         if not _locally_reducible(bits, p, q):
             continue
-        other = _cycle_key(rows, bits, p, q)
+        other = _short_cycle_key(rows, bits, p, q)
         if other <= key:
             if other < key:
                 return None

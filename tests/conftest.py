@@ -13,7 +13,7 @@ import pytest
 from cubicsym import (EnumerationRangeError, Graph, automorphism_group,
                       build_graph, canonical_form, encode_graph6, orbits,
                       s_arcs, stabilizer, transitivity_profile)
-from cubicsym.autgrp import _refine_cells, _refine_child, _SearchResult
+from cubicsym.autgrp import _refine_cells, _SearchResult
 from cubicsym.graph import edge_components
 from cubicsym.perm import Action, PermutationGroup
 from cubicsym.symmetry import MAX_S
@@ -585,7 +585,8 @@ def labelled_connected_cubic(n: int) -> int:
 # ---------------------------------------------------------------------------
 # the canonical search before its root was split by ball sizes (canonical
 # form v1), kept verbatim as the reference for the cross-walk to v2.  It
-# shares the refinement kernels, which did not change.
+# shares `_refine_cells`; `_refine_child`, the closed-form first pass of
+# a search child that the engine no longer has, is kept here as it was.
 #
 # Its one cut is proved, not found (the "module docstring" that
 # `_loses_at_root` cites).  The root of a d-regular graph is one cell,
@@ -595,6 +596,39 @@ def labelled_connected_cubic(n: int) -> int:
 # larger one if it does.  Once the best code has the least run, a root
 # child whose neighborhood spans an edge is skipped, as every leaf below
 # it would stop at a position <= d; it joins `done` as explored ones do.
+
+
+def _refine_child(adj: Sequence[Sequence[int]], cells: List[Tuple[int, ...]],
+                  weight: List[int], ci: int, v: int, *,
+                  shift: Optional[int] = None) -> List[Tuple[int, ...]]:
+    """The refined child of equitable `cells` that cuts `v` out of cell
+    `ci`, in front of the rest; `weight`, a copy of their weights, ends
+    holding the child's.  The first pass has a closed form: the rest
+    weighs 1/B of what it did, which lowers a signature by a fixed amount
+    per neighbor in `v`'s old cell other than `v`, so within an equitable
+    cell the neighbors of `v` lose least: they split off, first."""
+    if shift is None:
+        shift = max(map(len, adj)).bit_length()
+    rest = tuple(x for x in cells[ci] if x != v)
+    for x in rest:
+        weight[x] = weight[v] >> shift
+    near = set(adj[v])
+    out: List[Tuple[int, ...]] = []
+    check: Set[int] = set()
+    for cell in cells[:ci] + [(v,), rest] + cells[ci + 1 :]:
+        first = () if near.isdisjoint(cell) else tuple(x for x in cell if x in near)
+        if not 0 < len(first) < len(cell):
+            out.append(cell)
+            continue
+        far = tuple(x for x in cell if x not in near)
+        out += (first, far)
+        w = weight[cell[0]] >> shift * len(first)
+        for x in far:
+            weight[x] = w
+            check.update(adj[x])
+    if not check or len(out) == len(adj):
+        return out
+    return _refine_cells(adj, out, weight, check, shift=shift)
 
 
 def _loses_at_root(graph: Graph, v: int, best_code: Optional[List[int]]) -> bool:

@@ -267,14 +267,18 @@ def _brute_short_cycle_key(g, edge):
     )
 
 
+def _stage_1_key(g, u, v):
+    return enumeration._short_cycle_key(g.adj, g.adj_bits, u, v)
+
+
 def test_short_cycle_key_matches_brute_force(rng):
     graphs = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
     graphs += [random_cubic(n, rng) for n in (8, 12, 16, 20) for _ in range(3)]
     for g in graphs:
         for u, v in g.edges():
-            key = enumeration._short_cycle_key(g, u, v)
+            key = _stage_1_key(g, u, v)
             assert key == _brute_short_cycle_key(g, (u, v))
-            assert key == enumeration._short_cycle_key(g, v, u)
+            assert key == _stage_1_key(g, v, u)
 
 
 def _reference_accept(child, inserted):
@@ -283,7 +287,7 @@ def _reference_accept(child, inserted):
     iff the inserted edge shares an automorphism orbit with the winner."""
     red = reducible_edges(child)
     balls = enumeration._edge_scores(child, red)
-    score = {e: (enumeration._short_cycle_key(child, *e), balls[e]) for e in red}
+    score = {e: (_stage_1_key(child, *e), balls[e]) for e in red}
     best = min(score.values())
     label = canonical_labeling(child)
     target = min(
@@ -407,7 +411,7 @@ def test_far_parent_edges_keep_their_key_and_local_reducibility(stage_1_parents)
     # endpoint in the closed neighbourhoods of a, b, c and d
     far = 0
     for parent in stage_1_parents:
-        before = {e: (enumeration._short_cycle_key(parent, *e),
+        before = {e: (_stage_1_key(parent, *e),
                       _locally_reducible(parent, *e)) for e in parent.edges()}
         for e1, e2 in itertools.combinations(parent.edges(), 2):
             child = insert_on_edges(parent, e1, e2)
@@ -415,7 +419,7 @@ def test_far_parent_edges_keep_their_key_and_local_reducibility(stage_1_parents)
             for p, q in parent.edges():
                 if p not in near and q not in near:
                     far += 1
-                    assert before[(p, q)] == (enumeration._short_cycle_key(child, p, q),
+                    assert before[(p, q)] == (_stage_1_key(child, p, q),
                                               _locally_reducible(child, p, q))
     assert far > 100_000
 
@@ -428,10 +432,10 @@ def test_stage_1_read_off_the_parent_is_the_rule_on_the_child(stage_1_parents):
         ranked_edges = enumeration._ranked_edges(parent)
         for e1, e2 in itertools.combinations(parent.edges(), 2):
             child = insert_on_edges(parent, e1, e2)
-            key = enumeration._short_cycle_key(child, parent.n, parent.n + 1)
+            key = _stage_1_key(child, parent.n, parent.n + 1)
             red = reducible_edges(child)
             survivor = enumeration._survivor(parent, ranked_edges, e1, e2)
-            if any(enumeration._short_cycle_key(child, *e) < key for e in red):
+            if any(_stage_1_key(child, *e) < key for e in red):
                 assert survivor is None
                 rejected += 1
                 continue
@@ -440,7 +444,7 @@ def test_stage_1_read_off_the_parent_is_the_rule_on_the_child(stage_1_parents):
             assert (built.adj, built.adj_bits) == (child.adj, child.adj_bits)
             assert tied[0] == (parent.n, parent.n + 1)
             assert sorted(tied) == [e for e in red
-                                    if enumeration._short_cycle_key(child, *e) == key]
+                                    if _stage_1_key(child, *e) == key]
             kept += 1
     assert rejected > 20_000 and kept > 3_000
 
@@ -476,7 +480,7 @@ def test_stage_2_orders_edges_as_the_distance_reference(monkeypatch):
     for i in range(40):
         g = random_cubic(8 + 2 * (i % 12), rng, connected=True)
         edges = reducible_edges(g)
-        off_short_cycles += sum(enumeration._short_cycle_key(g, *e)
+        off_short_cycles += sum(_stage_1_key(g, *e)
                                 == enumeration._NO_SHORT_CYCLE for e in edges)
         _assert_same_order(score, g, edges)
     assert off_short_cycles > 100

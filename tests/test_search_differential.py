@@ -31,8 +31,8 @@ from cubicsym import (
     enumerate_cubic,
 )
 from cubicsym import autgrp
-from cubicsym.autgrp import (_refine_cells, _refine_child, canonical_form,
-                             canonical_labeling, reduced_generators)
+from cubicsym.autgrp import (_refine_cells, canonical_form, canonical_labeling,
+                             reduced_generators)
 from cubicsym.perm import Action, orbits
 
 from cubicsym.catalog import complete_bipartite, complete_graph
@@ -236,6 +236,18 @@ def child_cells(cells, ci: int, v: int) -> List[Tuple[int, ...]]:
     return cells[:ci] + [(v,), rest] + cells[ci + 1 :]
 
 
+def refine_child(adj, cells, weight, ci: int, v: int) -> List[Tuple[int, ...]]:
+    """The search's child of equitable `cells` that cuts `v` out of cell
+    ci: `weight`, theirs, gets the rest of the cell moved one position on
+    and ends holding the child's; only the rest's neighbors are checked."""
+    shift = max(map(len, adj)).bit_length()
+    child = child_cells(cells, ci, v)
+    for x in child[ci + 1]:
+        weight[x] = weight[v] >> shift
+    check = {w for x in child[ci + 1] for w in adj[x]}
+    return _refine_cells(adj, child, weight, check)
+
+
 def split_equitable(graph, rng: random.Random):
     """An equitable cell list, one of its non-singleton cells and a vertex
     of it, and that cell cut in two with the cell's neighbors: the seed
@@ -285,7 +297,7 @@ def test_refinement_matches_dense_refinement():
             assert _refine_cells(g.adj, list(cut_cells), check=seed) == expected
             child = reference_refine(g.adj_bits, child_cells(cells, ci, v))
             weight = cell_weights(g.adj, cells)
-            assert _refine_child(g.adj, cells, weight, ci, v) == child
+            assert refine_child(g.adj, cells, weight, ci, v) == child
             if len(child) < g.n:
                 assert weight == cell_weights(g.adj, child)
 
@@ -303,21 +315,23 @@ def test_base_exceeds_a_count_of_8():
 
 def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
     # every non-root node is refined from its parent's equitable partition
-    # and weights; it must equal the refinement of its cell list from
-    # scratch, and end with the weights of its own partition
-    refine_child = autgrp._refine_child
+    # and weights, checking only the vertices whose signature can change;
+    # it must equal the refinement of its cell list from scratch, and end
+    # with the weights of its own partition
+    refine_cells = autgrp._refine_cells
     seeded = []
 
-    def checked(adj, cells, weight, ci, v, **kwargs):
-        out = refine_child(adj, cells, weight, ci, v, **kwargs)
-        assert out == _refine_cells(adj, child_cells(cells, ci, v))
-        if len(out) < len(adj):
-            assert weight == cell_weights(adj, out)
-        seeded.append(len(cells))
+    def checked(adj, cells, weight=None, check=None, **kwargs):
+        out = refine_cells(adj, cells, weight, check, **kwargs)
+        if check is not None:
+            assert out == refine_cells(adj, list(cells))
+            if len(out) < len(adj):
+                assert weight == cell_weights(adj, out)
+            seeded.append(len(cells))
         return out
 
     census = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
-    monkeypatch.setattr(autgrp, "_refine_child", checked)
+    monkeypatch.setattr(autgrp, "_refine_cells", checked)
     for g in census:
         autgrp._ir_search(g)
     # one per refined non-root node of these searches
@@ -326,18 +340,20 @@ def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
 
 def test_refinement_work_is_pinned(monkeypatch):
     # a deterministic tripwire on the refinement work of the census to 12:
-    # children refined from their parent, and `_refine_cells` calls (one
-    # per root, the rest passes after a child's closed-form first pass)
+    # `_refine_cells` calls, one per root and one per child, which alone
+    # passes a `check`
     census = [g for n in (4, 6, 8, 10, 12) for g in enumerate_cubic(n)]
-    counts = {"_refine_child": 0, "_refine_cells": 0}
-    for name in counts:
-        def counting(*args, _f=getattr(autgrp, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(autgrp, name, counting)
+    counts = {"root": 0, "child": 0}
+    refine_cells = autgrp._refine_cells
+
+    def counting(adj, cells, weight=None, check=None, **kwargs):
+        counts["root" if check is None else "child"] += 1
+        return refine_cells(adj, cells, weight, check, **kwargs)
+
+    monkeypatch.setattr(autgrp, "_refine_cells", counting)
     for g in census:
         autgrp._ir_search(g)
-    assert counts == {"_refine_child": 817, "_refine_cells": 112 + 442}
+    assert counts == {"root": 112, "child": 817}
 
 
 # sha256 of the search outputs (code, position_vertex, generator images),
