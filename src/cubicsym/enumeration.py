@@ -50,12 +50,13 @@ A class is its canonical string and generators of its automorphism
 group.  The search that accepts a child finds them; moved onto the
 canonical labeling they act on the graph the string decodes to, and the
 level cache keeps them next to the string (not at MAX_ORDER, from which
-no level is built).  Expanding a class reads its edge-pair orbits off
-them, one child per orbit, and the tie test reads the child's edge
-orbits off its own search, so the census searches each class once, when
-it is accepted, and closes no group.  Orbits depend only on the group,
-never on which generators give it, so the children and the strings are
-those of a fresh search of each parent.
+no level is built).  Expanding a class walks the edge-pair action of
+them and keeps the least pair of each orbit, one child per orbit, and
+the tie test walks the target edge's orbit under the child's own search
+generators until it meets the inserted edge, so the census searches each
+class once, when it is accepted, and closes no group.  Orbits depend
+only on the group, never on which generators give it, so the children
+and the strings are those of a fresh search of each parent.
 
 Graphs with no reducible edge cannot be reached that way and are seeded
 directly.  They have a rigid shape: every triangle sits inside a diamond
@@ -79,7 +80,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .autgrp import _memoized, canonical_form, canonical_labeling, search_generators
 from .graph import Graph, balls, build_graph, bridges
 from .graph6 import decode_graph6
-from .perm import Action, Images, orbits
+from .perm import Images, edge_perms
 
 MIN_ORDER = 4
 MAX_ORDER = 20
@@ -367,15 +368,63 @@ def _accept_child(graph: Graph, ranked: Ranked, e1: Edge,
         return (x, y) if x < y else (y, x)
 
     target = min(tied, key=image)
-    edge_orbits = orbits(search_generators(child), Action.EDGES, child)
-    block = next(b for b in edge_orbits if target in b)
-    return _canonical_class(child) if inserted in block else None
+    return _canonical_class(child) if _same_edge_orbit(child, target, inserted) else None
+
+
+def _same_edge_orbit(graph: Graph, start: Edge, edge: Edge) -> bool:
+    """Whether ``edge`` lies in the orbit of the edge ``start`` under the
+    graph's automorphism group, walked from ``start`` under the search's
+    generators until it reaches ``edge``."""
+    generators = search_generators(graph)
+    orbit = [start]
+    seen = {start}
+    for e in orbit:  # grows while it is scanned
+        if e == edge:
+            return True
+        for g in generators:
+            x, y = g[e[0]], g[e[1]]
+            f = (x, y) if x < y else (y, x)
+            if f not in seen:
+                seen.add(f)
+                orbit.append(f)
+    return False
 
 
 def _edge_pair_reps(graph: Graph, generators: Generators) -> List[Tuple[Edge, Edge]]:
     """Unordered pairs of distinct edges, one per orbit of the group that
-    the generators generate."""
-    return [b[0] for b in orbits(generators, Action.EDGE_PAIRS, graph)]
+    the generators generate: the least pair of each orbit, ascending.
+
+    Edges are walked as their indices in ``graph.edges()``, which lists
+    them in ascending order, each generator mapped once to a permutation
+    of the indices.  The pair of indices i < j is marked as i * m + j of
+    an m-edge graph, so the pairs are scanned in ascending order and the
+    first unmarked one is the least of a new orbit.  Only that pair is
+    kept: the census reads nothing else of an orbit."""
+    edges = graph.edges()
+    if not generators:
+        return list(itertools.combinations(edges, 2))
+    m = len(edges)
+    perms = edge_perms(generators, edges)
+    seen = bytearray(m * m)  # entries with i >= j are never read
+    reps = []
+    for i in range(m - 1):
+        row = i * m
+        j = seen.find(0, row + i + 1, row + m)
+        while j >= 0:
+            reps.append((edges[i], edges[j - row]))
+            seen[j] = 1
+            orbit = [(i, j - row)]
+            for x, y in orbit:  # grows while it is scanned
+                for p in perms:
+                    a, b = p[x], p[y]
+                    if a > b:
+                        a, b = b, a
+                    k = a * m + b
+                    if not seen[k]:
+                        seen[k] = 1
+                        orbit.append((a, b))
+            j = seen.find(0, j + 1, row + m)
+    return reps
 
 
 def _expand_parent(parent: Class) -> List[Class]:

@@ -130,7 +130,6 @@ class Action(Enum):
 
     VERTICES = "vertices"
     EDGES = "edges"
-    EDGE_PAIRS = "edge pairs"  # unordered pairs of distinct edges
 
 
 def orbits(generators: Iterable[Images], action: Action, host: Graph):
@@ -142,37 +141,35 @@ def orbits(generators: Iterable[Images], action: Action, host: Graph):
 
     Edges are walked as their indices in ``host.edges()``, which lists
     them in ascending order, each generator mapped once to a permutation
-    of the indices; the pair of edge indices i < j is the integer
-    i * m + j of an m-edge graph, so pairs are walked as integers too."""
+    of the indices (:func:`edge_perms`)."""
     generators = tuple(generators)
     if any(len(g) != host.n for g in generators):
         raise ValueError("generator degree does not match host order")
     if action is Action.VERTICES:
-        return _index_orbits(generators, range(host.n), range(host.n))
+        return _index_orbits(generators, range(host.n))
     edges = host.edges()
-    m = len(edges)
+    return _index_orbits(edge_perms(generators, edges), edges)
+
+
+def edge_perms(generators: Iterable[Images], edges: Sequence[Tuple[int, int]]
+               ) -> List[List[int]]:
+    """Each generator as the permutation of edge indices it induces on
+    ``edges``, an ascending list of a graph's edges (u < w)."""
     index = {e: i for i, e in enumerate(edges)}
-    perms = [[index[(a, b) if a < b else (b, a)]
-              for a, b in ((g[u], g[w]) for u, w in edges)] for g in generators]
-    if action is Action.EDGES:
-        return _index_orbits(perms, range(m), edges)
-    # entries with i >= j are never read
-    perms = [[a * m + b if a < b else b * m + a for a in p for b in p]
-             for p in perms]
-    starts = [i * m + j for i in range(m) for j in range(i + 1, m)]
-    return _index_orbits(perms, starts, [(e, f) for e in edges for f in edges])
+    return [[index[(a, b) if a < b else (b, a)]
+             for a, b in ((g[u], g[w]) for u, w in edges)] for g in generators]
 
 
-def _index_orbits(perms: Sequence[Sequence[int]], starts: Iterable[int],
+def _index_orbits(perms: Sequence[Sequence[int]],
                   points: Sequence) -> Tuple[tuple, ...]:
-    """Orbits of the indices in ascending `starts` under the permutations,
-    in order of their least index, each block sorted and read as the
-    points at its indices."""
+    """Orbits of the indices of `points` under the permutations, in order
+    of their least index, each block sorted and read as the points at its
+    indices."""
     if not perms:
-        return tuple([(points[i],) for i in starts])
+        return tuple([(p,) for p in points])
     seen = bytearray(len(points))
     blocks = []
-    for start in starts:
+    for start in range(len(points)):
         if seen[start]:
             continue
         seen[start] = 1

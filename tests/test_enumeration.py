@@ -313,6 +313,28 @@ def test_accept_child_matches_reference_rule():
                 )
 
 
+def test_tie_test_walk_matches_the_block_rule(monkeypatch):
+    # at every tie decision of the census to 14, the walk of the target's
+    # orbit answers as membership of the inserted edge in the target's
+    # block of the child's edge orbits
+    decisions = []
+    walk = enumeration._same_edge_orbit
+
+    def checked(child, target, inserted):
+        answer = walk(child, target, inserted)
+        edge_orbits = orbits(autgrp.search_generators(child), Action.EDGES, child)
+        block = next(b for b in edge_orbits if target in b)
+        assert answer == (inserted in block)
+        decisions.append(answer)
+        return answer
+
+    monkeypatch.setattr(enumeration, "_same_edge_orbit", checked)
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    for n in range(4, 15, 2):
+        enumerate_cubic_graph6(n)
+    assert len(decisions) == 394 and 0 < sum(decisions) < 394
+
+
 def _heawood_pair_joined_by_a_bridge():
     """Two Heawood copies, each with one edge x-y replaced by the path
     x-z-y, and the two new vertices z joined: cubic on 30 vertices, with

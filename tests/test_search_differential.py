@@ -33,6 +33,7 @@ from cubicsym import (
 from cubicsym import autgrp
 from cubicsym.autgrp import (_refine_cells, canonical_form, canonical_labeling,
                              reduced_generators)
+from cubicsym.enumeration import _edge_pair_reps
 from cubicsym.perm import Action, orbits
 
 from cubicsym.catalog import complete_bipartite, complete_graph
@@ -198,9 +199,11 @@ def test_orbits_of_the_search_generators_equal_the_reduced_ones():
         group = automorphism_group(g)
         reduced = reduced_generators(group)
         kept += group.generators != reduced
-        for action in (Action.VERTICES, Action.EDGES, Action.EDGE_PAIRS):
+        for action in (Action.VERTICES, Action.EDGES):
             assert orbits(group.generators, action, g) == orbits(reduced, action, g), (
                 encode_graph6(g), action)
+        assert _edge_pair_reps(g, group.generators) == _edge_pair_reps(g, reduced), (
+            encode_graph6(g))
     assert kept > 0  # the two generating sets differ on some graphs
 
 
@@ -313,11 +316,10 @@ def test_base_exceeds_a_count_of_8():
     assert _refine_cells(g.adj, list(cells)) == expected
 
 
-def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
-    # every non-root node is refined from its parent's equitable partition
-    # and weights, checking only the vertices whose signature can change;
-    # it must equal the refinement of its cell list from scratch, and end
-    # with the weights of its own partition
+def check_seeded_refinement(monkeypatch) -> List[int]:
+    """Make every seeded `_refine_cells` call of the search assert that it
+    equals the refinement of its cell list from scratch and ends with the
+    weights of its own partition; the list the calls' cell counts go to."""
     refine_cells = autgrp._refine_cells
     seeded = []
 
@@ -330,12 +332,34 @@ def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
             seeded.append(len(cells))
         return out
 
-    census = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
     monkeypatch.setattr(autgrp, "_refine_cells", checked)
+    return seeded
+
+
+def test_seeded_refinement_equals_unseeded_at_every_node(monkeypatch):
+    # every non-root node is refined from its parent's equitable partition
+    # and weights, checking only the vertices whose signature can change;
+    # it must equal the refinement of its cell list from scratch, and end
+    # with the weights of its own partition
+    census = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
+    seeded = check_seeded_refinement(monkeypatch)
     for g in census:
         autgrp._ir_search(g)
     # one per refined non-root node of these searches
     assert len(seeded) == 249
+
+
+def test_seeded_refinement_equals_unseeded_on_random_graphs(monkeypatch):
+    # unlike the census to 10, random graphs have nodes where the first
+    # pass must split a cell holding no neighbor of the first vertex of
+    # the rest, so a `check` missing any of the rest's neighbors fails here
+    rng = random.Random(2929)
+    graphs = [random_graph(rng.randrange(4, 13), rng.choice((0.2, 0.3, 0.5)), rng)
+              for _ in range(200)]
+    seeded = check_seeded_refinement(monkeypatch)
+    for g in graphs:
+        autgrp._ir_search(g)
+    assert seeded
 
 
 def test_refinement_work_is_pinned(monkeypatch):
