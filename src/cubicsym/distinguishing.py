@@ -10,13 +10,20 @@ least element is the least element of its orbit, so the restriction
 loses nothing and the first witness found is the lexicographically least
 overall).  Sets larger than n/2 never need testing: the complement of a
 distinguishing set is distinguishing.
+
+Whether a group element preserves a vertex set is one C-level call,
+``frozenset(S).issuperset`` of the members' images read by one
+``itemgetter``, which the cost search and the distinguishing-set test
+share; whether it preserves a coloring is one C-level comparison of the
+colors read through it with the coloring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import eq, itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .autgrp import automorphism_group
 from .graph import Graph
@@ -73,10 +80,19 @@ def is_distinguishing_set(graph: Graph, members: Sequence[int]) -> bool:
     s = frozenset(members)
     if any(not 0 <= v < graph.n for v in s):
         raise ValueError("set member outside vertex range")
-    for p in automorphism_group(graph).elements[1:]:
-        if all(p[v] in s for v in s):
-            return False
-    return True
+    moving = automorphism_group(graph).elements[1:]
+    if not s:  # every element preserves the empty set
+        return not moving
+    return not any(map(s.issuperset, map(_images(tuple(s)), moving)))
+
+
+def _images(members: Tuple[int, ...]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """One C-level call giving an element's images of the members as a
+    tuple: a lone member is named twice, since ``itemgetter`` of one key
+    returns the bare item."""
+    if len(members) == 1:
+        members *= 2
+    return itemgetter(*members)
 
 
 def _candidate_sets(
@@ -123,10 +139,10 @@ def distinguishing_cost(graph: Graph, budget: Optional[int] = None) -> CostResul
 
 def _preserved(moves: Dict[int, List[Tuple[int, ...]]], cand: Sequence[int]) -> bool:
     """Whether an element of ``moves`` (by image of cand[0]) preserves cand."""
-    s = frozenset(cand)
+    s, images = frozenset(cand), _images(tuple(cand))
     for w in cand:
         for im in moves.get(w, ()):
-            if all(im[v] in s for v in cand):
+            if s.issuperset(images(im)):
                 return True
     return False
 
@@ -160,15 +176,9 @@ def _distinguishing_coloring_exists(
 ) -> bool:
     colors = [0] * n
 
-    def preserved_by_some() -> bool:
-        for p in moving:
-            if all(colors[v] == colors[p[v]] for v in range(n)):
-                return True
-        return False
-
     def rec(v: int, used: int) -> bool:
         if v == n:
-            return not preserved_by_some()
+            return not _coloring_preserved(moving, colors)
         top = min(used + 1, d)
         for c in range(top):
             colors[v] = c
@@ -178,3 +188,14 @@ def _distinguishing_coloring_exists(
         return False
 
     return rec(0, 0)
+
+
+def _coloring_preserved(moving: Sequence[Sequence[int]], colors: List[int]) -> bool:
+    """Whether an element of ``moving`` maps the coloring onto itself: the
+    colors read through it equal the coloring, compared in C up to the
+    first vertex where they differ."""
+    color = colors.__getitem__
+    for p in moving:
+        if all(map(eq, map(color, p), colors)):
+            return True
+    return False

@@ -748,3 +748,43 @@ def v1_canonical_form(graph: Graph) -> str:
     for p, v in enumerate(_ir_search(graph).position_vertex):
         label[v] = p
     return encode_graph6(graph.relabel(label))
+
+
+# ---------------------------------------------------------------------------
+# the preservation tests of the cost search, the distinguishing-set test and
+# the coloring search as generator loops over the members, before they
+# compared image tuples; kept verbatim as the reference for the C-level test
+
+
+def reference_preserved(moves: Dict[int, List[Tuple[int, ...]]], cand: Sequence[int]) -> bool:
+    """Whether an element of ``moves`` (by image of cand[0]) preserves cand."""
+    s = frozenset(cand)
+    for w in cand:
+        for im in moves.get(w, ()):
+            if all(im[v] in s for v in cand):
+                return True
+    return False
+
+
+def reference_is_distinguishing_set(graph: Graph, members: Sequence[int]) -> bool:
+    """True iff only the identity preserves the set.
+
+    Filters the memoized group's element list, so it materializes the
+    group and raises GroupTooLargeError above the cap, as
+    `automorphism_group` does.
+    """
+    s = frozenset(members)
+    if any(not 0 <= v < graph.n for v in s):
+        raise ValueError("set member outside vertex range")
+    for p in automorphism_group(graph).elements[1:]:
+        if all(p[v] in s for v in s):
+            return False
+    return True
+
+
+def reference_preserved_by_some(n: int, moving: Sequence, colors: List[int]) -> bool:
+    """Whether an element of ``moving`` maps the coloring onto itself."""
+    for p in moving:
+        if all(colors[v] == colors[p[v]] for v in range(n)):
+            return True
+    return False

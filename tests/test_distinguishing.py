@@ -1,6 +1,7 @@
 """Distinguishing sets, exact cost search, and distinguishing numbers."""
 
 import itertools
+import random
 
 import pytest
 
@@ -22,7 +23,7 @@ from cubicsym import (
     is_distinguishing_set,
     seeded_orders,
 )
-from cubicsym import autgrp
+from cubicsym import autgrp, distinguishing
 from cubicsym.catalog import cycle_graph
 from cubicsym.claims import brbb_unique_path_property
 
@@ -176,10 +177,17 @@ def test_brbb_agrees_with_the_path_search_reference(monkeypatch, rng):
 
 
 def test_budget_exhaustion_reports_progress():
+    # Heawood is vertex-transitive, so every candidate holds 0: 1 singleton,
+    # 13 pairs, 78 triples and 286 quadruples, 378 sets, no witness; a
+    # budget of 384 leaves 6 for the 5-sets, and the witness (0, 1, 2, 3,
+    # 10) is the 7th
     g = catalog_graph("heawood")
-    with pytest.raises(SearchBudgetExceeded) as err:
-        distinguishing_cost(g, budget=3)
-    assert err.value.exhausted_size >= 0
+    for budget, exhausted in ((3, 1), (384, 4)):
+        with pytest.raises(SearchBudgetExceeded) as err:
+            distinguishing_cost(g, budget=budget)
+        assert (err.value.budget, err.value.exhausted_size) == (budget, exhausted)
+    res = distinguishing_cost(g, budget=385)
+    assert (res.kind, res.cost, res.witness) == ("cost", 5, (0, 1, 2, 3, 10))
 
 
 def test_cost_matches_unpruned_search_on_small_graphs(rng):
@@ -240,3 +248,101 @@ def test_grr_cost_is_one():
         for g in enumerate_cubic(n):
             if transitivity_profile(g).stabilizer_class == "grr":
                 assert distinguishing_cost(g).cost == 1
+
+
+# ---------------------------------------------------------------------------
+# the C-level preservation test against the generator loops it replaced
+
+
+@pytest.fixture(scope="module")
+def preservation_graphs():
+    """Every census graph to order 10 with one seeded relabelling of each,
+    and the fixed catalog graphs whose group has at most 1440 elements."""
+    rng = random.Random(3001)
+    census = [decode_graph6(g6) for n in range(4, 11, 2)
+              for g6 in enumerate_cubic_graph6(n)]
+    graphs = census + [random_relabel(g, rng) for g in census]
+    graphs += [g for g in map(catalog_graph, FIXED_CATALOG)
+               if automorphism_group(g).order <= 1440]
+    return graphs
+
+
+def _moves_by_image(elements, v):
+    """The non-identity elements indexed by the image of v, as the cost
+    search indexes them by the image of a representative."""
+    moves = {}
+    for p in elements[1:]:
+        moves.setdefault(p[v], []).append(p)
+    return moves
+
+
+def test_set_preservation_matches_the_member_loops(preservation_graphs):
+    # two seeded sets of every size 0..n, so the empty set, the
+    # singletons, the pairs and the whole vertex set
+    rng = random.Random(3002)
+    outcomes = set()
+    for g in preservation_graphs:
+        elements = automorphism_group(g).elements
+        for k in range(g.n + 1):
+            for _ in range(2):
+                s = tuple(sorted(rng.sample(range(g.n), k)))
+                expected = conftest.reference_is_distinguishing_set(g, s)
+                assert is_distinguishing_set(g, s) == expected
+                assert is_distinguishing_set(g, s[::-1]) == expected
+                outcomes.add(expected)
+                if s:
+                    moves = _moves_by_image(elements, s[0])
+                    assert (distinguishing._preserved(moves, s)
+                            == conftest.reference_preserved(moves, s))
+    assert outcomes == {True, False}
+    with pytest.raises(ValueError):
+        is_distinguishing_set(catalog_graph("petersen"), [0, 10])
+
+
+def test_cost_search_matches_the_member_loops(monkeypatch, preservation_graphs):
+    # every call of the search is checked, and the search built on the
+    # reference test finds the same outcome and witness
+    fast, answers = distinguishing._preserved, set()
+
+    def checked(moves, cand):
+        answer = fast(moves, cand)
+        assert answer == conftest.reference_preserved(moves, cand)
+        answers.add(answer)
+        return answer
+
+    kinds = set()
+    for g in preservation_graphs:
+        monkeypatch.setattr(distinguishing, "_preserved", checked)
+        res = distinguishing_cost(g)
+        monkeypatch.setattr(distinguishing, "_preserved",
+                            conftest.reference_preserved)
+        assert distinguishing_cost(g) == res
+        kinds.add(res.kind)
+    assert answers == {True, False}
+    assert kinds == {"cost", "not-two-distinguishable"}
+
+
+def test_coloring_preservation_matches_the_vertex_loop(monkeypatch):
+    # at every leaf the coloring search visits for d = 3..COLOR_CAP, and on
+    # seeded colorings with up to d colors
+    fast, answers = distinguishing._coloring_preserved, set()
+
+    def checked(moving, colors):
+        answer = fast(moving, colors)
+        assert answer == conftest.reference_preserved_by_some(
+            len(colors), moving, colors)
+        answers.add(answer)
+        return answer
+
+    monkeypatch.setattr(distinguishing, "_coloring_preserved", checked)
+    rng = random.Random(3003)
+    for name in ("k4", "k33", "cube", "petersen"):
+        g = catalog_graph(name)
+        moving = automorphism_group(g).elements[1:]
+        found = [d for d in range(3, distinguishing.COLOR_CAP + 1)
+                 if distinguishing._distinguishing_coloring_exists(g.n, moving, d)]
+        assert found[0] == distinguishing_number(g)
+        for d in range(3, distinguishing.COLOR_CAP + 1):
+            for _ in range(20):
+                checked(moving, [rng.randrange(d) for _ in range(g.n)])
+    assert answers == {True, False}

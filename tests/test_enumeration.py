@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -60,20 +61,85 @@ def test_census_satisfies_the_mass_formula(n):
     assert labelled == labelled_connected_cubic(n)
 
 
-def _census_levels(monkeypatch, jobs):
-    """The census to 14 built afresh: order -> (strings, generators).  At
-    jobs 2 the pool forks 2 workers even on one core."""
-    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    return {n: enumeration._level(n, jobs) for n in range(4, 15, 2)}
+@pytest.fixture(scope="module")
+def census_build():
+    """The census to 14 built once, at jobs 1, from an empty level cache,
+    with its work counted: the canonical searches (each with the order of
+    the parent whose expansion ran it, None outside one), the group
+    closures, the children scored and built, and each tie decision of the
+    walk with its answer by the block rule.  The level cache and the
+    counted functions are restored afterwards."""
+    built = SimpleNamespace(searched=[], closures=[], decisions=[],
+                            counts={"children": 0, "built": 0})
+    parent = [None]
+    search, close = autgrp._ir_search, autgrp.close_generators
+    expand = enumeration._expand_parent
+    accept, survivor = enumeration._accept_child, enumeration._survivor
+    walk = enumeration._same_edge_orbit
+
+    def counting_search(graph):
+        built.searched.append((parent[0], graph.n))
+        return search(graph)
+
+    def counting_close(*args, **kwargs):
+        built.closures.append(args)
+        return close(*args, **kwargs)
+
+    def expanding(parent_class):
+        parent[0] = decode_graph6(parent_class[0]).n
+        try:
+            return expand(parent_class)
+        finally:
+            parent[0] = None
+
+    def counting_accept(*args):
+        built.counts["children"] += 1
+        return accept(*args)
+
+    def counting_survivor(*args):
+        kept = survivor(*args)
+        built.counts["built"] += kept is not None
+        return kept
+
+    def recording_walk(child, target, inserted):
+        # the walk has searched the child, so its generators are memoized
+        answer = walk(child, target, inserted)
+        edge_orbits = orbits(autgrp.search_generators(child), Action.EDGES, child)
+        block = next(b for b in edge_orbits if target in b)
+        built.decisions.append((answer, inserted in block))
+        return answer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autgrp, "_ir_search", counting_search)
+        mp.setattr(autgrp, "close_generators", counting_close)
+        mp.setattr(enumeration, "_expand_parent", expanding)
+        mp.setattr(enumeration, "_accept_child", counting_accept)
+        mp.setattr(enumeration, "_survivor", counting_survivor)
+        mp.setattr(enumeration, "_same_edge_orbit", recording_walk)
+        mp.setattr(enumeration, "_LEVEL_CACHE", {})
+        built.levels = {n: enumeration._level(n, 1) for n in range(4, 15, 2)}
+    return built
+
+
+@pytest.fixture(scope="module")
+def census_at_2_jobs():
+    """The census to 14 built afresh at jobs 2, where the pool forks 2
+    workers even on one core: order -> (strings, generators).  The level
+    cache is restored afterwards."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_LEVEL_CACHE", {})
+        mp.setattr(enumeration.os, "cpu_count", lambda: 2)
+        return {n: enumeration._level(n, 2) for n in range(4, 15, 2)}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_carried_generators_generate_each_group(monkeypatch, jobs):
+def test_carried_generators_generate_each_group(request, jobs):
     # the generators a class carries to its expansion act on its string's
     # graph and generate its whole group: the elements a fresh search
     # closes to, and the mass formula over the orders they close to
-    for n, (strings, carried) in _census_levels(monkeypatch, jobs).items():
+    levels = (request.getfixturevalue("census_build").levels if jobs == 1
+              else request.getfixturevalue("census_at_2_jobs"))
+    for n, (strings, carried) in levels.items():
         labelled = 0
         for g6, gens in zip(strings, carried):
             group = close_generators(gens, n)
@@ -82,8 +148,8 @@ def test_carried_generators_generate_each_group(monkeypatch, jobs):
         assert labelled == labelled_connected_cubic(n)
 
 
-def test_carried_generators_are_identical_across_jobs(monkeypatch):
-    assert _census_levels(monkeypatch, 1) == _census_levels(monkeypatch, 2)
+def test_carried_generators_are_identical_across_jobs(census_build, census_at_2_jobs):
+    assert census_build.levels == census_at_2_jobs
 
 
 def test_the_top_order_carries_no_generators():
@@ -94,36 +160,12 @@ def test_the_top_order_carries_no_generators():
     assert enumeration._canonical_class(catalog_graph("petersen"))[1]
 
 
-def test_census_searches_each_class_once_and_closes_no_group(monkeypatch):
+def test_census_searches_each_class_once_and_closes_no_group(census_build):
     # a parent is expanded with the generators its own acceptance search
     # found, so a search inside `_expand_parent` is always of a child, and
     # the orbits are read off generators with no group closed
-    searched, closures, parent = [], [], [None]
-    search, close = autgrp._ir_search, autgrp.close_generators
-    expand = enumeration._expand_parent
-
-    def counting_search(graph):
-        searched.append((parent[0], graph.n))
-        return search(graph)
-
-    def counting_close(*args, **kwargs):
-        closures.append(args)
-        return close(*args, **kwargs)
-
-    def expanding(parent_class):
-        parent[0] = decode_graph6(parent_class[0]).n
-        try:
-            return expand(parent_class)
-        finally:
-            parent[0] = None
-
-    monkeypatch.setattr(autgrp, "_ir_search", counting_search)
-    monkeypatch.setattr(autgrp, "close_generators", counting_close)
-    monkeypatch.setattr(enumeration, "_expand_parent", expanding)
-    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
-    for n in range(4, 15, 2):
-        enumerate_cubic_graph6(n)
-    assert closures == []
+    searched = census_build.searched
+    assert census_build.closures == []
     assert all(m == n + 2 for n, m in searched if n is not None)
     # 802 when each parent was searched again before its expansion
     assert len(searched) == 690
@@ -313,25 +355,13 @@ def test_accept_child_matches_reference_rule():
                 )
 
 
-def test_tie_test_walk_matches_the_block_rule(monkeypatch):
+def test_tie_test_walk_matches_the_block_rule(census_build):
     # at every tie decision of the census to 14, the walk of the target's
     # orbit answers as membership of the inserted edge in the target's
     # block of the child's edge orbits
-    decisions = []
-    walk = enumeration._same_edge_orbit
-
-    def checked(child, target, inserted):
-        answer = walk(child, target, inserted)
-        edge_orbits = orbits(autgrp.search_generators(child), Action.EDGES, child)
-        block = next(b for b in edge_orbits if target in b)
-        assert answer == (inserted in block)
-        decisions.append(answer)
-        return answer
-
-    monkeypatch.setattr(enumeration, "_same_edge_orbit", checked)
-    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
-    for n in range(4, 15, 2):
-        enumerate_cubic_graph6(n)
+    for answer, in_block in census_build.decisions:
+        assert answer == in_block
+    decisions = [answer for answer, _ in census_build.decisions]
     assert len(decisions) == 394 and 0 < sum(decisions) < 394
 
 
@@ -385,28 +415,11 @@ def test_accept_child_never_ranks_a_bridge(monkeypatch):
     assert ranked_any
 
 
-def test_census_to_14_builds_only_the_children_stage_1_keeps(monkeypatch):
+def test_census_to_14_builds_only_the_children_stage_1_keeps(census_build):
     # a child is built only when no reducible edge beats its inserted edge
     # at stage 1; the rule fixes which children those are, whatever the
     # order in which the edges are scanned
-    counts = {"children": 0, "built": 0}
-    accept, survivor = enumeration._accept_child, enumeration._survivor
-
-    def counting_accept(*args):
-        counts["children"] += 1
-        return accept(*args)
-
-    def counting_survivor(*args):
-        kept = survivor(*args)
-        counts["built"] += kept is not None
-        return kept
-
-    monkeypatch.setattr(enumeration, "_accept_child", counting_accept)
-    monkeypatch.setattr(enumeration, "_survivor", counting_survivor)
-    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
-    for n in range(4, 15, 2):
-        enumerate_cubic_graph6(n)
-    assert counts == {"children": 5539, "built": 837}
+    assert census_build.counts == {"children": 5539, "built": 837}
 
 
 @pytest.fixture(scope="module")
