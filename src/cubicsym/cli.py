@@ -124,7 +124,7 @@ def _analysis_report(graph: Graph) -> dict:
     report["aut_order"] = group.order
     report["aut_generators"] = [cycle_notation(p)
                                 for p in reduced_generators(group)]
-    if graph.is_connected() and graph.n > 0:
+    if report["connected"] and graph.n > 0:
         profile = transitivity_profile(graph)
         report["vertex_transitive"] = profile.vertex_transitive
         report["edge_transitive"] = profile.edge_transitive

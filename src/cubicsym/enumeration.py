@@ -43,18 +43,20 @@ them in ascending key order, at no cost per edge, and they reject most
 children before any row of the child is patched.  The other edges, the
 four split edges among them, are keyed on the patched rows; a survivor
 is built once and goes on to stage 2 with the edges that tie with its
-inserted edge.  The bridge search runs only for a tie on no short
-cycle, on the built child, as a far edge may become a bridge there.
+inserted edge.  Only a tie on no short cycle needs the bridge test of
+each tied edge, on the built child, as a far edge may become a bridge
+there.
 
 A class is its canonical string and generators of its automorphism
 group.  The search that accepts a child finds them; moved onto the
 canonical labeling they act on the graph the string decodes to, and the
-level cache keeps them next to the string (not at MAX_ORDER, from which
-no level is built).  Expanding a class walks the edge-pair action of
-them and keeps the least pair of each orbit, one child per orbit, and
-the tie test walks the target edge's orbit under the child's own search
-generators until it meets the inserted edge, so the census searches each
-class once, when it is accepted, and closes no group.  Orbits depend
+level cache keeps them next to the string until the level above is
+built (none at MAX_ORDER, from which no level is built).  Expanding a
+class walks the edge-pair action of them and keeps the least pair of
+each orbit, one child per orbit, and the tie test walks the target
+edge's orbit under the child's own search generators until it meets the
+inserted edge, so the census searches each class once, when it is
+accepted, and closes no group.  Orbits depend
 only on the group, never on which generators give it, so the children
 and the strings are those of a fresh search of each parent.
 
@@ -78,7 +80,7 @@ from multiprocessing import get_context
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .autgrp import _memoized, canonical_form, canonical_labeling, search_generators
-from .graph import Graph, balls, build_graph, bridges
+from .graph import Graph, balls, build_graph, is_bridge
 from .graph6 import decode_graph6
 from .perm import Images, edge_perms
 
@@ -96,8 +98,9 @@ KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060, 18: 41301,
 Generators = Tuple[Images, ...]
 Class = Tuple[str, Optional[Generators]]
 
-# a level: its sorted strings, and each one's generators
-Level = Tuple[Tuple[str, ...], Tuple[Optional[Generators], ...]]
+# a level: its sorted strings, and each one's generators, None once the
+# level above is built, as no level is built from them again
+Level = Tuple[Tuple[str, ...], Optional[Tuple[Optional[Generators], ...]]]
 
 _LEVEL_CACHE: Dict[int, Level] = {}
 
@@ -135,10 +138,9 @@ def _locally_reducible(bits: Sequence[int], u: int, v: int) -> bool:
 
 def reducible_edges(graph: Graph) -> List[Edge]:
     """Edges whose contraction yields a connected simple cubic graph."""
-    bridge_set = bridges(graph)
     bits = graph.adj_bits
     return [e for e in graph.edges()
-            if e not in bridge_set and _locally_reducible(bits, *e)]
+            if _locally_reducible(bits, *e) and not is_bridge(bits, *e)]
 
 
 def reduce_edge(graph: Graph, edge: Edge) -> Graph:
@@ -298,8 +300,8 @@ def _survivor(graph: Graph, ranked: Ranked, e1: Edge,
     reducibility, so they are read off ``ranked`` first; the rows are
     patched only for a child that none of them rejects, and the other
     edges are keyed on them.  An edge beating the inserted one lies on a
-    short cycle, so it is no bridge; only a tie on no short cycle asks
-    for the bridges, of the built child.
+    short cycle, so it is no bridge; only a tie on no short cycle needs
+    the bridge test of each tied edge, on the built child.
     """
     n = graph.n
     (a, b), (c, d) = e1, e2
@@ -332,8 +334,7 @@ def _survivor(graph: Graph, ranked: Ranked, e1: Edge,
             tied.append((p, q))
     child = Graph._from_rows(tuple(rows), tuple(bits))
     if key == _NO_SHORT_CYCLE and len(tied) > 1:
-        bridge_set = bridges(child)
-        tied = [e for e in tied if e not in bridge_set]
+        tied = [e for e in tied if not is_bridge(bits, *e)]
     return child, tied
 
 
@@ -564,6 +565,8 @@ def _build_level(n: int, jobs: int) -> Level:
 def _level(n: int, jobs: int) -> Level:
     if n not in _LEVEL_CACHE:
         _LEVEL_CACHE[n] = _build_level(n, jobs)
+        if n > MIN_ORDER:  # built from the level below, which is now done
+            _LEVEL_CACHE[n - 2] = (_LEVEL_CACHE[n - 2][0], None)
     return _LEVEL_CACHE[n]
 
 

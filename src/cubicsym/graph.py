@@ -2,9 +2,10 @@
 
 Graphs are stored as sorted adjacency tuples plus per-vertex neighbor
 bitmasks; the bitmasks make popcount-style set intersections cheap in the
-refinement and search loops above this module, and in ``balls``, the one
-distance kernel.  Everything here is pure and deterministic, and graphs
-are safe to share between workers once built.
+refinement and search loops above this module, in ``balls``, the one
+distance kernel, and in ``reach``, the one reachability kernel.
+Everything here is pure and deterministic, and graphs are safe to share
+between workers once built.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ class Graph:
         self.adj = tuple(tuple(row) for row in adj)
         self.adj_bits = tuple(sum(1 << w for w in row) for row in self.adj)
         self._edges: Optional[Tuple[Tuple[int, int], ...]] = None
-
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Graph":
-        """Graph whose vertex v has the neighbor bitmask ``bits[v]``.
-
-        Nothing is checked: the caller vouches that the relation is
-        symmetric and loop-free.  ``build_graph`` is the validating entry
-        point for edge lists.
-        """
-        adj_bits = tuple(bits)
-        return cls._from_rows(tuple(map(_set_bits, adj_bits)), adj_bits)
 
     @classmethod
     def _from_rows(cls, adj: Tuple[Tuple[int, ...], ...],
@@ -80,29 +70,14 @@ class Graph:
         return self.is_regular(3)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = 1
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self.adj[v]:
-                if not (seen >> w) & 1:
-                    seen |= 1 << w
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        return self.n == 0 or reach(self.adj_bits, 0).bit_count() == self.n
 
     def relabel(self, images: Sequence[int]) -> "Graph":
         """Graph with vertex v renamed to images[v]."""
-        bits = [0] * self.n
+        rows: list[list[int]] = [[]] * self.n
         for u, row in enumerate(self.adj):
-            b = 0
-            for w in row:
-                b |= 1 << images[w]
-            bits[images[u]] = b
-        return Graph.from_bits(bits)
+            rows[images[u]] = sorted([images[w] for w in row])
+        return Graph(self.n, rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -146,6 +121,31 @@ def build_graph(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
         adj[u].add(w)
         adj[w].add(u)
     return Graph(n, [sorted(s) for s in adj])
+
+
+def reach(bits: Sequence[int], root: int) -> int:
+    """The vertices reachable from ``root`` as a bitmask, over the neighbour
+    bitmasks ``bits``: grown one layer at a time, each new layer the union
+    of its predecessor's neighbourhoods less what was reached before."""
+    seen = layer = 1 << root
+    while layer:
+        grown = 0
+        while layer:
+            low = layer & -layer
+            grown |= bits[low.bit_length() - 1]
+            layer ^= low
+        layer = grown & ~seen
+        seen |= layer
+    return seen
+
+
+def is_bridge(bits: Sequence[int], u: int, v: int) -> bool:
+    """Whether the edge uv of the graph with neighbour bitmasks ``bits`` is
+    a bridge: v is out of u's reach once uv is cut."""
+    cut = list(bits)
+    cut[u] ^= 1 << v
+    cut[v] ^= 1 << u
+    return not reach(cut, u) >> v & 1
 
 
 def balls(graph: Graph) -> Iterator[list[int]]:
@@ -319,23 +319,17 @@ def s_arcs(graph: Graph, s: int) -> Iterator[Tuple[int, ...]]:
 def edge_components(n: int, edges: Iterable[Tuple[int, int]]) -> list[int]:
     """Component index of each vertex in the subgraph spanned by ``edges``,
     numbered in order of least vertex; -1 where no edge touches the vertex."""
-    incident: list[list[int]] = [[] for _ in range(n)]
+    bits = [0] * n
     for u, w in edges:
-        incident[u].append(w)
-        incident[w].append(u)
+        bits[u] |= 1 << w
+        bits[w] |= 1 << u
     comp = [-1] * n
     count = 0
     for v in range(n):
-        if comp[v] >= 0 or not incident[v]:
-            continue
-        comp[v] = count
-        stack = [v]
-        while stack:
-            for y in incident[stack.pop()]:
-                if comp[y] < 0:
-                    comp[y] = count
-                    stack.append(y)
-        count += 1
+        if comp[v] < 0 and bits[v]:
+            for y in _set_bits(reach(bits, v)):
+                comp[y] = count
+            count += 1
     return comp
 
 
@@ -363,36 +357,3 @@ def every_3_arc_in_cycle(graph: Graph, length: int) -> bool:
         if arc not in covered:
             return False
     return True
-
-
-def bridges(graph: Graph) -> set[Tuple[int, int]]:
-    """All bridge edges, as sorted pairs (iterative lowpoint DFS)."""
-    n = graph.n
-    disc = [-1] * n
-    low = [0] * n
-    out: set[Tuple[int, int]] = set()
-    timer = 0
-    for start in range(n):
-        if disc[start] >= 0:
-            continue
-        stack: list[Tuple[int, int, int]] = [(start, -1, 0)]
-        while stack:
-            v, parent, idx = stack.pop()
-            if idx == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            if idx < len(graph.adj[v]):
-                stack.append((v, parent, idx + 1))
-                w = graph.adj[v][idx]
-                if w == parent:
-                    continue  # simple graph: the tree edge occurs exactly once
-                if disc[w] >= 0:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    stack.append((w, v, 0))
-            else:
-                if parent >= 0:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        out.add((min(v, parent), max(v, parent)))
-    return out

@@ -477,7 +477,7 @@ def decode_graph6(text: str) -> Graph:
             i = seq.find("1", i + 1, end)
         bits[j] = int(seq[start:end][::-1], 2)
         start = end
-    return Graph.from_bits(bits)
+    return Graph(n, [[w for w in range(n) if b >> w & 1] for b in bits])
 
 
 # ---------------------------------------------------------------------------
@@ -788,3 +788,82 @@ def reference_preserved_by_some(n: int, moving: Sequence, colors: List[int]) -> 
         if all(colors[v] == colors[p[v]] for v in range(n)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the three reachability traversals before `graph.reach` replaced them: the
+# stack DFS of `Graph.is_connected`, the incident-list DFS of
+# `edge_components` and the iterative lowpoint DFS of `bridges`, kept
+# verbatim (`self` read as `graph`) as the reference for the one walk
+
+
+def reference_is_connected(graph: Graph) -> bool:
+    if graph.n == 0:
+        return True
+    seen = 1
+    stack = [0]
+    count = 1
+    while stack:
+        v = stack.pop()
+        for w in graph.adj[v]:
+            if not (seen >> w) & 1:
+                seen |= 1 << w
+                count += 1
+                stack.append(w)
+    return count == graph.n
+
+
+def reference_edge_components(n: int, edges: Iterable[Tuple[int, int]]) -> list[int]:
+    """Component index of each vertex in the subgraph spanned by ``edges``,
+    numbered in order of least vertex; -1 where no edge touches the vertex."""
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for u, w in edges:
+        incident[u].append(w)
+        incident[w].append(u)
+    comp = [-1] * n
+    count = 0
+    for v in range(n):
+        if comp[v] >= 0 or not incident[v]:
+            continue
+        comp[v] = count
+        stack = [v]
+        while stack:
+            for y in incident[stack.pop()]:
+                if comp[y] < 0:
+                    comp[y] = count
+                    stack.append(y)
+        count += 1
+    return comp
+
+
+def reference_bridges(graph: Graph) -> set[Tuple[int, int]]:
+    """All bridge edges, as sorted pairs (iterative lowpoint DFS)."""
+    n = graph.n
+    disc = [-1] * n
+    low = [0] * n
+    out: set[Tuple[int, int]] = set()
+    timer = 0
+    for start in range(n):
+        if disc[start] >= 0:
+            continue
+        stack: list[Tuple[int, int, int]] = [(start, -1, 0)]
+        while stack:
+            v, parent, idx = stack.pop()
+            if idx == 0:
+                disc[v] = low[v] = timer
+                timer += 1
+            if idx < len(graph.adj[v]):
+                stack.append((v, parent, idx + 1))
+                w = graph.adj[v][idx]
+                if w == parent:
+                    continue  # simple graph: the tree edge occurs exactly once
+                if disc[w] >= 0:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    stack.append((w, v, 0))
+            else:
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > disc[parent]:
+                        out.add((min(v, parent), max(v, parent)))
+    return out

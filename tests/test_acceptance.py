@@ -110,16 +110,6 @@ def test_criterion_04_girth_4_and_5_census():
         assert set(r5.hypothesis_hits) == petersen
 
 
-def test_criterion_05_girth_6_census():
-    with _Timer("criterion 5 [girth-6 classification census, n <= 18]", 1800):
-        report = verify_claim("thm44-g6", n_max=18, jobs=JOBS)
-        assert report.verdict == "Pass"
-        expected = {canonical_form(catalog_graph(n)).decode("ascii")
-                    for n in ("heawood", "pappus")}
-        assert set(report.hypothesis_hits) == expected
-        assert any("desargues" in note for note in report.notes)
-
-
 # sha256 of the sorted census level, each string followed by "\n"
 LEVEL_SHA256 = {
     16: "de3ab23240202ab97013a1aa5990809aaaf7a444f02c07e96a5c36de1b81c068",
@@ -129,15 +119,27 @@ LEVEL_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(LEVEL_SHA256))
 def test_criterion_05_census_levels_are_pinned(n):
-    # the levels criterion 5 built, read from the level cache (built here
-    # when run alone); the mass formula over the orders the carried
-    # generators close to sees a missing class that a duplicate hides
+    # the levels of criterion 5, each read as it is built (16 by criterion
+    # 4, 18 here) and so ahead of the girth-6 census, as building a level
+    # drops the generators of the level below from the cache; the mass
+    # formula over the orders the carried generators close to sees a
+    # missing class that a duplicate hides
     strings, generators = enumeration._level(n, JOBS)
     text = "".join(s + "\n" for s in sorted(strings))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == LEVEL_SHA256[n]
     labelled = sum(factorial(n) // close_generators(gens, n).order
                    for gens in generators)
     assert labelled == labelled_connected_cubic(n)
+
+
+def test_criterion_05_girth_6_census():
+    with _Timer("criterion 5 [girth-6 classification census, n <= 18]", 1800):
+        report = verify_claim("thm44-g6", n_max=18, jobs=JOBS)
+        assert report.verdict == "Pass"
+        expected = {canonical_form(catalog_graph(n)).decode("ascii")
+                    for n in ("heawood", "pappus")}
+        assert set(report.hypothesis_hits) == expected
+        assert any("desargues" in note for note in report.notes)
 
 
 def test_criterion_06_consistent_cycle_spot_suite():

@@ -740,7 +740,7 @@ def test_readme_camel_case_names_exist():
     spans = re.findall(r"`([^`\n]+)`", prose)
     names = {s for s in spans if re.fullmatch(r"[A-Z][a-z]\w*(\.\w+)*", s)}
     names.discard("None")
-    assert {"Graph", "Graph.from_bits", "PermutationGroup"} <= names
+    assert {"Graph", "Graph._from_rows", "PermutationGroup"} <= names
     for name in sorted(names):
         obj = cubicsym
         for part in name.split("."):

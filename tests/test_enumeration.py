@@ -24,7 +24,7 @@ from cubicsym import (
 )
 from cubicsym import autgrp, enumeration
 from cubicsym.autgrp import automorphism_group, canonical_labeling
-from cubicsym.graph import bridges
+from cubicsym.graph import is_bridge
 from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
 from cubicsym.perm import Action, close_generators, orbits
 
@@ -64,11 +64,12 @@ def test_census_satisfies_the_mass_formula(n):
 @pytest.fixture(scope="module")
 def census_build():
     """The census to 14 built once, at jobs 1, from an empty level cache,
-    with its work counted: the canonical searches (each with the order of
-    the parent whose expansion ran it, None outside one), the group
-    closures, the children scored and built, and each tie decision of the
-    walk with its answer by the block rule.  The level cache and the
-    counted functions are restored afterwards."""
+    each level kept as it is built, before the level above drops its
+    generators from the cache, and with its work counted: the canonical
+    searches (each with the order of the parent whose expansion ran it,
+    None outside one), the group closures, the children scored and built,
+    and each tie decision of the walk with its answer by the block rule.
+    The level cache and the counted functions are restored afterwards."""
     built = SimpleNamespace(searched=[], closures=[], decisions=[],
                             counts={"children": 0, "built": 0})
     parent = [None]
@@ -124,8 +125,8 @@ def census_build():
 @pytest.fixture(scope="module")
 def census_at_2_jobs():
     """The census to 14 built afresh at jobs 2, where the pool forks 2
-    workers even on one core: order -> (strings, generators).  The level
-    cache is restored afterwards."""
+    workers even on one core: order -> (strings, generators), each level
+    kept as it is built.  The level cache is restored afterwards."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_LEVEL_CACHE", {})
         mp.setattr(enumeration.os, "cpu_count", lambda: 2)
@@ -198,6 +199,19 @@ def test_determinism_and_jobs_invariance():
     _LEVEL_CACHE.clear()
     b = enumerate_cubic_graph6(10, jobs=2)
     assert a == b
+
+
+def test_a_built_level_drops_the_generators_of_the_level_below(monkeypatch):
+    # a level is built once per process, only from the level below, so
+    # storing it drops that level's generators and keeps its strings
+    expected = {n: enumerate_cubic_graph6(n) for n in (4, 6, 8, 10)}
+    monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
+    assert enumerate_cubic_graph6(10) == expected[10]
+    cache = enumeration._LEVEL_CACHE
+    assert sorted(cache) == [4, 6, 8, 10]
+    assert [cache[n][1] for n in (4, 6, 8)] == [None] * 3
+    assert len(cache[10][1]) == KNOWN_COUNTS[10]
+    assert {n: enumerate_cubic_graph6(n) for n in (4, 6, 8, 10)} == expected
 
 
 class _SerialContext:
@@ -341,9 +355,9 @@ def _reference_accept(child, inserted):
             return canonical_form(child).decode("ascii") if inserted in block else None
 
 
-def test_accept_child_matches_reference_rule():
+def test_accept_child_matches_reference_rule(census_build):
     for n in (4, 6, 8, 10):
-        for g6, generators in zip(*enumeration._level(n, 1)):
+        for g6, generators in zip(*census_build.levels[n]):
             parent = decode_graph6(g6)
             ranked_edges = enumeration._ranked_edges(parent)
             for e1, e2 in enumeration._edge_pair_reps(parent, generators):
@@ -394,7 +408,8 @@ def test_accept_child_never_ranks_a_bridge(monkeypatch):
     # every edge ties at stage 1 on no short cycle, so only the bridge
     # check keeps the bridge out of the ball score
     graph, bridge = _heawood_pair_joined_by_a_bridge()
-    assert graph.is_cubic() and bridges(graph) == {bridge}
+    assert graph.is_cubic()
+    assert [e for e in graph.edges() if is_bridge(graph.adj_bits, *e)] == [bridge]
     ranked = []
     scores = enumeration._edge_scores
 
@@ -407,7 +422,8 @@ def test_accept_child_never_ranks_a_bridge(monkeypatch):
     for e in reducible_edges(graph):
         parent, e1, e2 = _reduction(graph, e)
         # the child is the graph relabelled, and its bridge the bridge's image
-        (child_bridge,) = bridges(insert_on_edges(parent, e1, e2))
+        child = insert_on_edges(parent, e1, e2)
+        (child_bridge,) = [f for f in child.edges() if is_bridge(child.adj_bits, *f)]
         ranked.clear()
         enumeration._accept_child(parent, enumeration._ranked_edges(parent), e1, e2)
         assert child_bridge not in ranked

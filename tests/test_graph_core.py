@@ -1,6 +1,7 @@
 """Graph model, girth, cycles, s-arcs, and coverage predicates."""
 
 import itertools
+import random
 
 import pytest
 
@@ -18,9 +19,11 @@ from cubicsym import (
     girth,
     s_arcs,
 )
-from cubicsym.graph import bridges, edge_components
+from cubicsym.graph import edge_components, is_bridge
 
-from conftest import distance_profiles, random_cubic, random_graph, s_arc_count
+from conftest import (distance_profiles, random_cubic, random_graph,
+                      reference_bridges, reference_edge_components,
+                      reference_is_connected, s_arc_count)
 
 
 def k4():
@@ -80,11 +83,12 @@ def test_adjacency_is_sorted_and_symmetric(rng):
 
 
 def test_from_bits_reads_ascending_rows():
-    g = Graph.from_bits([0b0110, 0b1101, 0b1011, 0b0110])
+    # relabelling builds ascending rows and the bitmasks of the same sets
+    g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]).relabel([1, 2, 3, 0])
     assert g.adj == ((1, 2), (0, 2, 3), (0, 1, 3), (1, 2))
     assert g.adj_bits == (0b0110, 0b1101, 0b1011, 0b0110)
     assert g == build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    assert Graph.from_bits([]).n == 0
+    assert build_graph(0, []).relabel([]).n == 0
 
 
 def test_relabel_matches_sorted_row_construction(rng):
@@ -276,13 +280,48 @@ def test_fig5_lambda_coverage_split():
 
 
 # ---------------------------------------------------------------------------
-# bridges helper
+# reachability: connectivity, edge-subset components and the bridge test
+
+def _bridges(g):
+    return {e for e in g.edges() if is_bridge(g.adj_bits, *e)}
+
 
 def test_bridges(rng):
     g = build_graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3),
                         (5, 6)])
-    assert bridges(g) == {(2, 3), (5, 6)}
-    assert bridges(catalog_graph("petersen")) == set()
+    assert _bridges(g) == {(2, 3), (5, 6)}
+    assert _bridges(catalog_graph("petersen")) == set()
+
+
+def _reachability_grid():
+    """Seeded G(n, p) graphs for n <= 30 from sparse to dense, the graphs
+    on 0, 1 and 2 vertices, and the census to 10."""
+    rng = random.Random(3101)
+    graphs = [build_graph(n, []) for n in (0, 1, 2)] + [build_graph(2, [(0, 1)])]
+    graphs += [random_graph(n, p, rng) for n in range(31)
+               for p in (0.03, 0.08, 0.15, 0.3, 0.6) for _ in range(2)]
+    graphs += [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
+    return graphs
+
+
+def test_reachability_matches_the_dfs_references():
+    # the bitmask walk against the three traversals it replaced: the stack
+    # DFS of connectivity, the incident-list DFS of edge-subset components
+    # (on every edge and on every other one) and the lowpoint DFS of the
+    # bridges, asked of every edge in both directions
+    graphs = _reachability_grid()
+    for g in graphs:
+        assert g.is_connected() == reference_is_connected(g)
+        for edges in (g.edges(), g.edges()[::2]):
+            assert edge_components(g.n, edges) == reference_edge_components(g.n, edges)
+        bridges = reference_bridges(g)
+        for u, w in g.edges():
+            assert is_bridge(g.adj_bits, u, w) == is_bridge(g.adj_bits, w, u) \
+                == ((u, w) in bridges)
+    # forests, isolated vertices and disconnected graphs all occur
+    assert sum(g.m and len(reference_bridges(g)) == g.m for g in graphs) > 20
+    assert sum(g.m and any(not row for row in g.adj) for g in graphs) > 20
+    assert sum(not g.is_connected() for g in graphs) > 100
 
 
 def test_edge_components_numbered_by_least_vertex():
