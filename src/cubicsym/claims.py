@@ -6,7 +6,9 @@ the catalog graphs it allows, names or excludes, one conclusion, and
 its source.  One scan tests hypothesis => conclusion on each record of
 the source (the census to ``n_max``, or the catalog ``inputs`` of the
 ``INPUT_CLAIMS``) and reports Pass or a reproducible graph6
-counterexample, the failing record's canonical form.
+counterexample, the failing record's canonical form.  No claim passes
+vacuously: an allowed or named graph of an order in range that is no
+hypothesis hit fails it, with its canonical form as the counterexample.
 
 Hypothesis steps are keys of the predicate registry ``PREDICATES``,
 which ``filtered_enumeration`` (``cubicsym enumerate --predicate``)
@@ -456,7 +458,8 @@ INPUT_CLAIMS = tuple(key for key, claim in CLAIMS.items() if claim.inputs)
 
 def _scan(claim: Claim, report: ClaimReport,
           records: Iterable[Record]) -> ClaimReport:
-    """Test hypothesis => conclusion on every record; stop at a failure."""
+    """Test hypothesis => conclusion on every record; stop at a failure.
+    Then fail if an allowed or named graph of an order in range is no hit."""
     steps = [_parse_predicate(spec) for spec in claim.hypothesis]
     forms = {name: _catalog_record(name).form
              for name in claim.allowed + claim.named}
@@ -477,6 +480,13 @@ def _scan(claim: Claim, report: ClaimReport,
             return report
         if note is not None:
             report.notes.append(note)
+    low, high = report.n_range
+    for name, form in forms.items():
+        order = _catalog_record(name).graph.n
+        if low <= order <= high and form.decode("ascii") not in report.hypothesis_hits:
+            report.fail(form, f"{name}, of order {order} in the scanned range, "
+                        "is not a hypothesis hit")
+            return report
     return report
 
 

@@ -20,6 +20,7 @@ colors read through it with the coloring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import eq, itemgetter
@@ -156,7 +157,9 @@ def distinguishing_number(graph: Graph, cost: Optional[CostResult] = None) -> in
     caller has it, tells without a second search; beyond that, colorings
     with d <= COLOR_CAP colors are searched as set partitions
     (restricted-growth strings), which enumerates colorings once per
-    color-permutation class.  Raises ColorCapExceeded past the cap.
+    color-permutation class.  The search starts at the size of the
+    largest twin class, as no two twins may share a color.  Raises
+    ColorCapExceeded past the cap.
     """
     group = automorphism_group(graph)
     if group.order == 1:
@@ -165,7 +168,11 @@ def distinguishing_number(graph: Graph, cost: Optional[CostResult] = None) -> in
         return 2
     n = graph.n
     moving = group.elements[1:]
-    for d in range(3, COLOR_CAP + 1):
+    bits = graph.adj_bits
+    # twins, equal open or closed neighborhoods (an open one never equals a
+    # closed one), are swapped by an automorphism fixing the rest
+    twins = Counter([*bits, *(b | 1 << v for v, b in enumerate(bits))])
+    for d in range(max(3, *twins.values()), COLOR_CAP + 1):
         if _distinguishing_coloring_exists(n, moving, d):
             return d
     raise ColorCapExceeded(COLOR_CAP)

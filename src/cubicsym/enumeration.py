@@ -119,7 +119,7 @@ def _check_order(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# edge reduction / insertion
+# edge reducibility / insertion
 
 Edge = Tuple[int, int]
 
@@ -134,33 +134,6 @@ def _locally_reducible(bits: Sequence[int], u: int, v: int) -> bool:
     cd = bits[v] ^ 1 << u
     return (ab != cd and not bits[(ab & -ab).bit_length() - 1] & ab
             and not bits[(cd & -cd).bit_length() - 1] & cd)
-
-
-def reducible_edges(graph: Graph) -> List[Edge]:
-    """Edges whose contraction yields a connected simple cubic graph."""
-    bits = graph.adj_bits
-    return [e for e in graph.edges()
-            if _locally_reducible(bits, *e) and not is_bridge(bits, *e)]
-
-
-def reduce_edge(graph: Graph, edge: Edge) -> Graph:
-    """Contract a reducible edge: drop its endpoints, rejoin the stubs.
-
-    Remaining vertices are renumbered ascending.
-    """
-    u, v = edge
-    a, b = (x for x in graph.adj[u] if x != v)
-    c, d = (x for x in graph.adj[v] if x != u)
-    keep = [x for x in range(graph.n) if x not in (u, v)]
-    index = {x: i for i, x in enumerate(keep)}
-    edges = [
-        (index[x], index[y])
-        for x, y in graph.edges()
-        if u not in (x, y) and v not in (x, y)
-    ]
-    edges.append((index[a], index[b]))
-    edges.append((index[c], index[d]))
-    return build_graph(graph.n - 2, edges)
 
 
 def _insert_bits(graph: Graph, e1: Edge, e2: Edge) -> List[int]:
@@ -190,22 +163,6 @@ def _insert_rows(graph: Graph, e1: Edge, e2: Edge) -> List[Tuple[int, ...]]:
     (a, b), (c, d) = e1, e2
     rows += ((min(a, b), max(a, b), n + 1), (min(c, d), max(c, d), n))
     return rows
-
-
-def insert_on_edges(graph: Graph, e1: Edge, e2: Edge) -> Graph:
-    """Subdivide two distinct edges and join the two new vertices.
-
-    The parent's rows, tuples and bitmasks, are patched in place of a
-    rebuild: each edge's endpoints swap each other for their new vertex.
-    """
-    n = graph.n
-    for a, b in (e1, e2):
-        if not (0 <= a < n and 0 <= b < n and graph.has_edge(a, b)):
-            raise ValueError(f"({a}, {b}) is not an edge")
-    if {*e1} == {*e2}:
-        raise ValueError("insertion needs two distinct edges")
-    return Graph._from_rows(tuple(_insert_rows(graph, e1, e2)),
-                            tuple(_insert_bits(graph, e1, e2)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +485,9 @@ def irreducible_seeds(n: int) -> Tuple[Class, ...]:
             g = _expand_structure(k, f, mult)
             if not g.is_connected():
                 continue
-            if reducible_edges(g):
+            bits = g.adj_bits
+            if any(_locally_reducible(bits, u, v) and not is_bridge(bits, u, v)
+                   for u, v in g.edges()):
                 continue
             g6, gens = _canonical_class(g)
             found.setdefault(g6, gens)

@@ -14,7 +14,11 @@ from cubicsym import (EnumerationRangeError, Graph, automorphism_group,
                       build_graph, canonical_form, encode_graph6, orbits,
                       s_arcs, stabilizer, transitivity_profile)
 from cubicsym.autgrp import _refine_cells, _SearchResult
-from cubicsym.graph import edge_components
+from cubicsym.distinguishing import (COLOR_CAP, ColorCapExceeded,
+                                     _distinguishing_coloring_exists,
+                                     distinguishing_cost)
+from cubicsym.enumeration import _insert_bits, _insert_rows, _locally_reducible
+from cubicsym.graph import edge_components, is_bridge
 from cubicsym.perm import Action, PermutationGroup
 from cubicsym.symmetry import MAX_S
 from cubicsym.graph6 import _NON_PRINTABLE, _SEXTETS, Graph6Error
@@ -790,6 +794,22 @@ def reference_preserved_by_some(n: int, moving: Sequence, colors: List[int]) -> 
     return False
 
 
+def reference_distinguishing_number(graph: Graph, cost=None) -> int:
+    """The distinguishing number with the coloring search run from d = 3,
+    before it started at the largest twin class; kept verbatim."""
+    group = automorphism_group(graph)
+    if group.order == 1:
+        return 1
+    if (cost or distinguishing_cost(graph)).is_cost:
+        return 2
+    n = graph.n
+    moving = group.elements[1:]
+    for d in range(3, COLOR_CAP + 1):
+        if _distinguishing_coloring_exists(n, moving, d):
+            return d
+    raise ColorCapExceeded(COLOR_CAP)
+
+
 # ---------------------------------------------------------------------------
 # the three reachability traversals before `graph.reach` replaced them: the
 # stack DFS of `Graph.is_connected`, the incident-list DFS of
@@ -867,3 +887,42 @@ def reference_bridges(graph: Graph) -> set[Tuple[int, int]]:
                     if low[v] > disc[parent]:
                         out.add((min(v, parent), max(v, parent)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the edge reduction the census runs only in reverse, and the whole list of
+# reducible edges, kept verbatim from `enumeration` as references; a child
+# is built as the census builds it, from the patched rows and bitmasks
+
+
+def reducible_edges(graph: Graph) -> List[Tuple[int, int]]:
+    """Edges whose contraction yields a connected simple cubic graph."""
+    bits = graph.adj_bits
+    return [e for e in graph.edges()
+            if _locally_reducible(bits, *e) and not is_bridge(bits, *e)]
+
+
+def reduce_edge(graph: Graph, edge: Tuple[int, int]) -> Graph:
+    """Contract a reducible edge: drop its endpoints, rejoin the stubs.
+
+    Remaining vertices are renumbered ascending.
+    """
+    u, v = edge
+    a, b = (x for x in graph.adj[u] if x != v)
+    c, d = (x for x in graph.adj[v] if x != u)
+    keep = [x for x in range(graph.n) if x not in (u, v)]
+    index = {x: i for i, x in enumerate(keep)}
+    edges = [
+        (index[x], index[y])
+        for x, y in graph.edges()
+        if u not in (x, y) and v not in (x, y)
+    ]
+    edges.append((index[a], index[b]))
+    edges.append((index[c], index[d]))
+    return build_graph(graph.n - 2, edges)
+
+
+def insert_on_edges(graph: Graph, e1: Tuple[int, int], e2: Tuple[int, int]) -> Graph:
+    """Subdivide two distinct edges and join the two new vertices."""
+    return Graph._from_rows(tuple(_insert_rows(graph, e1, e2)),
+                            tuple(_insert_bits(graph, e1, e2)))

@@ -63,6 +63,46 @@ def test_cor49_small_range():
     assert set(report.hypothesis_hits) == forms("heawood")
 
 
+# the hits of each census claim at n <= 16: the cubic arc-transitive graphs
+# of the Foster census that meet its hypothesis
+HITS_TO_16 = {
+    "thm41-g4": ("k33", "cube"),
+    "thm41-g5": ("petersen",),
+    "thm44-g6": ("heawood",),
+    "lem45": ("petersen", "heawood"),
+    "lem46": ("heawood",),
+    "cor49": ("heawood", "gp(8,3)"),
+    "cor410": ("gp(8,3)",),
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(HITS_TO_16))
+def test_census_claim_hits_to_16(claim_id):
+    assert sorted(HITS_TO_16) == [c for c in CLAIM_IDS if c not in INPUT_CLAIMS]
+    report = verify_claim(claim_id, n_max=16)
+    assert report.verdict == "Pass"
+    assert sorted(report.hypothesis_hits) == sorted(forms(*HITS_TO_16[claim_id]))
+
+
+def test_a_claim_fails_when_a_named_graph_in_range_is_no_hit(monkeypatch,
+                                                              empty_memos):
+    # a histogram test broken on the Heawood graph drops cor49's one hit
+    heawood = canonical_form(catalog_graph("heawood")).decode("ascii")
+    ball_facts = claims.girth_and_histograms
+
+    def broken(graph):
+        length, agree = ball_facts(graph)
+        return length, agree and encode_graph6(graph) != heawood
+
+    monkeypatch.setattr(claims, "girth_and_histograms", broken)
+    report = verify_claim("cor49", n_max=14)
+    assert report.verdict == "Fail"
+    assert report.hypothesis_hits == []
+    assert report.counterexample == heawood
+    assert report.notes == [
+        "heawood, of order 14 in the scanned range, is not a hypothesis hit"]
+
+
 def test_cor410_small_range():
     report = verify_claim("cor410", n_max=12)
     assert report.verdict == "Pass"

