@@ -12,7 +12,7 @@ from .graph import (
     build_graph,
     cycles_of_length,
     every_3_arc_in_cycle,
-    every_edge_in_cycle,
+    every_edge_in_girth_cycle,
     girth,
     s_arcs,
 )

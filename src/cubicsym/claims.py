@@ -9,6 +9,9 @@ the source (the census to ``n_max``, or the catalog ``inputs`` of the
 counterexample, the failing record's canonical form.  No claim passes
 vacuously: an allowed or named graph of an order in range that is no
 hypothesis hit fails it, with its canonical form as the counterexample.
+Nor does an exclusion go stale: the census holds every graph of each
+order in range, so an excluded graph of such an order that never meets
+the hypothesis fails a census claim the same way.
 
 Hypothesis steps are keys of the predicate registry ``PREDICATES``,
 which ``filtered_enumeration`` (``cubicsym enumerate --predicate``)
@@ -32,7 +35,9 @@ vertex-transitivity (``vertex-transitive``, ``arc-transitive``,
 test it first and build the group only when it holds, so most census
 graphs never reach the group.  The girth and this histogram test come
 from one pass over the balls, ``graph.girth_and_histograms``, whichever
-a predicate reads first.
+a predicate reads first.  The ``every-edge-in-girth-cycle`` step reads
+the balls too and lists no cycle: ``graph.every_edge_in_girth_cycle``
+compares the two endpoints' spheres of radius (girth - 1) // 2.
 
 Every record keeps its readouts in a memo at an index, a ``_Memo``.  A
 census string's memo is its order's entry of the per-process ``_FACTS``,
@@ -84,7 +89,7 @@ from .distinguishing import CostResult, distinguishing_cost
 from .enumeration import (MAX_ORDER, MIN_ORDER, EnumerationRangeError,
                           enumerate_cubic_graph6)
 from .graph import (Graph, edge_components, every_3_arc_in_cycle,
-                    every_edge_in_cycle, girth_and_histograms)
+                    every_edge_in_girth_cycle, girth_and_histograms)
 from .graph6 import decode_graph6
 from .symmetry import (TransitivityProfile, consistent_cycles,
                        transitivity_profile)
@@ -253,7 +258,7 @@ PREDICATES: Dict[str, Predicate] = {
     "cubic-girth": Predicate(0, "G", lambda r, v: (
         r.graph.is_cubic() and r.graph.is_connected() and r.girth == v)),
     "every-edge-in-girth-cycle": Predicate(1, "", lambda r, _: (
-        r.girth is not None and every_edge_in_cycle(r.graph, r.girth))),
+        r.girth is not None and every_edge_in_girth_cycle(r.graph, r.girth))),
     "every-3-arc-in-6-cycle": Predicate(
         2, "", lambda r, _: every_3_arc_in_cycle(r.graph, 6)),
     "consistent-girth-cycle": Predicate(
@@ -459,15 +464,20 @@ INPUT_CLAIMS = tuple(key for key, claim in CLAIMS.items() if claim.inputs)
 def _scan(claim: Claim, report: ClaimReport,
           records: Iterable[Record]) -> ClaimReport:
     """Test hypothesis => conclusion on every record; stop at a failure.
-    Then fail if an allowed or named graph of an order in range is no hit."""
+    Then fail if an allowed or named graph of an order in range is no hit,
+    or, on the census, which holds every graph of each order in range, if
+    an excluded graph of such an order never meets the hypothesis."""
     steps = [_parse_predicate(spec) for spec in claim.hypothesis]
     forms = {name: _catalog_record(name).form
              for name in claim.allowed + claim.named}
     excluded = {_catalog_record(name).form for name in claim.excluded}
+    met = set()  # the excluded forms that meet the hypothesis
     for record in records:
         report.graphs_scanned += 1
         failed = _failed_step(record, steps)
         if failed is not None or record.form in excluded:
+            if failed is None:
+                met.add(record.form)
             if claim.skip_notes:
                 why = ("excluded exception" if failed is None
                        else claim.skip_notes[failed])
@@ -486,6 +496,16 @@ def _scan(claim: Claim, report: ClaimReport,
         if low <= order <= high and form.decode("ascii") not in report.hypothesis_hits:
             report.fail(form, f"{name}, of order {order} in the scanned range, "
                         "is not a hypothesis hit")
+            return report
+    if claim.inputs:  # a sample, not every graph of its orders
+        return report
+    for name in claim.excluded:
+        record = _catalog_record(name)
+        order = record.graph.n
+        if low <= order <= high and record.form not in met:
+            report.fail(record.form, f"{name}, of order {order} in the scanned "
+                        "range, does not meet the hypothesis; its exclusion is "
+                        "stale")
             return report
     return report
 

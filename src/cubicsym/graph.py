@@ -10,6 +10,7 @@ between workers once built.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 
@@ -333,15 +334,36 @@ def edge_components(n: int, edges: Iterable[Tuple[int, int]]) -> list[int]:
     return comp
 
 
-def every_edge_in_cycle(graph: Graph, length: int) -> bool:
-    """True iff every edge lies on at least one cycle of the given length."""
-    if graph.m == 0:
-        return True
-    covered = set()
-    for cyc in cycles_of_length(graph, length):
-        for u, w in zip(cyc, cyc[1:] + cyc[:1]):
-            covered.add((u, w) if u < w else (w, u))
-    return len(covered) == graph.m
+def every_edge_in_girth_cycle(graph: Graph, girth: int) -> bool:
+    """True iff every edge lies on a cycle of length ``girth``, the graph's
+    girth, read off the spheres S_r(u) = B_r(u) & ~B_{r-1}(u) of ``balls``.
+
+    At girth 2j + 1 the edge uv lies on a girth cycle iff S_j(u) & S_j(v)
+    is not empty; at girth 2j + 2 iff an edge joins some x in S_j(u) &
+    S_{j+1}(v) to some y in S_j(v) & S_{j+1}(u).  A shortest cycle is
+    isometric, so its vertex or edge opposite uv has exactly those
+    distances.  Conversely, geodesics from u and from v to those ends
+    that met early would close, with uv, a cycle shorter than the girth,
+    so with uv (and xy) they make a girth cycle.  Distances from u and v
+    differ by at most one, so a vertex of S_j(u) outside B_j(v) is in
+    S_{j+1}(v), and only the balls to radius j are read (past the last
+    radius, the last list: each ball is then its component).
+    """
+    j, even = divmod(girth - 1, 2)
+    layers = list(islice(balls(graph), j + 1))
+    inner, ball = layers[min(j - 1, len(layers) - 1)], layers[-1]
+    adj_bits = graph.adj_bits
+    for u, v in graph.edges():
+        near_u, near_v = ball[u] & ~inner[u], ball[v] & ~inner[v]
+        if even:  # x in S_j(u) & S_{j+1}(v), a neighbour in S_j(v) & S_{j+1}(u)
+            across = near_v & ~ball[u]
+            found = any(adj_bits[x] & across
+                        for x in _set_bits(near_u & ~ball[v]))
+        else:
+            found = near_u & near_v
+        if not found:
+            return False
+    return True
 
 
 def every_3_arc_in_cycle(graph: Graph, length: int) -> bool:

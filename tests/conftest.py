@@ -289,8 +289,9 @@ def _count_brbb_paths(graph: Graph, start: int, end: int, is_red) -> int:
 # reference per-graph kernels of a census scan: a BFS per root for the
 # distances, the girth and the cycle search's pruning, full distance
 # histograms for the vertex-transitivity prefilter and the census edge
-# score, and a column-at-a-time graph6 decoder, kept to compare the bitmask
-# kernels against
+# score, every girth cycle listed for the girth-cycle edge test (kept
+# verbatim from `graph`), and a column-at-a-time graph6 decoder, kept to
+# compare the bitmask kernels against
 
 
 def distance_profiles(
@@ -389,6 +390,17 @@ def cycles_of_length(
 
         extend()
     return tuple(sorted(found))
+
+
+def every_edge_in_cycle(graph: Graph, length: int) -> bool:
+    """True iff every edge lies on at least one cycle of the given length."""
+    if graph.m == 0:
+        return True
+    covered = set()
+    for cyc in cycles_of_length(graph, length):
+        for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+            covered.add((u, w) if u < w else (w, u))
+    return len(covered) == graph.m
 
 
 def girth(graph: Graph) -> Optional[int]:

@@ -25,7 +25,7 @@ from cubicsym import (
     enumerate_cubic,
     enumerate_cubic_graph6,
     every_3_arc_in_cycle,
-    every_edge_in_cycle,
+    every_edge_in_girth_cycle,
     girth,
     is_distinguishing_set,
     local_action_order,
@@ -93,7 +93,7 @@ def test_criterion_03_figure5_graph():
         assert automorphism_group(lam).order == 24
         assert not transitivity_profile(lam).vertex_transitive
         assert girth(lam) == 6
-        assert every_edge_in_cycle(lam, 6)
+        assert every_edge_in_girth_cycle(lam, 6)
         assert not every_3_arc_in_cycle(lam, 6)
 
 

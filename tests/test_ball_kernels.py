@@ -1,18 +1,21 @@
 """The bitmask kernels of a census scan against the per-root references in
 conftest: `girth`, the vertex-transitivity prefilter, the one pass that
-reads both, the pruning of `cycles_of_length` from BFS balls, and the
-edge-at-a-time graph6 decoder."""
+reads both, the pruning of `cycles_of_length` from BFS balls, the
+girth-cycle edge test read off two spheres, and the edge-at-a-time graph6
+decoder."""
 
+import itertools
 import random
+from collections import Counter
 
 import conftest
 from conftest import FIXED_CATALOG, distance_profiles, random_graph
 from cubicsym import (balls, build_graph, catalog_graph, cycles_of_length,
                       decode_graph6, encode_graph6, enumerate_cubic_graph6,
-                      girth)
-from cubicsym.catalog import (complete_graph, cycle_graph, edgeless_graph,
-                              generalized_petersen, moebius_ladder, path_ladder,
-                              prism)
+                      every_edge_in_girth_cycle, girth)
+from cubicsym.catalog import (complete_bipartite, complete_graph, cycle_graph,
+                              edgeless_graph, generalized_petersen,
+                              moebius_ladder, path_ladder, prism)
 from cubicsym.claims import Record
 from cubicsym.graph import edge_components, girth_and_histograms
 
@@ -125,6 +128,59 @@ def test_cycles_of_length_matches_the_distance_reference():
                 (encode_graph6(g), length)
             found += len(cycles)
     assert found > 50000
+
+
+def _union(*parts):
+    """The disjoint union of the graphs ``parts``, numbered in turn."""
+    edges, n = [], 0
+    for g in parts:
+        edges += [(u + n, w + n) for u, w in g.edges()]
+        n += g.n
+    return build_graph(n, edges)
+
+
+def _girth_cycle_grid():
+    graphs = [decode_graph6(s) for n in range(4, 17, 2)
+              for s in enumerate_cubic_graph6(n)]
+    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
+    small = [complete_graph(3), complete_graph(4), catalog_graph("k33")]
+    small += [cycle_graph(k) for k in range(3, 31)]
+    small += [path_ladder(k) for k in range(2, 16)]
+    small += [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 6)]
+    graphs += small
+    graphs += [_union(g, h) for g, h in zip(small, small[7:] + small[:7])]
+    graphs += [_union(g, g, edgeless_graph(2)) for g in small]
+    rng = random.Random(3301)
+    for _ in range(2000):
+        n = rng.randrange(3, 31)
+        graphs.append(random_graph(n, rng.choice((0.05, 0.1, 0.2, 0.3, 0.45, 0.6)), rng))
+    return [g for g in graphs if girth(g) is not None]
+
+
+def test_girth_cycle_edge_test_matches_the_cycle_listing():
+    kinds = Counter()
+    for g in _girth_cycle_grid():
+        length = girth(g)
+        found = every_edge_in_girth_cycle(g, length)
+        assert found == conftest.every_edge_in_cycle(g, length), encode_graph6(g)
+        kind = (g.is_connected(), g.is_regular(3))
+        kinds[length % 2, found, kind] += 1
+    # odd and even girths, each both ways, on connected cubic graphs,
+    # connected irregular ones and disconnected ones
+    for parity, found, kind in itertools.product(
+            (0, 1), (False, True), ((True, True), (True, False), (False, False))):
+        assert kinds[parity, found, kind] >= 10, (parity, found, kind)
+
+
+def test_girth_cycle_edge_test_on_forests():
+    # a forest has no girth; whatever length is asked, an edgeless graph
+    # has every edge on such a cycle and a forest with an edge has not
+    forests = [edgeless_graph(n) for n in range(6)]
+    forests += [build_graph(n, [(i, i + 1) for i in range(n - 1)])
+                for n in range(2, 9)]
+    for g, length in itertools.product(forests, range(3, 9)):
+        assert every_edge_in_girth_cycle(g, length) is (g.m == 0)
+        assert conftest.every_edge_in_cycle(g, length) is (g.m == 0)
 
 
 def test_decoder_matches_the_column_reference():

@@ -1,6 +1,7 @@
 """Claim verifiers over small census ranges (the acceptance suite runs
 the full stated ranges)."""
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -24,7 +25,7 @@ from cubicsym import claims, consistent_cycles, distinguishing_cost
 from cubicsym.claims import CLAIMS, INPUT_CLAIMS, PREDICATES, Record
 from cubicsym.symmetry import MAX_S
 
-from conftest import distance_profiles, random_relabel
+from conftest import distance_profiles, every_edge_in_cycle, random_relabel
 
 
 def forms(*names):
@@ -101,6 +102,44 @@ def test_a_claim_fails_when_a_named_graph_in_range_is_no_hit(monkeypatch,
     assert report.counterexample == heawood
     assert report.notes == [
         "heawood, of order 14 in the scanned range, is not a hypothesis hit"]
+
+
+def test_a_census_claim_fails_when_an_exclusion_is_stale(monkeypatch):
+    for n_max in (4, 14, 16):
+        assert verify_claim("cor410", n_max=n_max).verdict == "Pass"
+    # the truncated K4 (n = 12) is vertex- but not arc-transitive
+    cor410 = CLAIMS["cor410"]
+    monkeypatch.setitem(CLAIMS, "cor410", dataclasses.replace(
+        cor410, excluded=cor410.excluded + ("truncated_k4",)))
+    assert verify_claim("cor410", n_max=10).verdict == "Pass"
+    report = verify_claim("cor410", n_max=14)
+    assert report.verdict == "Fail"
+    assert report.counterexample == forms("truncated_k4").pop()
+    assert report.notes == [
+        "truncated_k4, of order 12 in the scanned range, does not meet the "
+        "hypothesis; its exclusion is stale"]
+
+
+def test_an_input_claim_keeps_an_exclusion_its_inputs_miss():
+    # cor33 excludes the Petersen graph; an input of the same order that
+    # is not it says nothing about the exclusion
+    report = verify_claim("cor33", inputs=[("prism5", catalog_graph("prism", 5))])
+    assert report.n_range == (10, 10)
+    assert report.verdict == "Pass"
+
+
+def test_girth_cycle_step_lists_no_cycles(monkeypatch):
+    def listing(graph, length):
+        raise AssertionError("the girth-cycle step listed cycles")
+
+    monkeypatch.setattr("cubicsym.graph.cycles_of_length", listing)
+    test = PREDICATES["every-edge-in-girth-cycle"].test
+    records = list(claims._census(range(4, 13, 2), 1))
+    assert len(records) == 1 + 2 + 5 + 19 + 85
+    passed = [r.g6 for r in records if test(r, None)]
+    assert passed == [r.g6 for r in records
+                      if every_edge_in_cycle(r.graph, r.girth)]
+    assert len(passed) > 3
 
 
 def test_cor410_small_range():

@@ -15,7 +15,7 @@ from cubicsym import (
     cycles_of_length,
     enumerate_cubic,
     every_3_arc_in_cycle,
-    every_edge_in_cycle,
+    every_edge_in_girth_cycle,
     girth,
     s_arcs,
 )
@@ -270,12 +270,12 @@ def test_coverage_examples():
     assert every_3_arc_in_cycle(heawood, 6)
     lam = catalog_graph("fig5_lambda")
     assert every_3_arc_in_cycle(lam, 6) is False
-    assert every_edge_in_cycle(path(7), 6) is False
+    assert every_edge_in_girth_cycle(path(7), 6) is False
 
 
 def test_fig5_lambda_coverage_split():
     lam = catalog_graph("fig5_lambda")
-    assert every_edge_in_cycle(lam, 6)
+    assert every_edge_in_girth_cycle(lam, 6)
     assert not every_3_arc_in_cycle(lam, 6)
 
 
