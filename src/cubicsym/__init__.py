@@ -10,11 +10,9 @@ from .graph import (
     GraphConstructionError,
     balls,
     build_graph,
-    cycles_of_length,
-    every_3_arc_in_cycle,
+    every_3_arc_in_6_cycle,
     every_edge_in_girth_cycle,
     girth,
-    s_arcs,
 )
 from .graph6 import (
     Graph6Error,
@@ -35,7 +33,6 @@ from .perm import (
 from .autgrp import (
     automorphism_group,
     canonical_form,
-    extend_partial_map,
     is_isomorphic,
 )
 from .symmetry import (

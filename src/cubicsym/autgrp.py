@@ -2,8 +2,8 @@
 
 One search engine backs three operations: equitable refinement, canonical
 forms (and hence isomorphism tests), and full automorphism groups.
-Partial vertex maps are extended to automorphisms, and distinguishing
-sets are tested, by filtering the materialized group, not by a search.
+Distinguishing sets are tested, and consistent cycles read, off the
+materialized group, not by a search.
 
 The canonical form is the lexicographically smallest leaf code of the
 refinement tree, taken at the first leaf reaching it in depth-first
@@ -48,8 +48,7 @@ relabelled graph built.
 from __future__ import annotations
 
 from itertools import groupby, islice
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Graph, balls
 from .graph6 import _encode_columns
@@ -333,24 +332,3 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     return canonical_form(g) == canonical_form(h)
 
-
-def extend_partial_map(graph: Graph, partial: Mapping[int, int]) -> Optional[Images]:
-    """The least automorphism (by image sequence) agreeing with the partial
-    vertex map, or None.
-
-    Filters the memoized group's sorted element list one pair at a time,
-    so it materializes the group and raises GroupTooLargeError above the
-    cap, as `automorphism_group` does.
-    """
-    n = graph.n
-    sources = sorted(partial)
-    targets = [partial[s] for s in sources]
-    if len(set(targets)) != len(targets):
-        raise ValueError("partial map must be injective")
-    for x in sources + targets:
-        if not 0 <= x < n:
-            raise ValueError("partial map endpoint outside vertex range")
-    keep = automorphism_group(graph).elements
-    for s, t in zip(sources, targets):
-        keep = [p for p in keep if p[s] == t]
-    return keep[0] if keep else None

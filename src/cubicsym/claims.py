@@ -88,7 +88,7 @@ from .catalog import catalog_graph
 from .distinguishing import CostResult, distinguishing_cost
 from .enumeration import (MAX_ORDER, MIN_ORDER, EnumerationRangeError,
                           enumerate_cubic_graph6)
-from .graph import (Graph, edge_components, every_3_arc_in_cycle,
+from .graph import (Graph, edge_components, every_3_arc_in_6_cycle,
                     every_edge_in_girth_cycle, girth_and_histograms)
 from .graph6 import decode_graph6
 from .symmetry import (TransitivityProfile, consistent_cycles,
@@ -260,7 +260,7 @@ PREDICATES: Dict[str, Predicate] = {
     "every-edge-in-girth-cycle": Predicate(1, "", lambda r, _: (
         r.girth is not None and every_edge_in_girth_cycle(r.graph, r.girth))),
     "every-3-arc-in-6-cycle": Predicate(
-        2, "", lambda r, _: every_3_arc_in_cycle(r.graph, 6)),
+        2, "", lambda r, _: every_3_arc_in_6_cycle(r.graph)),
     "consistent-girth-cycle": Predicate(
         3, "", lambda r, _: r.has_consistent_girth_cycle),
     # on a connected graph, s-arc-transitivity with s >= 1 implies
@@ -351,7 +351,9 @@ class Claim:
     # (record, forms of the allowed and named graphs) -> (failure, note)
     conclusion: Callable[[Record, Dict[str, bytes]], Verdict]
     allowed: Tuple[str, ...] = ()  # catalog graphs a hit must be one of
-    named: Tuple[str, ...] = ()  # further catalog graphs the conclusion names
+    # further catalog graphs that must be hits in range: those the
+    # conclusion reads, and the claim's other census hits to n = 20
+    named: Tuple[str, ...] = ()
     excluded: Tuple[str, ...] = ()  # catalog graphs left out of the hypothesis
     # catalog graphs scanned when no inputs are given; none: the census
     inputs: Tuple[str, ...] = ()
@@ -439,11 +441,14 @@ CLAIMS: Dict[str, Claim] = {
     "thm44-g6": Claim(
         ("girth=6", "every-3-arc-in-6-cycle", "consistent-girth-cycle"),
         _one_of_allowed, allowed=("heawood", "pappus", "desargues")),
-    "lem45": Claim(("s-arc-transitive-of-girth-s+2",), _lem45),
-    "lem46": Claim(("girth=6", "s-arc-transitive=3"), _lem46),
+    "lem45": Claim(("s-arc-transitive-of-girth-s+2",), _lem45,
+                   named=("petersen", "heawood")),
+    "lem46": Claim(("girth=6", "s-arc-transitive=3"), _lem46,
+                   named=("heawood", "pappus", "desargues")),
     "cor49": Claim(("girth=6", "arc-transitive"), _cor49,
-                   named=("desargues", "pappus", "heawood")),
+                   named=("desargues", "pappus", "heawood", "gp(8,3)")),
     "cor410": Claim(("arc-transitive",), _cor410,
+                    named=("gp(8,3)", "pappus", "dodecahedron", "desargues"),
                     excluded=("k4", "k33", "cube", "petersen", "heawood")),
     "thm34": Claim(
         ("cubic-girth=5", "vertex-transitive", "edge-orbits=2"), _thm34,

@@ -1,4 +1,4 @@
-"""Immutable simple-graph data model with girth, cycle, and s-arc machinery.
+"""Immutable simple-graph data model, its kernels, girth and coverage tests.
 
 Graphs are stored as sorted adjacency tuples plus per-vertex neighbor
 bitmasks; the bitmasks make popcount-style set intersections cheap in the
@@ -252,71 +252,6 @@ def _has_inner_edge(adj_bits: Sequence[int], layer: int) -> bool:
     return False
 
 
-def cycles_of_length(
-    graph: Graph, length: int
-) -> Tuple[Tuple[int, ...], ...]:
-    """All distinct cycles of exactly the given length, sorted, each as its
-    canonical vertex sequence: the least of its rotations and reflections.
-
-    Rooted DFS from each vertex, restricted to larger-indexed vertices so
-    each cycle is found from its minimum vertex only, which leads the
-    canonical sequence; keeping the direction with path[1] < path[-1]
-    picks the lesser reflection.  A step to w with r edges left needs w
-    in the root's radius-r ball (past the last radius, its component).
-    """
-    if length < 3:
-        raise ValueError("cycle length must be >= 3")
-    found: list[Tuple[int, ...]] = []
-    adj = graph.adj
-    layers = list(balls(graph))
-    last = len(layers) - 1
-    for root in range(graph.n):
-        within = [layers[min(r, last)][root] & -2 << root for r in range(length)]
-        path = [root]
-        on_path = 1 << root
-
-        def extend() -> None:
-            nonlocal on_path
-            v = path[-1]
-            remaining = length - len(path)
-            if remaining == 0:
-                if graph.has_edge(v, root) and path[1] < path[-1]:
-                    found.append(tuple(path))
-                return
-            allowed = within[remaining] & ~on_path
-            for w in adj[v]:
-                if (allowed >> w) & 1:
-                    path.append(w)
-                    on_path |= 1 << w
-                    extend()
-                    path.pop()
-                    on_path &= ~(1 << w)
-
-        extend()
-    return tuple(sorted(found))
-
-
-def s_arcs(graph: Graph, s: int) -> Iterator[Tuple[int, ...]]:
-    """Iterate all s-arcs as vertex tuples, in lexicographic order."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    adj = graph.adj
-
-    def extend(prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-        if len(prefix) == s + 1:
-            yield prefix
-            return
-        v = prefix[-1]
-        back = prefix[-2] if len(prefix) >= 2 else -1
-        for w in adj[v]:
-            if w != back:
-                yield from extend(prefix + (w,))
-
-    for u in range(graph.n):
-        for w in adj[u]:
-            yield from extend((u, w))
-
-
 def edge_components(n: int, edges: Iterable[Tuple[int, int]]) -> list[int]:
     """Component index of each vertex in the subgraph spanned by ``edges``,
     numbered in order of least vertex; -1 where no edge touches the vertex."""
@@ -366,16 +301,23 @@ def every_edge_in_girth_cycle(graph: Graph, girth: int) -> bool:
     return True
 
 
-def every_3_arc_in_cycle(graph: Graph, length: int) -> bool:
-    """True iff every 3-arc lies on at least one cycle of the given length."""
-    covered = set()
-    for cyc in cycles_of_length(graph, length):
-        doubled = cyc + cyc
-        for i in range(len(cyc)):
-            run = doubled[i : i + 4]
-            covered.add(run)
-            covered.add(run[::-1])
-    for arc in s_arcs(graph, 3):
-        if arc not in covered:
-            return False
+def every_3_arc_in_6_cycle(graph: Graph) -> bool:
+    """True iff every 3-arc lies on a 6-cycle.
+
+    The 3-arc a-b-c-d lies on one iff a != d and some x in N(a) - {a, b,
+    c, d} has a neighbour y in N(d) - {a, b, c, d}: the cycle is then
+    a-b-c-d-y-x.  Both directions of an arc ask the same, so each middle
+    edge bc is read once.
+    """
+    adj_bits = graph.adj_bits
+    for b, c in graph.edges():
+        for a in _set_bits(adj_bits[b] ^ 1 << c):
+            for d in _set_bits(adj_bits[c] ^ 1 << b):
+                if a == d:
+                    return False
+                arc = 1 << a | 1 << b | 1 << c | 1 << d
+                across = adj_bits[d] & ~arc
+                if not any(adj_bits[x] & across
+                           for x in _set_bits(adj_bits[a] & ~arc)):
+                    return False
     return True

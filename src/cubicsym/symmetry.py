@@ -26,14 +26,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .autgrp import automorphism_group, extend_partial_map
-from .graph import Graph, cycles_of_length, edge_components
+from .autgrp import automorphism_group
+from .graph import Graph, edge_components
 from .perm import Action, Images, orbits, stabilizer
 
 MAX_S = 7
 
 Edge = Tuple[int, int]
-Cycle = Tuple[int, ...]  # canonical vertex sequence, see cycles_of_length
+Cycle = Tuple[int, ...]  # least of its rotations and reflections
 
 
 def _require_connected(graph: Graph) -> None:
@@ -160,20 +160,32 @@ def consistent_cycles(
 ) -> Tuple[Tuple[Cycle, Images], ...]:
     """All length-L cycles admitting a one-step rotation, with witnesses.
 
-    Each returned witness is an automorphism's image tuple g with
-    g[v_i] = v_{i+1 mod L} on the canonical vertex sequence.  Only one
-    orientation needs testing: a rotation of the reversed traversal is
-    the inverse of a forward rotation, so a cycle is consistent one way
-    iff it is the other.
+    Each returned witness is the least automorphism g (by image tuple)
+    with g[v_i] = v_{i+1 mod L} on the canonical vertex sequence.  Such a
+    g has the cycle as an orbit of L points, each adjacent to its image,
+    and every such orbit of L >= 3 points is a cycle that g rotates.  So
+    one pass over the sorted elements follows g from each x ~ g[x] while
+    the points grow, and keeps the orbits that close at x, their least
+    point, after L steps and that g turns forward (cyc[1] < cyc[-1]; its
+    inverse turns them the other way).  The first element kept for a
+    cycle is its witness.
     """
     _require_connected(graph)
-    out = []
-    for cyc in cycles_of_length(graph, length):
-        partial = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
-        witness = extend_partial_map(graph, partial)
-        if witness is not None:
-            out.append((cyc, witness))
-    return tuple(out)
+    if length < 3:
+        raise ValueError("cycle length must be >= 3")
+    adj_bits = graph.adj_bits
+    found: dict[Cycle, Images] = {}
+    for g in automorphism_group(graph).elements:
+        for x, y in enumerate(g):
+            if y < x or not adj_bits[x] >> y & 1:
+                continue
+            cyc = [x]
+            while y > x and len(cyc) <= length:
+                cyc.append(y)
+                y = g[y]
+            if y == x and len(cyc) == length and cyc[1] < cyc[-1]:
+                found.setdefault(tuple(cyc), g)
+    return tuple(sorted(found.items()))
 
 
 def local_fixity_check(graph: Graph, edge: Edge) -> bool:

@@ -6,20 +6,21 @@ import itertools
 import random
 from collections import deque
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 import pytest
 
 from cubicsym import (EnumerationRangeError, Graph, automorphism_group,
                       build_graph, canonical_form, encode_graph6, orbits,
-                      s_arcs, stabilizer, transitivity_profile)
+                      stabilizer, transitivity_profile)
 from cubicsym.autgrp import _refine_cells, _SearchResult
 from cubicsym.distinguishing import (COLOR_CAP, ColorCapExceeded,
                                      _distinguishing_coloring_exists,
                                      distinguishing_cost)
 from cubicsym.enumeration import _insert_bits, _insert_rows, _locally_reducible
 from cubicsym.graph import edge_components, is_bridge
-from cubicsym.perm import Action, PermutationGroup
+from cubicsym.perm import Action, Images, PermutationGroup
 from cubicsym.symmetry import MAX_S
 from cubicsym.graph6 import _NON_PRINTABLE, _SEXTETS, Graph6Error
 
@@ -401,6 +402,78 @@ def every_edge_in_cycle(graph: Graph, length: int) -> bool:
         for u, w in zip(cyc, cyc[1:] + cyc[:1]):
             covered.add((u, w) if u < w else (w, u))
     return len(covered) == graph.m
+
+
+def s_arcs(graph: Graph, s: int) -> Iterator[Tuple[int, ...]]:
+    """Iterate all s-arcs as vertex tuples, in lexicographic order."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    adj = graph.adj
+
+    def extend(prefix: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+        if len(prefix) == s + 1:
+            yield prefix
+            return
+        v = prefix[-1]
+        back = prefix[-2] if len(prefix) >= 2 else -1
+        for w in adj[v]:
+            if w != back:
+                yield from extend(prefix + (w,))
+
+    for u in range(graph.n):
+        for w in adj[u]:
+            yield from extend((u, w))
+
+
+def every_3_arc_in_cycle(graph: Graph, length: int) -> bool:
+    """True iff every 3-arc lies on at least one cycle of the given length."""
+    covered = set()
+    for cyc in cycles_of_length(graph, length):
+        doubled = cyc + cyc
+        for i in range(len(cyc)):
+            run = doubled[i : i + 4]
+            covered.add(run)
+            covered.add(run[::-1])
+    for arc in s_arcs(graph, 3):
+        if arc not in covered:
+            return False
+    return True
+
+
+def extend_partial_map(graph: Graph, partial: Mapping[int, int]) -> Optional[Images]:
+    """The least automorphism (by image sequence) agreeing with the partial
+    vertex map, or None.
+
+    Filters the memoized group's sorted element list one pair at a time,
+    so it materializes the group and raises GroupTooLargeError above the
+    cap, as `automorphism_group` does.
+    """
+    n = graph.n
+    sources = sorted(partial)
+    targets = [partial[s] for s in sources]
+    if len(set(targets)) != len(targets):
+        raise ValueError("partial map must be injective")
+    for x in sources + targets:
+        if not 0 <= x < n:
+            raise ValueError("partial map endpoint outside vertex range")
+    keep = automorphism_group(graph).elements
+    for s, t in zip(sources, targets):
+        keep = [p for p in keep if p[s] == t]
+    return keep[0] if keep else None
+
+
+def consistent_cycles(
+    graph: Graph, length: int
+) -> Tuple[Tuple[Tuple[int, ...], Images], ...]:
+    """Every listed cycle of the given length whose one-step rotation
+    extends to an automorphism, with the least such automorphism."""
+    out = []
+    for cyc in cycles_of_length(graph, length):
+        partial = {cyc[i]: cyc[(i + 1) % len(cyc)] for i in range(len(cyc))}
+        witness = extend_partial_map(graph, partial)
+        if witness is not None:
+            out.append((cyc, witness))
+    return tuple(out)
 
 
 def girth(graph: Graph) -> Optional[int]:

@@ -24,7 +24,7 @@ from cubicsym import (
     encode_graph6,
     enumerate_cubic,
     enumerate_cubic_graph6,
-    every_3_arc_in_cycle,
+    every_3_arc_in_6_cycle,
     every_edge_in_girth_cycle,
     girth,
     is_distinguishing_set,
@@ -94,7 +94,7 @@ def test_criterion_03_figure5_graph():
         assert not transitivity_profile(lam).vertex_transitive
         assert girth(lam) == 6
         assert every_edge_in_girth_cycle(lam, 6)
-        assert not every_3_arc_in_cycle(lam, 6)
+        assert not every_3_arc_in_6_cycle(lam)
 
 
 def test_criterion_04_girth_4_and_5_census():

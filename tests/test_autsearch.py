@@ -1,4 +1,5 @@
-"""Refinement, automorphism search, canonical forms, partial-map extension."""
+"""Refinement, automorphism search, canonical forms, and the reference
+partial-map extension of conftest against the group."""
 
 import random
 import time
@@ -11,9 +12,7 @@ from cubicsym import (
     build_graph,
     canonical_form,
     catalog_graph,
-    cycles_of_length,
     enumerate_cubic,
-    extend_partial_map,
     girth,
     is_isomorphic,
 )
@@ -24,6 +23,8 @@ from cubicsym.catalog import generalized_petersen, _lcf
 from conftest import (
     FIXED_CATALOG,
     backtracking_automorphisms,
+    cycles_of_length,
+    extend_partial_map,
     naive_aut_order,
     random_cubic,
     random_graph,
@@ -251,8 +252,6 @@ def test_k4_transposition_extension():
 
 
 def test_petersen_pentagon_rotation_has_witness():
-    from cubicsym import cycles_of_length
-
     g = catalog_graph("petersen")
     cyc = cycles_of_length(g, 5)[0]
     partial = {cyc[i]: cyc[(i + 1) % 5] for i in range(5)}

@@ -1,7 +1,7 @@
 """The bitmask kernels of a census scan against the per-root references in
 conftest: `girth`, the vertex-transitivity prefilter, the one pass that
-reads both, the pruning of `cycles_of_length` from BFS balls, the
-girth-cycle edge test read off two spheres, and the edge-at-a-time graph6
+reads both, the girth-cycle edge test read off two spheres, the 3-arc
+test read off the neighbour bitmasks, and the edge-at-a-time graph6
 decoder."""
 
 import itertools
@@ -10,9 +10,9 @@ from collections import Counter
 
 import conftest
 from conftest import FIXED_CATALOG, distance_profiles, random_graph
-from cubicsym import (balls, build_graph, catalog_graph, cycles_of_length,
-                      decode_graph6, encode_graph6, enumerate_cubic_graph6,
-                      every_edge_in_girth_cycle, girth)
+from cubicsym import (balls, build_graph, catalog_graph, decode_graph6,
+                      encode_graph6, enumerate_cubic_graph6,
+                      every_3_arc_in_6_cycle, every_edge_in_girth_cycle, girth)
 from cubicsym.catalog import (complete_bipartite, complete_graph, cycle_graph,
                               edgeless_graph, generalized_petersen,
                               moebius_ladder, path_ladder, prism)
@@ -119,15 +119,20 @@ def test_balls_are_the_distance_balls():
                             for row in dists]
 
 
-def test_cycles_of_length_matches_the_distance_reference():
-    found = 0
-    for g in CYCLE_GRID:
-        for length in _cycle_lengths(g):
-            cycles = cycles_of_length(g, length)
-            assert cycles == conftest.cycles_of_length(g, length), \
-                (encode_graph6(g), length)
-            found += len(cycles)
-    assert found > 50000
+def test_3_arc_test_matches_the_cycle_listing_reference():
+    graphs = CYCLE_GRID + [catalog_graph(name) for name in FIXED_CATALOG]
+    graphs += [conftest.decode_graph6(s) for s in enumerate_cubic_graph6(14)]
+    answers = Counter()
+    for g in graphs:
+        answer = every_3_arc_in_6_cycle(g)
+        assert answer == conftest.every_3_arc_in_cycle(g, 6), encode_graph6(g)
+        answers[answer, g.is_connected()] += 1
+    # both answers, on connected and disconnected graphs alike
+    assert min(answers.values()) > 20 and len(answers) == 4
+    assert every_3_arc_in_6_cycle(edgeless_graph(0))
+    assert every_3_arc_in_6_cycle(edgeless_graph(5))
+    # each 3-arc of K6 lies on a 6-cycle except those that close a triangle
+    assert not every_3_arc_in_6_cycle(complete_graph(6))
 
 
 def _union(*parts):

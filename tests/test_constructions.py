@@ -239,7 +239,7 @@ def test_classic_truncation_k33():
 
 
 def test_classic_truncation_k4_triangles():
-    from cubicsym import cycles_of_length
+    from conftest import cycles_of_length
 
     t = classic_truncation(complete_graph(4))
     assert t.n == 12 and girth(t) == 3

@@ -14,7 +14,6 @@ from cubicsym import (
     build_graph,
     canonical_form,
     catalog_graph,
-    cycles_of_length,
     decode_graph6,
     enumerate_cubic,
     enumerate_cubic_graph6,
@@ -304,7 +303,8 @@ def _cycle_edges(cycle):
 
 def _brute_short_cycle_key(g, edge):
     return tuple(
-        -sum(edge in _cycle_edges(c) for c in cycles_of_length(g, length))
+        -sum(edge in _cycle_edges(c)
+             for c in conftest.cycles_of_length(g, length))
         for length in (3, 4, 5)
     )
 

@@ -12,18 +12,17 @@ from cubicsym import (
     canonical_form,
     catalog_graph,
     catalog_names,
-    cycles_of_length,
     enumerate_cubic,
-    every_3_arc_in_cycle,
+    every_3_arc_in_6_cycle,
     every_edge_in_girth_cycle,
     girth,
-    s_arcs,
 )
 from cubicsym.graph import edge_components, is_bridge
 
-from conftest import (distance_profiles, random_cubic, random_graph,
-                      reference_bridges, reference_edge_components,
-                      reference_is_connected, s_arc_count)
+from conftest import (cycles_of_length, distance_profiles, random_cubic,
+                      random_graph, reference_bridges,
+                      reference_edge_components, reference_is_connected,
+                      s_arc_count, s_arcs)
 
 
 def k4():
@@ -267,16 +266,16 @@ def test_s_arcs_are_valid():
 
 def test_coverage_examples():
     heawood = catalog_graph("heawood")
-    assert every_3_arc_in_cycle(heawood, 6)
+    assert every_3_arc_in_6_cycle(heawood)
     lam = catalog_graph("fig5_lambda")
-    assert every_3_arc_in_cycle(lam, 6) is False
+    assert every_3_arc_in_6_cycle(lam) is False
     assert every_edge_in_girth_cycle(path(7), 6) is False
 
 
 def test_fig5_lambda_coverage_split():
     lam = catalog_graph("fig5_lambda")
     assert every_edge_in_girth_cycle(lam, 6)
-    assert not every_3_arc_in_cycle(lam, 6)
+    assert not every_3_arc_in_6_cycle(lam)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,17 @@ from cubicsym import (
     catalog_graph,
     consistent_cycles,
     distinguishing_cost,
+    encode_graph6,
     enumerate_cubic,
     girth,
     local_action_order,
     local_fixity_check,
     transitivity_profile,
 )
-from cubicsym.catalog import _lcf, icosahedron
+from cubicsym.catalog import _lcf, complete_graph, icosahedron
 
-from conftest import s_arc_count
+import conftest
+from conftest import FIXED_CATALOG, random_graph, s_arc_count
 
 
 def cycle(n):
@@ -219,6 +221,36 @@ def test_witnesses_rotate_the_stored_sequence():
             assert witness in group_images
             for i in range(len(cyc)):
                 assert witness[cyc[i]] == cyc[(i + 1) % len(cyc)]
+
+
+def _consistent_cycle_grid(rng):
+    """(graph, lengths): the census to 12 at its girth and lengths 3 to 8;
+    the fixed catalog, gp(8,3), gp(13,5), K5 and 150 seeded connected
+    G(n, p) with n <= 10, each at its girth and lengths 3 to min(n, 8)."""
+    cases = [(g, {girth(g), *range(3, 9)})
+             for n in range(4, 13, 2) for g in enumerate_cubic(n)]
+    graphs = [catalog_graph(name) for name in FIXED_CATALOG]
+    graphs += [catalog_graph("gp(8,3)"), catalog_graph("gp(13,5)"),
+               complete_graph(5)]
+    randoms = []
+    while len(randoms) < 150:
+        g = random_graph(rng.randrange(3, 11), rng.choice((0.3, 0.4, 0.5)), rng)
+        if g.is_connected() and girth(g) is not None:
+            randoms.append(g)
+    graphs += randoms
+    cases += [(g, {girth(g), *range(3, min(g.n, 8) + 1)}) for g in graphs]
+    return cases
+
+
+def test_consistent_cycles_match_the_listing_reference(rng):
+    found = 0
+    for g, lengths in _consistent_cycle_grid(rng):
+        for length in sorted(lengths):
+            pairs = consistent_cycles(g, length)
+            assert pairs == conftest.consistent_cycles(g, length), \
+                (encode_graph6(g), length)
+            found += len(pairs)
+    assert found > 400
 
 
 def test_asymmetric_graph_has_no_consistent_cycles():
