@@ -22,9 +22,7 @@ from .graph6 import (
     parse_edge_list,
 )
 from .perm import (
-    Action,
     GroupTooLargeError,
-    PermutationGroup,
     close_generators,
     cycle_notation,
     orbits,

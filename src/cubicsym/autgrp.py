@@ -18,7 +18,7 @@ the rest of that child's subtree is skipped.  Pruned subtrees hold no earlier
 minimum leaf, so the canonical leaf is the one the full tree gives, and
 the found automorphisms generate the whole group, which is materialized
 by closing them.  An automorphism stays a plain image tuple from the leaf
-that finds it through the closure to the group's sorted element list.
+that finds it through the closure to the group's sorted element tuple.
 
 The root is split by a vertex invariant before it is refined: its cells
 group the vertices by their ball sizes |B_r(v)|, r = 0..3, read off
@@ -52,13 +52,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Graph, balls
 from .graph6 import _encode_columns
-from .perm import (
-    DEFAULT_GROUP_CAP,
-    Images,
-    PermutationGroup,
-    close_generators,
-    extend_closure,
-)
+from .perm import DEFAULT_GROUP_CAP, Group, Images, close_generators, extend_closure
 
 
 def _cell_weights(cells: List[Tuple[int, ...]], shift: int) -> List[int]:
@@ -263,22 +257,21 @@ def _ir_search(graph: Graph) -> _SearchResult:
     return _SearchResult(tuple(best_code), best_posv, gens)
 
 
-def reduced_generators(group: PermutationGroup) -> Tuple[Images, ...]:
-    """The greedy generating set of the sorted element list: each element
+def reduced_generators(group: Group) -> Tuple[Images, ...]:
+    """The greedy generating set of the sorted element tuple: each element
     not yet generated by the earlier picks is picked; the identity alone
-    for a trivial group.  ``analyze`` prints it; the group itself keeps
-    the search's generators."""
-    degree, elements = group.degree, group.elements
+    for a trivial group.  ``analyze`` prints it; orbits read the search's
+    generators (``search_generators``)."""
     gens: List[Images] = []
-    closed = {tuple(range(degree))}
-    for p in elements:
+    closed = {group[0]}
+    for p in group:
         if p in closed:
             continue
         gens.append(p)
-        extend_closure(closed, [g.__getitem__ for g in gens], len(elements))
-        if len(closed) == len(elements):
+        extend_closure(closed, [g.__getitem__ for g in gens], len(group))
+        if len(closed) == len(group):
             break
-    return tuple(gens) if gens else (tuple(range(degree)),)
+    return tuple(gens) if gens else group[:1]
 
 
 # One memo for the last graph, by identity: its search and, closed on first
@@ -299,16 +292,14 @@ def search_generators(graph: Graph) -> List[Images]:
     return _memoized(graph)[1].generators
 
 
-def automorphism_group(graph: Graph) -> PermutationGroup:
-    """Full group of adjacency-preserving bijections; materialized,
-    deterministic.  The group is the closure of the search's generators
-    (the cap fires during the closure), and keeps them as its generating
-    set, the identity alone when the search found none;
-    ``reduced_generators`` gives the greedy set of the element list."""
+def automorphism_group(graph: Graph) -> Group:
+    """Full group of adjacency-preserving bijections, as its sorted
+    element tuple; materialized, deterministic.  The group is the closure
+    of the search's generators (the cap fires during the closure);
+    ``reduced_generators`` gives the greedy set of the element tuple."""
     memo = _memoized(graph)
     if memo[2] is None:
-        gens = memo[1].generators or [tuple(range(graph.n))]
-        memo[2] = close_generators(gens, graph.n, DEFAULT_GROUP_CAP)
+        memo[2] = close_generators(memo[1].generators, graph.n, DEFAULT_GROUP_CAP)
     return memo[2]
 
 

@@ -229,18 +229,18 @@ def catalog_build(name: str, *params: int) -> CatalogEntry:
     """Build a named graph; parametric families take integer parameters.
 
     Accepts ``gp(10,3)``-style names with inline parameters as well as
-    separate ``params``.  Hyphens and underscores are interchangeable.
+    separate ``params``.  Hyphens and underscores are interchangeable in
+    the base name; a hyphen among the parameters is a minus sign.
     """
-    key = name.strip().lower().replace("-", "_")
-    if "(" in key:
-        base, rest = key.split("(", 1)
+    key, paren, rest = name.strip().lower().partition("(")
+    key = key.strip().replace("-", "_")
+    if paren:
         if not rest.endswith(")"):
             raise CatalogError(f"malformed catalog name {name!r}")
         try:
             params = tuple(int(x) for x in rest[:-1].split(",") if x.strip())
         except ValueError as exc:
             raise CatalogError(f"non-integer parameter in {name!r}") from exc
-        key = base.strip()
     if key in _PLAIN:
         if params:
             raise CatalogError(f"{key} takes no parameters")

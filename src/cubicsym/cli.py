@@ -121,7 +121,7 @@ def _analysis_report(graph: Graph) -> dict:
     }
     report["girth"] = girth(graph)  # null for a forest
     group = automorphism_group(graph)
-    report["aut_order"] = group.order
+    report["aut_order"] = len(group)
     report["aut_generators"] = [cycle_notation(p)
                                 for p in reduced_generators(group)]
     if report["connected"] and graph.n > 0:

@@ -5,11 +5,12 @@ A vertex set is distinguishing when its setwise stabilizer in the full
 automorphism group is trivial; the cost is the minimum size of such a
 set.  The cost search walks set sizes k = 1, 2, ... and inside each size
 enumerates candidate sets in lexicographic order, with the first element
-restricted to vertex-orbit minima (any witness can be translated so its
-least element is the least element of its orbit, so the restriction
-loses nothing and the first witness found is the lexicographically least
-overall).  Sets larger than n/2 never need testing: the complement of a
-distinguishing set is distinguishing.
+restricted to vertex-orbit minima, read off the search's generators
+(any witness can be translated so its least element is the least
+element of its orbit, so the restriction loses nothing and the first
+witness found is the lexicographically least overall).  Sets larger
+than n/2 never need testing: the complement of a distinguishing set is
+distinguishing.
 
 Whether a group element preserves a vertex set is one C-level call,
 ``frozenset(S).issuperset`` of the members' images read by one
@@ -26,9 +27,9 @@ from itertools import combinations
 from operator import eq, itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .autgrp import automorphism_group
+from .autgrp import automorphism_group, search_generators
 from .graph import Graph
-from .perm import Action, orbits
+from .perm import orbits
 
 COLOR_CAP = 8  # most colors `distinguishing_number` tries
 
@@ -74,14 +75,14 @@ class CostResult:
 def is_distinguishing_set(graph: Graph, members: Sequence[int]) -> bool:
     """True iff only the identity preserves the set.
 
-    Filters the memoized group's element list, so it materializes the
+    Filters the memoized group's element tuple, so it materializes the
     group and raises GroupTooLargeError above the cap, as
     `automorphism_group` does.
     """
     s = frozenset(members)
     if any(not 0 <= v < graph.n for v in s):
         raise ValueError("set member outside vertex range")
-    moving = automorphism_group(graph).elements[1:]
+    moving = automorphism_group(graph)[1:]
     if not s:  # every element preserves the empty set
         return not moving
     return not any(map(s.issuperset, map(_images(tuple(s)), moving)))
@@ -116,15 +117,15 @@ def distinguishing_cost(graph: Graph, budget: Optional[int] = None) -> CostResul
     D > 2 by complement symmetry).
     """
     group = automorphism_group(graph)
-    if group.order == 1:
+    if len(group) == 1:
         return CostResult("asymmetric", 0, ())
     n = graph.n
-    blocks = orbits(group.generators, Action.VERTICES, graph)
+    blocks = orbits(search_generators(graph), range(n))
     reps = sorted(min(block) for block in blocks)
     # an element preserving a set maps its least member, a rep, into the
     # set: index the non-identity elements by the image of each rep
     moves: Dict[int, Dict[int, List[Tuple[int, ...]]]] = {r: {} for r in reps}
-    for p in group.elements[1:]:
+    for p in group[1:]:
         for r in reps:
             moves[r].setdefault(p[r], []).append(p)
     tested = 0
@@ -162,12 +163,12 @@ def distinguishing_number(graph: Graph, cost: Optional[CostResult] = None) -> in
     ColorCapExceeded past the cap.
     """
     group = automorphism_group(graph)
-    if group.order == 1:
+    if len(group) == 1:
         return 1
     if (cost or distinguishing_cost(graph)).is_cost:
         return 2
     n = graph.n
-    moving = group.elements[1:]
+    moving = group[1:]
     bits = graph.adj_bits
     # twins, equal open or closed neighborhoods (an open one never equals a
     # closed one), are swapped by an automorphism fixing the rest

@@ -1,23 +1,25 @@
 """Permutations on vertex indices and fully materialized permutation groups.
 
 A permutation of [0, n) is its image tuple: ``p[i]`` is the image of
-point i.  Groups are materialized whole by coset enumeration rather than
-via stabilizer chains; the closure is capped at DEFAULT_GROUP_CAP = 2^20
-elements (K9's 9! = 362,880 still closes).  Past the cap the failure is
-an explicit GroupTooLargeError, never silent degradation.
+point i.  A group is the tuple of all its elements, sorted, so the
+identity is ``group[0]``, the order is ``len(group)`` and ``group[1:]``
+are the elements that move a point.  Groups are materialized whole by
+coset enumeration rather than via stabilizer chains; the closure is
+capped at DEFAULT_GROUP_CAP = 2^20 elements (K9's 9! = 362,880 still
+closes).  Past the cap the failure is an explicit GroupTooLargeError,
+never silent degradation.  Orbits need no group: ``orbits(perms,
+points)`` reads only the permutations, so a search's generators give
+them with no closure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
-
-from .graph import Graph
+from typing import Callable, Iterable, List, Sequence, Set, Tuple
 
 DEFAULT_GROUP_CAP = 2**20
 
 Images = Tuple[int, ...]  # a permutation: images[i] is the image of point i
+Group = Tuple[Images, ...]  # every element, sorted: the identity first
 
 
 class GroupTooLargeError(RuntimeError):
@@ -47,24 +49,6 @@ def cycle_notation(images: Images) -> str:
     return "".join(parts) if parts else "()"
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
-    """Finitely generated group with its element set materialized.
-
-    Elements are image tuples sorted lexicographically, so every
-    downstream search over the group is reproducible and the identity is
-    ``elements[0]``.
-    """
-
-    degree: int
-    generators: Tuple[Images, ...]
-    elements: Tuple[Images, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 def extend_closure(
     seen: Set[Images], lookups: Sequence[Callable], cap: int
 ) -> bool:
@@ -90,19 +74,16 @@ def extend_closure(
 
 
 def close_generators(
-    gens: Iterable[Sequence[int]], degree: Optional[int] = None, cap: int = DEFAULT_GROUP_CAP
-) -> PermutationGroup:
+    gens: Iterable[Sequence[int]], degree: int, cap: int = DEFAULT_GROUP_CAP
+) -> Group:
     """Materialize the group generated by ``gens``, one generator at a
-    time by coset enumeration (see :func:`extend_closure`).
+    time by coset enumeration (see :func:`extend_closure`); no
+    generators give the trivial group.
 
     Each generator is an image sequence, taken as a tuple; it must be a
     bijection on [0, degree).  Exceeding ``cap`` raises GroupTooLargeError.
     """
     gens = tuple(map(tuple, gens))
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required for an empty generating set")
-        degree = len(gens[0])
     ident = tuple(range(degree))
     for g in gens:
         if len(g) != degree:
@@ -118,53 +99,21 @@ def close_generators(
         lookups.append(gen.__getitem__)
         if not extend_closure(seen, lookups, cap):
             raise GroupTooLargeError(cap)
-    return PermutationGroup(degree, gens, tuple(sorted(seen)))
+    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------
-# group actions
+# orbits
 
 
-class Action(Enum):
-    """Selector for the induced action in :func:`orbits`."""
-
-    VERTICES = "vertices"
-    EDGES = "edges"
-
-
-def orbits(generators: Iterable[Images], action: Action, host: Graph):
-    """Orbit partition of the acted-on set under the group the generators
-    generate, none for the trivial group; blocks sorted by least member.
-    Only the generators are read, so a search's generators give the
-    orbits with no closure; a caller holding a group passes
-    ``group.generators``.
-
-    Edges are walked as their indices in ``host.edges()``, which lists
-    them in ascending order, each generator mapped once to a permutation
-    of the indices (:func:`edge_perms`)."""
-    generators = tuple(generators)
-    if any(len(g) != host.n for g in generators):
-        raise ValueError("generator degree does not match host order")
-    if action is Action.VERTICES:
-        return _index_orbits(generators, range(host.n))
-    edges = host.edges()
-    return _index_orbits(edge_perms(generators, edges), edges)
-
-
-def edge_perms(generators: Iterable[Images], edges: Sequence[Tuple[int, int]]
-               ) -> List[List[int]]:
-    """Each generator as the permutation of edge indices it induces on
-    ``edges``, an ascending list of a graph's edges (u < w)."""
-    index = {e: i for i, e in enumerate(edges)}
-    return [[index[(a, b) if a < b else (b, a)]
-             for a, b in ((g[u], g[w]) for u, w in edges)] for g in generators]
-
-
-def _index_orbits(perms: Sequence[Sequence[int]],
-                  points: Sequence) -> Tuple[tuple, ...]:
-    """Orbits of the indices of `points` under the permutations, in order
-    of their least index, each block sorted and read as the points at its
-    indices."""
+def orbits(perms: Sequence[Sequence[int]], points: Sequence) -> Tuple[tuple, ...]:
+    """Orbits of the indices of `points` under the permutations of those
+    indices, in order of their least index, each block sorted and read as
+    the points at its indices; singletons for no permutations.  Vertex
+    orbits are ``orbits(gens, range(n))`` and edge orbits
+    ``orbits(edge_perms(gens, edges), edges)``."""
+    if any(len(p) != len(points) for p in perms):
+        raise ValueError("permutation degree does not match the points")
     if not perms:
         return tuple([(p,) for p in points])
     seen = bytearray(len(points))
@@ -185,18 +134,27 @@ def _index_orbits(perms: Sequence[Sequence[int]],
     return tuple(blocks)
 
 
+def edge_perms(generators: Iterable[Images], edges: Sequence[Tuple[int, int]]
+               ) -> List[List[int]]:
+    """Each generator as the permutation of edge indices it induces on
+    ``edges``, an ascending list of a graph's edges (u < w)."""
+    index = {e: i for i, e in enumerate(edges)}
+    return [[index[(a, b) if a < b else (b, a)]
+             for a, b in ((g[u], g[w]) for u, w in edges)] for g in generators]
+
+
 # ---------------------------------------------------------------------------
 # stabilizers
 
 
-def stabilizer(group: PermutationGroup, points: Iterable[int]) -> PermutationGroup:
+def stabilizer(group: Group, points: Iterable[int]) -> Group:
     """Pointwise stabilizer of the given vertices, by filtering the element
-    set one point at a time (each pass scans only the survivors)."""
-    if not group.elements:
-        raise ValueError("group is not materialized")
-    keep = group.elements
+    tuple one point at a time (each pass scans only the survivors)."""
+    if not group:
+        raise ValueError("a group holds at least the identity")
+    keep = group
     for v in points:
-        if not 0 <= v < group.degree:
+        if not 0 <= v < len(group[0]):
             raise ValueError("target vertex outside degree")
         keep = tuple(p for p in keep if p[v] == v)
-    return PermutationGroup(group.degree, keep, keep)
+    return keep

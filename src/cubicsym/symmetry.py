@@ -1,11 +1,12 @@
 """One symmetry profile per graph, local action, consistent cycles and
 local fixity.
 
-Everything is computed from the full materialized automorphism group and
-the pointwise stabilizers of its vertex tuples.  ``transitivity_profile``
-reads the edge orbits with their structure tags, and the rest off one
-chain of pointwise stabilizers G >= G_0 >= G_(0,v1) >= ..., each link
-filtered from the survivors of the last.  G is vertex-transitive iff
+Everything but the edge orbits is computed from the full materialized
+automorphism group and the pointwise stabilizers of its vertex tuples.
+``transitivity_profile`` reads the edge orbits, with their structure
+tags, off the search's generators, and the rest off one chain of
+pointwise stabilizers G >= G_0 >= G_(0,v1) >= ..., each link filtered
+from the survivors of the last.  G is vertex-transitive iff
 |G| = n |G_0|, by orbit-stabilizer.  s-arc-transitivity is decided
 locally (Tutte): G is s-arc-transitive iff it is (s-1)-arc-transitive
 and the stabilizer of one (s-1)-arc A, the current link, is transitive
@@ -26,9 +27,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .autgrp import automorphism_group
+from .autgrp import automorphism_group, search_generators
 from .graph import Graph, edge_components
-from .perm import Action, Images, orbits, stabilizer
+from .perm import Images, edge_perms, orbits, stabilizer
 
 MAX_S = 7
 
@@ -118,9 +119,10 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
     group = automorphism_group(graph)
     n = graph.n
     link = stabilizer(group, range(min(n, 1)))  # G_0; G if n = 0, trivial
-    stab_order = link.order
-    vt = n == 0 or group.order == n * stab_order
-    edge_orbs = orbits(group.generators, Action.EDGES, graph)
+    stab_order = len(link)
+    vt = n == 0 or len(group) == n * stab_order
+    edges = graph.edges()
+    edge_orbs = orbits(edge_perms(search_generators(graph), edges), edges)
     tags = tuple(_tag_orbit(graph, orb) for orb in edge_orbs)
     findings = ()
     kinds = sorted(t.kind for t in tags)
@@ -132,7 +134,7 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
     back, last = -1, 0  # the fixed max_s-arc's last two vertices; -1: none
     while vt and n and max_s < MAX_S:
         ext = [w for w in graph.adj[last] if w != back]
-        if not ext or {p[ext[0]] for p in link.elements} != set(ext):
+        if not ext or {p[ext[0]] for p in link} != set(ext):
             break
         back, last = last, ext[0]
         link = stabilizer(link, [last])
@@ -140,7 +142,7 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
     return TransitivityProfile(
         vertex_transitive=vt,
         max_s=max_s,
-        s_regular_at_max=max_s >= 1 and link.order == 1,
+        s_regular_at_max=max_s >= 1 and len(link) == 1,
         vertex_stabilizer_order=stab_order,
         edge_orbits=edge_orbs,
         edge_orbit_tags=tags,
@@ -152,7 +154,7 @@ def local_action_order(graph: Graph, v: int) -> int:
     """Order of the group induced by the vertex stabilizer on N(v)."""
     _require_connected(graph)
     stab = stabilizer(automorphism_group(graph), [v])
-    return stab.order // stabilizer(stab, graph.adj[v]).order
+    return len(stab) // len(stabilizer(stab, graph.adj[v]))
 
 
 def consistent_cycles(
@@ -175,7 +177,7 @@ def consistent_cycles(
         raise ValueError("cycle length must be >= 3")
     adj_bits = graph.adj_bits
     found: dict[Cycle, Images] = {}
-    for g in automorphism_group(graph).elements:
+    for g in automorphism_group(graph):
         for x, y in enumerate(g):
             if y < x or not adj_bits[x] >> y & 1:
                 continue
@@ -195,4 +197,4 @@ def local_fixity_check(graph: Graph, edge: Edge) -> bool:
     if not graph.has_edge(u, w):
         raise ValueError(f"({u}, {w}) is not an edge")
     fixed = {u, w} | set(graph.adj[u]) | set(graph.adj[w])
-    return stabilizer(automorphism_group(graph), sorted(fixed)).order == 1
+    return len(stabilizer(automorphism_group(graph), sorted(fixed))) == 1

@@ -20,7 +20,7 @@ from cubicsym.distinguishing import (COLOR_CAP, ColorCapExceeded,
                                      distinguishing_cost)
 from cubicsym.enumeration import _insert_bits, _insert_rows, _locally_reducible
 from cubicsym.graph import edge_components, is_bridge
-from cubicsym.perm import Action, Images, PermutationGroup
+from cubicsym.perm import Group, Images
 from cubicsym.symmetry import MAX_S
 from cubicsym.graph6 import _NON_PRINTABLE, _SEXTETS, Graph6Error
 
@@ -456,7 +456,7 @@ def extend_partial_map(graph: Graph, partial: Mapping[int, int]) -> Optional[Ima
     for x in sources + targets:
         if not 0 <= x < n:
             raise ValueError("partial map endpoint outside vertex range")
-    keep = automorphism_group(graph).elements
+    keep = automorphism_group(graph)
     for s, t in zip(sources, targets):
         keep = [p for p in keep if p[s] == t]
     return keep[0] if keep else None
@@ -596,20 +596,20 @@ def s_arc_count(graph: Graph, s: int) -> int:
     return sum(counts.values())
 
 
-def _s_arc_transitive(group: PermutationGroup, graph: Graph, s: int) -> bool:
+def _s_arc_transitive(group: Group, graph: Graph, s: int) -> bool:
     total = s_arc_count(graph, s)
     if total == 0:
         return False
     first = next(iter(s_arcs(graph, s)))
-    # |orbit| = |G| / |G_first|, whatever generators G carries
-    return group.order == total * stabilizer(group, first).order
+    # |orbit| = |G| / |G_first|
+    return len(group) == total * len(stabilizer(group, first))
 
 
 def transitivity_fields(graph: Graph) -> Tuple[bool, int, bool, int]:
     """(vertex_transitive, max_s, s_regular_at_max, vertex_stabilizer_order)
     of a connected graph, by counting."""
     group = automorphism_group(graph)
-    vt = len(orbits(group.generators, Action.VERTICES, graph)) <= 1
+    vt = len(orbits(group, range(graph.n))) <= 1  # every element, no search
     max_s = 0
     while max_s < MAX_S and _s_arc_transitive(group, graph, max_s + 1):
         max_s += 1
@@ -618,9 +618,9 @@ def transitivity_fields(graph: Graph) -> Tuple[bool, int, bool, int]:
         max_s,
         # transitive on max_s-arcs: an arc's stabilizer is trivial exactly
         # when |G| equals the number of arcs
-        max_s >= 1 and group.order == s_arc_count(graph, max_s),
+        max_s >= 1 and len(group) == s_arc_count(graph, max_s),
         # the order-0 graph has no vertex 0: G_0 is then the whole, trivial group
-        stabilizer(group, range(min(graph.n, 1))).order,
+        len(stabilizer(group, range(min(graph.n, 1)))),
     )
 
 
@@ -865,7 +865,7 @@ def reference_is_distinguishing_set(graph: Graph, members: Sequence[int]) -> boo
     s = frozenset(members)
     if any(not 0 <= v < graph.n for v in s):
         raise ValueError("set member outside vertex range")
-    for p in automorphism_group(graph).elements[1:]:
+    for p in automorphism_group(graph)[1:]:
         if all(p[v] in s for v in s):
             return False
     return True
@@ -883,12 +883,12 @@ def reference_distinguishing_number(graph: Graph, cost=None) -> int:
     """The distinguishing number with the coloring search run from d = 3,
     before it started at the largest twin class; kept verbatim."""
     group = automorphism_group(graph)
-    if group.order == 1:
+    if len(group) == 1:
         return 1
     if (cost or distinguishing_cost(graph)).is_cost:
         return 2
     n = graph.n
-    moving = group.elements[1:]
+    moving = group[1:]
     for d in range(3, COLOR_CAP + 1):
         if _distinguishing_coloring_exists(n, moving, d):
             return d

@@ -13,7 +13,6 @@ from math import factorial
 import pytest
 
 from cubicsym import (
-    Action,
     automorphism_group,
     close_generators,
     canonical_form,
@@ -36,6 +35,7 @@ from cubicsym import (
     verify_claim,
 )
 from cubicsym import enumeration
+from cubicsym.autgrp import search_generators
 from cubicsym.claims import brbb_unique_path_property
 
 from conftest import (
@@ -90,7 +90,7 @@ def test_criterion_02_the_four_exceptions():
 def test_criterion_03_figure5_graph():
     with _Timer("criterion 3 [order-18 figure graph]", 5):
         lam = catalog_graph("fig5_lambda")
-        assert automorphism_group(lam).order == 24
+        assert len(automorphism_group(lam)) == 24
         assert not transitivity_profile(lam).vertex_transitive
         assert girth(lam) == 6
         assert every_edge_in_girth_cycle(lam, 6)
@@ -127,7 +127,7 @@ def test_criterion_05_census_levels_are_pinned(n):
     strings, generators = enumeration._level(n, JOBS)
     text = "".join(s + "\n" for s in sorted(strings))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == LEVEL_SHA256[n]
-    labelled = sum(factorial(n) // close_generators(gens, n).order
+    labelled = sum(factorial(n) // len(close_generators(gens, n))
                    for gens in generators)
     assert labelled == labelled_connected_cubic(n)
 
@@ -148,7 +148,7 @@ def test_criterion_06_consistent_cycle_spot_suite():
             g = catalog_graph(name)
             pairs = consistent_cycles(g, length)
             assert pairs
-            group_images = set(automorphism_group(g).elements)
+            group_images = set(automorphism_group(g))
             for cyc, witness in pairs:
                 assert witness in group_images
                 assert all(
@@ -177,7 +177,7 @@ def test_criterion_08_stabilizer_order_checks():
     with _Timer("criterion 8 [stabilizer orders 10 and 2]", 10):
         ico = catalog_graph("icosahedron")
         group = automorphism_group(ico)
-        assert stabilizer(group, [0]).order == 10
+        assert len(stabilizer(group, [0])) == 10
         assert local_action_order(ico, 0) == 10
         tico = catalog_graph("truncated_icosahedron")
         order = transitivity_profile(tico).vertex_stabilizer_order
@@ -226,9 +226,9 @@ def test_criterion_11_property_suites():
                      "truncated_icosahedron", "truncated_k4"):
             g = catalog_graph(name)
             group = automorphism_group(g)
-            for block in orbits(group.generators, Action.VERTICES, g):
+            for block in orbits(search_generators(g), range(g.n)):
                 st = stabilizer(group, [block[0]])
-                assert len(block) * st.order == group.order
+                assert len(block) * len(st) == len(group)
         # distinguishing sets vs a filter over backtracked automorphisms
         # on 200 random pairs
         for _ in range(200):

@@ -117,11 +117,11 @@ def test_analyze_computes_the_vertex_orbits_once(monkeypatch, capsys):
     from cubicsym import perm
 
     real = perm.orbits
-    actions = []
+    calls = []
 
-    def counted(group, action, host):
-        actions.append(action)
-        return real(group, action, host)
+    def counted(perms, points):
+        calls.append(points)
+        return real(perms, points)
 
     for name, module in list(sys.modules.items()):  # every name bound to it
         if name.startswith("cubicsym") and getattr(module, "orbits", None) is real:
@@ -129,7 +129,8 @@ def test_analyze_computes_the_vertex_orbits_once(monkeypatch, capsys):
     rc, _, _ = run_cli(["analyze", "--catalog", "truncated_icosahedron", "--json"],
                        capsys)
     assert rc == 0
-    assert actions.count(perm.Action.VERTICES) == 1
+    # a vertex call reads the points range(n); an edge call, the edge list
+    assert [isinstance(points, range) for points in calls].count(True) == 1
 
 
 def test_analyze_searches_the_cost_once(monkeypatch, capsys):
@@ -740,7 +741,7 @@ def test_readme_camel_case_names_exist():
     spans = re.findall(r"`([^`\n]+)`", prose)
     names = {s for s in spans if re.fullmatch(r"[A-Z][a-z]\w*(\.\w+)*", s)}
     names.discard("None")
-    assert {"Graph", "Graph._from_rows", "PermutationGroup"} <= names
+    assert {"Graph", "Graph._from_rows", "TransitivityProfile"} <= names
     for name in sorted(names):
         obj = cubicsym
         for part in name.split("."):

@@ -80,6 +80,21 @@ def test_unknown_and_invalid_names():
         catalog_build("petersen(3)")
 
 
+def test_negative_parameters_get_the_family_range_errors():
+    # a hyphen is a minus sign among the parameters and an underscore only
+    # in the base name
+    with pytest.raises(CatalogError, match=r"^prism needs k >= 3$"):
+        catalog_build("prism(-1)")
+    with pytest.raises(CatalogError,
+                       match=r"^invalid generalized Petersen parameters \(10, -3\)$"):
+        catalog_build("gp(10,-3)")
+    with pytest.raises(CatalogError, match="non-integer parameter"):
+        catalog_build("gp(10,x)")
+    assert catalog_build("truncated-icosahedron").name == "truncated_icosahedron"
+    assert catalog_build("path-ladder(3)").name == "path_ladder(3)"
+    assert catalog_graph("path-ladder(3)") == catalog_graph("path_ladder", 3)
+
+
 def test_omega18_has_six_pendant_vertices():
     g = catalog_graph("omega18")
     assert sum(1 for v in range(g.n) if g.degree(v) == 1) == 6

@@ -12,7 +12,6 @@ from cubicsym import (build_graph, catalog_graph, decode_graph6, encode_graph6,
                       enumerate_cubic_graph6, symmetry, transitivity_profile)
 from cubicsym.catalog import (complete_bipartite, complete_graph, cycle_graph,
                               moebius_ladder, prism)
-from cubicsym.perm import Action
 
 
 def _random_connected(n, rng):
@@ -75,14 +74,16 @@ def test_grid_covers_every_s_both_regularities_and_the_smallest_orders(reference
 
 def test_profile_matches_the_counting_reference(reference, monkeypatch):
     # and reads vertex-transitivity off |G_0|, not off the vertex orbits
-    actions = []
+    calls = []
     real = symmetry.orbits
 
-    def counted(group, action, host):
-        actions.append(action)
-        return real(group, action, host)
+    def counted(perms, points):
+        calls.append(points)
+        return real(perms, points)
 
     monkeypatch.setattr(symmetry, "orbits", counted)
     for g, expected in zip(GRID, reference):
         assert _fields(transitivity_profile(g)) == expected, encode_graph6(g)
-    assert len(actions) == len(GRID) and Action.VERTICES not in actions
+    # one edge call per graph, and no vertex call, which reads range(n)
+    assert len(calls) == len(GRID)
+    assert not any(isinstance(points, range) for points in calls)

@@ -10,10 +10,10 @@ dense-signature refinement that the incremental `_refine_cells`
 replaced, so the engine is compared with the old refinement end to end.
 `reference_reduce` is the greedy generator reduction of that version,
 which `reduced_generators` keeps for `analyze`.  Canonical forms,
-labelings, sorted element lists and reduced generators must all agree,
-and the orbits read from the search's own generators, which the group
-keeps, must equal those read from the reduced set.  Partial-map witnesses are read off the sorted element
-list, so they agree whenever it does.
+labelings, sorted element tuples and reduced generators must all agree,
+and the orbits read from the search's own generators, which every orbit
+question reads, must equal those read from the reduced set and from
+every element of the group.
 """
 
 import hashlib
@@ -34,7 +34,7 @@ from cubicsym import autgrp
 from cubicsym.autgrp import (_refine_cells, canonical_form, canonical_labeling,
                              reduced_generators)
 from cubicsym.enumeration import _edge_pair_reps
-from cubicsym.perm import Action, orbits
+from cubicsym.perm import close_generators, edge_perms, orbits
 
 from cubicsym.catalog import complete_bipartite, complete_graph
 
@@ -152,7 +152,7 @@ def reference_reduce(degree: int, elements) -> Tuple[Tuple[int, ...], ...]:
 def assert_same_search(graph) -> None:
     _, posv, elements = reference_search(graph)
     group = automorphism_group(graph)
-    assert group.elements == elements
+    assert group == elements
     assert reduced_generators(group) == reference_reduce(graph.n, elements)
     label = [0] * graph.n
     for p, v in enumerate(posv):
@@ -193,18 +193,39 @@ def _differential_grid():
     return graphs
 
 
+def _vertex_and_edge_orbits(g, perms):
+    edges = g.edges()
+    return orbits(perms, range(g.n)), orbits(edge_perms(perms, edges), edges)
+
+
 def test_orbits_of_the_search_generators_equal_the_reduced_ones():
     kept = 0
     for g in _differential_grid():
-        group = automorphism_group(g)
-        reduced = reduced_generators(group)
-        kept += group.generators != reduced
-        for action in (Action.VERTICES, Action.EDGES):
-            assert orbits(group.generators, action, g) == orbits(reduced, action, g), (
-                encode_graph6(g), action)
-        assert _edge_pair_reps(g, group.generators) == _edge_pair_reps(g, reduced), (
+        gens = autgrp.search_generators(g)
+        reduced = reduced_generators(automorphism_group(g))
+        kept += tuple(gens) != reduced
+        assert _vertex_and_edge_orbits(g, gens) == _vertex_and_edge_orbits(g, reduced), (
+            encode_graph6(g))
+        assert _edge_pair_reps(g, gens) == _edge_pair_reps(g, reduced), (
             encode_graph6(g))
     assert kept > 0  # the two generating sets differ on some graphs
+
+
+def test_orbits_of_the_search_generators_equal_those_of_the_whole_group():
+    # every orbit question reads the search's generators, and every
+    # stabilizer question the group they close to: the two must agree
+    graphs = [g for n in (4, 6, 8, 10) for g in enumerate_cubic(n)]
+    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
+    rng = random.Random(3535)
+    symmetric = 0
+    for g in graphs + [random_relabel(g, rng) for g in graphs]:
+        group = automorphism_group(g)
+        gens = autgrp.search_generators(g)
+        assert close_generators(gens, g.n) == group, encode_graph6(g)
+        assert _vertex_and_edge_orbits(g, gens) == _vertex_and_edge_orbits(g, group), (
+            encode_graph6(g))
+        symmetric += len(group) > 1
+    assert len(graphs) == 42 and symmetric == 84  # every group here moves a point
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_s_regularity_order_identity():
         g = catalog_graph(name)
         p = transitivity_profile(g)
         if p.s_regular_at_max:
-            assert automorphism_group(g).order == s_arc_count(g, p.max_s)
+            assert len(automorphism_group(g)) == s_arc_count(g, p.max_s)
 
 
 def test_arc_transitive_implies_vertex_and_edge_transitive():
@@ -138,7 +138,7 @@ def test_arc_transitive_graphs_are_flexible_by_order():
 
 def test_f26a_is_arc_regular_by_order():
     g = _lcf(26, [-7, 7], 13)  # F26A, the smallest 1-arc-regular cubic graph
-    assert automorphism_group(g).order == 78
+    assert len(automorphism_group(g)) == 78
     p = transitivity_profile(g)
     assert p.vertex_stabilizer_order == 3 and p.stabilizer_class == "arc-regular"
     assert girth(g) == 6
@@ -152,7 +152,7 @@ def test_stabilizer_order_times_n_is_group_order_for_vt():
         g = catalog_graph(name)
         p = transitivity_profile(g)
         if p.stabilizer_class != "not-vertex-transitive":
-            assert p.vertex_stabilizer_order * g.n == automorphism_group(g).order
+            assert p.vertex_stabilizer_order * g.n == len(automorphism_group(g))
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_profile_on_the_census_to_12():
             assert len(p.edge_orbit_tags) == p.edge_orbit_count
             if p.vertex_transitive:
                 vertex_transitive += 1
-                order = automorphism_group(g).order
+                order = len(automorphism_group(g))
                 assert p.vertex_stabilizer_order * g.n == order
     assert vertex_transitive > 0
 
@@ -216,7 +216,7 @@ def test_petersen_has_consistent_5_cycles():
 def test_witnesses_rotate_the_stored_sequence():
     for name, length in (("petersen", 5), ("heawood", 6), ("pappus", 6)):
         g = catalog_graph(name)
-        group_images = set(automorphism_group(g).elements)
+        group_images = set(automorphism_group(g))
         for cyc, witness in consistent_cycles(g, length):
             assert witness in group_images
             for i in range(len(cyc)):
@@ -256,7 +256,7 @@ def test_consistent_cycles_match_the_listing_reference(rng):
 def test_asymmetric_graph_has_no_consistent_cycles():
     target = None
     for g in enumerate_cubic(12):
-        if automorphism_group(g).order == 1:
+        if len(automorphism_group(g)) == 1:
             target = g
             break
     assert target is not None
@@ -284,7 +284,7 @@ def test_k33_fixity_matches_exhaustive_filter():
     assert fixed == set(range(6))
     expected = all(
         p == tuple(range(6))
-        for p in automorphism_group(g).elements
+        for p in automorphism_group(g)
         if all(p[v] == v for v in fixed)
     )
     assert expected is True
