@@ -203,12 +203,14 @@ def test_orbits_of_the_search_generators_equal_the_reduced_ones():
     for g in _differential_grid():
         gens = autgrp.search_generators(g)
         reduced = reduced_generators(automorphism_group(g))
-        kept += tuple(gens) != reduced
+        kept += bool(gens) and tuple(gens) != reduced
         assert _vertex_and_edge_orbits(g, gens) == _vertex_and_edge_orbits(g, reduced), (
             encode_graph6(g))
         assert _edge_pair_reps(g, gens) == _edge_pair_reps(g, reduced), (
             encode_graph6(g))
-    assert kept > 0  # the two generating sets differ on some graphs
+    # an asymmetric graph's search gives no generators, so it is not counted:
+    # the two generating sets differ on some graph that has a symmetry
+    assert kept > 0
 
 
 def test_orbits_of_the_search_generators_equal_those_of_the_whole_group():
