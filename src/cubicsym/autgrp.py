@@ -51,7 +51,7 @@ from itertools import groupby, islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Graph, balls
-from .graph6 import _encode_columns
+from .graph6 import _columns, _encode_columns
 from .perm import DEFAULT_GROUP_CAP, Group, Images, close_generators, extend_closure
 
 
@@ -274,9 +274,10 @@ def reduced_generators(group: Group) -> Tuple[Images, ...]:
     return tuple(gens) if gens else group[:1]
 
 
-# One memo for the last graph, by identity: its search and, closed on first
-# request, its group.  `analyze` and the claims ask one graph for
-# its canonical form and then, often more than once, for its group.
+# One memo for the last graph, by identity: its search, or the census's
+# generators (`adopt`), and, closed on first request, its group.  `analyze`
+# and the claims ask one graph for its canonical form and then, often more
+# than once, for its group.
 _memo: list = [None, None, None]  # graph, search result, group or None
 
 
@@ -284,6 +285,18 @@ def _memoized(graph: Graph) -> list:
     if _memo[0] is not graph:
         _memo[:] = [graph, _ir_search(graph), None]
     return _memo
+
+
+def adopt(graph: Graph, generators: Sequence[Images]) -> None:
+    """Memoize, with no search, a graph decoded from a canonical census
+    string and generators of its group on that labeling.  The identity is
+    the order of a minimum-code leaf, so the code is the graph's own
+    columns; the group is closed on first request.  Another such leaf may
+    come first in a search, so ``canonical_labeling`` is never asked of
+    such a graph."""
+    if _memo[0] is not graph:
+        _memo[:] = [graph, _SearchResult(_columns(graph), list(range(graph.n)),
+                                         list(generators)), None]
 
 
 def search_generators(graph: Graph) -> List[Images]:

@@ -24,7 +24,9 @@ vertex-stabilizer order too: ``cor33`` reads the order from the
 record's profile, and ``brbb_unique_path_property`` (``thm34``) the
 matching and cycle orbits.  Census strings are canonical graph6
 already, so a census record never searches for its form, not even for
-a counterexample.
+a counterexample, nor for its group: ``autgrp.adopt`` memoizes the
+generators its class carries before each readout that needs the group,
+so a scan searches only catalog graphs.
 
 A record also reads one necessary condition for vertex-transitivity:
 every vertex has the same BFS distance histogram, read as equal ball
@@ -83,11 +85,11 @@ from functools import cache, cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from .autgrp import canonical_form
+from .autgrp import adopt, canonical_form
 from .catalog import catalog_graph
 from .distinguishing import CostResult, distinguishing_cost
 from .enumeration import (MAX_ORDER, MIN_ORDER, EnumerationRangeError,
-                          enumerate_cubic_graph6)
+                          Generators, _level)
 from .graph import (Graph, edge_components, every_3_arc_in_6_cycle,
                     every_edge_in_girth_cycle, girth_and_histograms)
 from .graph6 import decode_graph6
@@ -183,10 +185,11 @@ class Record:
 
     def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
                  name: Optional[str] = None, memo: Optional[_Memo] = None,
-                 index: int = 0):
+                 index: int = 0, generators: Optional[Generators] = None):
         if graph is not None:
             self.graph = graph
         self.g6 = g6
+        self.generators = generators
         self.name = name
         self._memo = _Memo([0]) if memo is None else memo
         self._index = index
@@ -225,6 +228,8 @@ class Record:
     def _read(self, memo: dict, compute: Callable[[Graph], object]):
         value = memo.get(self._index)
         if value is None:
+            if self.generators is not None:  # a census class: no search
+                adopt(self.graph, self.generators)
             value = memo[self._index] = compute(self.graph)
         return value
 
@@ -305,14 +310,14 @@ def _failed_step(record: Record, steps) -> Optional[int]:
 
 def _census(orders: Iterable[int], jobs: int) -> Iterator[Record]:
     """One record per census string of each order, in order, sharing the
-    order's memo in ``_FACTS``."""
+    order's memo in ``_FACTS`` and carrying the class's generators."""
     for n in orders:
-        level = enumerate_cubic_graph6(n, jobs)
+        strings, generators = _level(n, jobs)
         if n not in _FACTS:
-            _FACTS[n] = _Memo(bytearray(len(level)))
+            _FACTS[n] = _Memo(bytearray(len(strings)))
         memo = _FACTS[n]
-        for index, g6 in enumerate(level):
-            yield Record(g6=g6, memo=memo, index=index)
+        for index, (g6, gens) in enumerate(zip(strings, generators)):
+            yield Record(g6=g6, memo=memo, index=index, generators=gens)
 
 
 @cache

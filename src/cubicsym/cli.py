@@ -66,19 +66,18 @@ class _CliError(Exception):
 
 def _load_entry(args) -> CatalogEntry:
     """The one input graph; only a --catalog entry can carry a rotation."""
-    sources = [
-        s for s in ("input", "graph6", "catalog") if getattr(args, s, None)
-    ]
+    sources = [s for s in ("input", "graph6", "catalog")
+               if getattr(args, s, None) is not None]
     if len(sources) != 1:
         raise _CliError(
             "exactly one of --input, --graph6, --catalog is required", EXIT_USAGE
         )
-    if args.catalog:
+    if args.catalog is not None:
         try:
             return catalog_build(args.catalog)
         except CatalogError as exc:
             raise _CliError(str(exc), EXIT_USAGE) from exc
-    if args.graph6:
+    if args.graph6 is not None:
         try:
             return CatalogEntry("graph6", decode_graph6(args.graph6))
         except Graph6Error as exc:

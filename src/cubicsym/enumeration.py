@@ -50,13 +50,13 @@ there.
 A class is its canonical string and generators of its automorphism
 group.  The search that accepts a child finds them; moved onto the
 canonical labeling they act on the graph the string decodes to, and the
-level cache keeps them next to the string until the level above is
-built (none at MAX_ORDER, from which no level is built).  Expanding a
-class walks the edge-pair action of them and keeps the least pair of
-each orbit, one child per orbit, and the tie test walks the target
-edge's orbit under the child's own search generators until it meets the
-inserted edge, so the census searches each class once, when it is
-accepted, and closes no group.  Orbits depend
+level cache keeps them next to the string for the life of the process,
+for the class's expansion and for the group readers of ``claims``
+(``autgrp.adopt``).  Expanding a class walks the edge-pair action of
+them and keeps the least pair of each orbit, one child per orbit, and
+the tie test walks the target edge's orbit under the child's own search
+generators until it meets the inserted edge, so the census searches
+each class once, when it is accepted, and closes no group.  Orbits depend
 only on the group, never on which generators give it, so the children
 and the strings are those of a fresh search of each parent.
 
@@ -93,14 +93,12 @@ KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060, 18: 41301,
                 20: 510489}
 
 # a class: its canonical graph6 string and image tuples on the canonical
-# labeling that generate the automorphism group of the string's graph;
-# None at MAX_ORDER, as no level is built from that one
+# labeling that generate the automorphism group of the string's graph
 Generators = Tuple[Images, ...]
-Class = Tuple[str, Optional[Generators]]
+Class = Tuple[str, Generators]
 
-# a level: its sorted strings, and each one's generators, None once the
-# level above is built, as no level is built from them again
-Level = Tuple[Tuple[str, ...], Optional[Tuple[Optional[Generators], ...]]]
+# a level: its sorted strings, and each one's generators
+Level = Tuple[Tuple[str, ...], Tuple[Generators, ...]]
 
 _LEVEL_CACHE: Dict[int, Level] = {}
 
@@ -225,11 +223,8 @@ def _canonical_class(graph: Graph) -> Class:
     """The graph's canonical string, and its search's generators moved onto
     the canonical labeling: h[p] = label[g[posv[p]]], where posv gives the
     vertex at canonical position p and label is its inverse.  So h is an
-    automorphism of the string's graph, and the h generate its group.  A
-    graph of order MAX_ORDER gets None."""
+    automorphism of the string's graph, and the h generate its group."""
     g6 = canonical_form(graph).decode("ascii")
-    if graph.n == MAX_ORDER:
-        return g6, None
     _, posv, generators = _memoized(graph)[1]
     label = canonical_labeling(graph)
     return g6, tuple(tuple([label[g[v]] for v in posv]) for g in generators)
@@ -475,7 +470,7 @@ def irreducible_seeds(n: int) -> Tuple[Class, ...]:
     (order 4) is the generation base and is not produced here."""
     if n % 2 or n < 6:
         return ()
-    found: Dict[str, Optional[Generators]] = {}
+    found: Dict[str, Generators] = {}
     for k in range(1, n // 4 + 1):
         f = n - 4 * k
         if f > max(2 * k - 2, 0):
@@ -522,10 +517,9 @@ def _build_level(n: int, jobs: int) -> Level:
 
 
 def _level(n: int, jobs: int) -> Level:
+    _check_order(n)
     if n not in _LEVEL_CACHE:
         _LEVEL_CACHE[n] = _build_level(n, jobs)
-        if n > MIN_ORDER:  # built from the level below, which is now done
-            _LEVEL_CACHE[n - 2] = (_LEVEL_CACHE[n - 2][0], None)
     return _LEVEL_CACHE[n]
 
 
@@ -534,7 +528,6 @@ def enumerate_cubic_graph6(n: int, jobs: int = 1) -> Tuple[str, ...]:
     exactly one per isomorphism class, sorted (hence deterministic and
     independent of the worker count).  Each level forks at most
     min(jobs, parents, cores) workers."""
-    _check_order(n)
     return _level(n, jobs)[0]
 
 

@@ -30,12 +30,17 @@ class Graph6Error(ValueError):
 def encode_graph6(graph: Graph) -> str:
     if graph.n < 0:
         raise ValueError("negative order")
+    return _encode_columns(_columns(graph)).decode("ascii")
+
+
+def _columns(graph: Graph) -> Tuple[int, ...]:
+    """The graph's columns, in the form ``_encode_columns`` reads."""
     columns = [0] * graph.n
     for j, row in enumerate(graph.adj):
         for i in row:
             if i < j:
                 columns[j] |= 1 << (j - 1 - i)
-    return _encode_columns(columns).decode("ascii")
+    return tuple(columns)
 
 
 def _encode_columns(columns: Sequence[int]) -> bytes:

@@ -119,11 +119,10 @@ LEVEL_SHA256 = {
 
 @pytest.mark.parametrize("n", sorted(LEVEL_SHA256))
 def test_criterion_05_census_levels_are_pinned(n):
-    # the levels of criterion 5, each read as it is built (16 by criterion
-    # 4, 18 here) and so ahead of the girth-6 census, as building a level
-    # drops the generators of the level below from the cache; the mass
-    # formula over the orders the carried generators close to sees a
-    # missing class that a duplicate hides
+    # the levels of criterion 5 (16 built by criterion 4, 18 here), each
+    # kept with its classes' generators; the mass formula over the orders
+    # the carried generators close to sees a missing class that a
+    # duplicate hides
     strings, generators = enumeration._level(n, JOBS)
     text = "".join(s + "\n" for s in sorted(strings))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == LEVEL_SHA256[n]

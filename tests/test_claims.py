@@ -485,3 +485,44 @@ def test_verify_all_reads_each_graph_once(monkeypatch, capsys, empty_memos):
     # each of the 26 census graphs whose histograms agree, and the truncated
     # icosahedron, profiled once
     assert sorted(Counter(profiled).values()) == [1] * 27
+
+
+def _census_graphs(monkeypatch):
+    """The graphs the claims decode from census strings, as they are made."""
+    decoded = []
+    decode = claims.decode_graph6
+
+    def recording(g6):
+        graph = decode(g6)
+        decoded.append(graph)
+        return graph
+
+    monkeypatch.setattr(claims, "decode_graph6", recording)
+    return decoded
+
+
+def test_verify_all_searches_only_catalog_graphs(monkeypatch, capsys,
+                                                 empty_memos):
+    from cubicsym import autgrp, cli
+
+    _census_g6(14)  # built before the search is watched
+    decoded = _census_graphs(monkeypatch)
+    searched = _count_calls(monkeypatch, autgrp, "_ir_search", lambda g: g)
+    assert cli.main(["verify", "all", "--max-n", "14", "--json"]) == 0
+    capsys.readouterr()
+    # each census record adopts its class's generators, so only the
+    # catalog graphs the claims allow, name, exclude or scan are searched,
+    # each once per process (55 searches when census graphs were searched)
+    assert decoded
+    assert not any(g is d for g in searched for d in decoded)
+    assert len(searched) == 11
+
+
+def test_filtered_enumeration_runs_no_search(monkeypatch, empty_memos):
+    from cubicsym import autgrp
+
+    _census_g6(14)
+    decoded = _census_graphs(monkeypatch)
+    searched = _count_calls(monkeypatch, autgrp, "_ir_search", lambda g: g)
+    assert len(list(filtered_enumeration(14, ["vertex-transitive"]))) == 3
+    assert decoded and searched == []

@@ -108,6 +108,28 @@ def test_analyze_requires_exactly_one_source(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--graph6", "", "--catalog", "k4"],
+    ["cost", "--input", "", "--catalog", "k4"],
+])
+def test_an_empty_source_is_still_a_source(argv, capsys):
+    # two sources were given, one of them empty: neither is read
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == cli.EXIT_USAGE == 2
+    assert out == ""
+    assert "exactly one of --input, --graph6, --catalog" in err
+
+
+def test_an_empty_graph6_is_parsed_like_an_empty_file(tmp_path, capsys):
+    path = tmp_path / "empty.g6"
+    path.write_text("")
+    for source in (["--graph6", ""], ["--input", str(path)]):
+        rc, out, err = run_cli(["analyze"] + source, capsys)
+        assert rc == cli.EXIT_PARSE == 3
+        assert out == ""
+        assert "empty graph6 string" in err
+
+
 def test_unreadable_input_exit_2(capsys):
     rc, _, err = run_cli(["analyze", "--input", "/nonexistent/file"], capsys)
     assert rc == 2

@@ -63,11 +63,11 @@ def test_census_satisfies_the_mass_formula(n):
 @pytest.fixture(scope="module")
 def census_build():
     """The census to 14 built once, at jobs 1, from an empty level cache,
-    each level kept as it is built, before the level above drops its
-    generators from the cache, and with its work counted: the canonical
-    searches (each with the order of the parent whose expansion ran it,
-    None outside one), the group closures, the children scored and built,
-    and each tie decision of the walk with its answer by the block rule.
+    each level kept with its strings and generators, and with its work
+    counted: the canonical searches (each with the order of the parent
+    whose expansion ran it, None outside one), the group closures, the
+    children scored and built, and each tie decision of the walk with its
+    answer by the block rule.
     The level cache and the counted functions are restored afterwards."""
     built = SimpleNamespace(searched=[], closures=[], decisions=[],
                             counts={"children": 0, "built": 0})
@@ -153,12 +153,17 @@ def test_carried_generators_are_identical_across_jobs(census_build, census_at_2_
     assert census_build.levels == census_at_2_jobs
 
 
-def test_the_top_order_carries_no_generators():
-    # no level is built from order MAX_ORDER, so its classes keep none
+def test_the_dodecahedron_class_carries_its_group():
+    # the top order's classes carry generators like every other order's:
+    # they act on the string's graph and close to its 120 elements
     top = catalog_graph("dodecahedron")
     assert top.n == enumeration.MAX_ORDER
-    assert enumeration._canonical_class(top) == (canonical_form(top).decode("ascii"), None)
-    assert enumeration._canonical_class(catalog_graph("petersen"))[1]
+    g6, gens = enumeration._canonical_class(top)
+    assert g6 == canonical_form(top).decode("ascii")
+    group = close_generators(gens, top.n)
+    assert len(group) == 120
+    graph = decode_graph6(g6)
+    assert all(graph.has_edge(g[u], g[v]) for g in gens for u, v in graph.edges())
 
 
 def test_census_searches_each_class_once_and_closes_no_group(census_build):
@@ -201,16 +206,19 @@ def test_determinism_and_jobs_invariance():
     assert a == b
 
 
-def test_a_built_level_drops_the_generators_of_the_level_below(monkeypatch):
-    # a level is built once per process, only from the level below, so
-    # storing it drops that level's generators and keeps its strings
+def test_every_built_level_keeps_its_strings_and_generators(monkeypatch):
+    # a level is built once per process and keeps its classes' generators
+    # after the level above is built from it: the claims' group readers
+    # adopt them
     expected = {n: enumerate_cubic_graph6(n) for n in (4, 6, 8, 10)}
     monkeypatch.setattr(enumeration, "_LEVEL_CACHE", {})
     assert enumerate_cubic_graph6(10) == expected[10]
     cache = enumeration._LEVEL_CACHE
     assert sorted(cache) == [4, 6, 8, 10]
-    assert [cache[n][1] for n in (4, 6, 8)] == [None] * 3
-    assert len(cache[10][1]) == KNOWN_COUNTS[10]
+    for n, (strings, generators) in cache.items():
+        assert strings == expected[n]
+        assert len(generators) == KNOWN_COUNTS[n]
+        assert all(isinstance(gens, tuple) for gens in generators)
     assert {n: enumerate_cubic_graph6(n) for n in (4, 6, 8, 10)} == expected
 
 

@@ -33,7 +33,11 @@ from cubicsym import (
 from cubicsym import autgrp
 from cubicsym.autgrp import (_refine_cells, canonical_form, canonical_labeling,
                              reduced_generators)
+from cubicsym import enumeration
+from cubicsym.distinguishing import distinguishing_cost
 from cubicsym.enumeration import _edge_pair_reps
+from cubicsym.graph import girth
+from cubicsym.symmetry import consistent_cycles, transitivity_profile
 from cubicsym.perm import close_generators, edge_perms, orbits
 
 from cubicsym.catalog import complete_bipartite, complete_graph
@@ -228,6 +232,41 @@ def test_orbits_of_the_search_generators_equal_those_of_the_whole_group():
             encode_graph6(g))
         symmetric += len(group) > 1
     assert len(graphs) == 42 and symmetric == 84  # every group here moves a point
+
+
+def _group_readouts(g):
+    """Everything the claims read off a graph's memo entry and group."""
+    group = automorphism_group(g)
+    return (canonical_form(g), group,
+            _vertex_and_edge_orbits(g, autgrp.search_generators(g)),
+            transitivity_profile(g), distinguishing_cost(g),
+            consistent_cycles(g, girth(g)))
+
+
+def test_adopted_census_generators_read_like_a_fresh_search(monkeypatch):
+    # a graph decoded from a census string is memoized with its class's
+    # generators and no search; every readout must equal that of a fresh
+    # search of the same graph, and the adopted code must pack to the string
+    levels = [enumeration._level(n, 1) for n in (4, 6, 8, 10, 12)]
+    searched = []
+    search = autgrp._ir_search
+    monkeypatch.setattr(autgrp, "_ir_search",
+                        lambda g: searched.append(g) or search(g))
+    count = 0
+    for strings, generators in levels:
+        for g6, gens in zip(strings, generators):
+            adopted = decode_graph6(g6)
+            autgrp.adopt(adopted, gens)
+            code = autgrp._memo[1].code
+            readouts = _group_readouts(adopted)
+            assert searched == [], g6
+            fresh = decode_graph6(g6)
+            assert autgrp._ir_search(fresh).code == code, g6
+            assert readouts == _group_readouts(fresh), g6
+            assert readouts[0] == g6.encode("ascii")
+            searched.clear()
+            count += 1
+    assert count == 112
 
 
 # ---------------------------------------------------------------------------
