@@ -41,7 +41,6 @@ from .symmetry import (
     transitivity_profile,
 )
 from .distinguishing import (
-    ColorCapExceeded,
     CostResult,
     SearchBudgetExceeded,
     distinguishing_cost,

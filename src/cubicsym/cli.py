@@ -2,8 +2,8 @@
 enumerate, cost, verify.
 
 Exit codes: 0 pass/ok, 1 claim failed, 2 usage error, 3 input parse
-error, 4 resource limit (group cap, cost-search budget, color cap,
-search depth), 5 internal error (any other exception, reported on one
+error, 4 resource limit (group cap, cost-search budget, search
+depth), 5 internal error (any other exception, reported on one
 line).
 Reports add nothing to the library results; identical inputs produce
 byte-identical JSON across runs and worker counts.  All
@@ -30,7 +30,6 @@ from .claims import (
     verify_claim,
 )
 from .distinguishing import (
-    ColorCapExceeded,
     SearchBudgetExceeded,
     distinguishing_cost,
     distinguishing_number,
@@ -180,7 +179,9 @@ def _format_text_report(report: dict) -> str:
         lines.append(
             f"consistent girth cycles: {report['consistent_girth_cycles']}"
         )
-    lines.append(f"distinguishing number: {report['distinguishing_number']}")
+    number = report["distinguishing_number"]  # null: more than 2
+    lines.append(
+        f"distinguishing number: {'more than 2' if number is None else number}")
     cost = report["distinguishing_cost"]
     if cost["kind"] == "cost":
         lines.append(
@@ -443,8 +444,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     # RecursionError: a search as deep as a large input's order
-    except (GroupTooLargeError, SearchBudgetExceeded, ColorCapExceeded,
-            RecursionError) as exc:
+    except (GroupTooLargeError, SearchBudgetExceeded, RecursionError) as exc:
         print(f"error: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except BrokenPipeError:

@@ -15,31 +15,20 @@ distinguishing.
 Whether a group element preserves a vertex set is one C-level call,
 ``frozenset(S).issuperset`` of the members' images read by one
 ``itemgetter``, which the cost search and the distinguishing-set test
-share; whether it preserves a coloring is one C-level comparison of the
-colors read through it with the coloring.
+share.  Past 2 the distinguishing number is read off a theorem, with no
+coloring searched.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .autgrp import automorphism_group, search_generators
 from .graph import Graph
 from .perm import orbits
-
-COLOR_CAP = 8  # most colors `distinguishing_number` tries
-
-
-class ColorCapExceeded(RuntimeError):
-    """No coloring with at most COLOR_CAP colors is distinguishing."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"distinguishing number exceeds the color cap {cap}")
-        self.cap = cap
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -149,61 +138,28 @@ def _preserved(moves: Dict[int, List[Tuple[int, ...]]], cand: Sequence[int]) -> 
     return False
 
 
-def distinguishing_number(graph: Graph, cost: Optional[CostResult] = None) -> int:
+def distinguishing_number(
+    graph: Graph, cost: Optional[CostResult] = None
+) -> Optional[int]:
     """Smallest number of colors in a coloring preserved only by the
-    identity.
+    identity, or None when it is more than 2 and no theorem gives it.
 
     D = 1 iff the graph is asymmetric; D = 2 iff a distinguishing set
     exists, which ``cost``, the graph's ``distinguishing_cost`` when the
-    caller has it, tells without a second search; beyond that, colorings
-    with d <= COLOR_CAP colors are searched as set partitions
-    (restricted-growth strings), which enumerates colorings once per
-    color-permutation class.  The search starts at the size of the
-    largest twin class, as no two twins may share a color.  Raises
-    ColorCapExceeded past the cap.
+    caller has it, tells without a second search.  Beyond that, a
+    connected graph of maximum degree Δ has D <= Δ + 1, with equality
+    only for K_{Δ+1}, K_{Δ,Δ} and C5 (Collins & Trenk, Electron. J.
+    Combin. 13 (2006) R16; Klavžar, Wong & Zhu, J. Algebra 303 (2006)).
+    So a connected graph with Δ <= 3 and no distinguishing set has D = 3,
+    the exceptions K3, C4 and C5 of Δ = 2 included, save K4 and K3,3,
+    which have D = 4: they are the cubic graphs of order at most 6 other
+    than the prism, which has a distinguishing set.  A disconnected graph
+    or one with Δ >= 4 gets None.
     """
-    group = automorphism_group(graph)
-    if len(group) == 1:
+    if len(automorphism_group(graph)) == 1:
         return 1
     if (cost or distinguishing_cost(graph)).is_cost:
         return 2
-    n = graph.n
-    moving = group[1:]
-    bits = graph.adj_bits
-    # twins, equal open or closed neighborhoods (an open one never equals a
-    # closed one), are swapped by an automorphism fixing the rest
-    twins = Counter([*bits, *(b | 1 << v for v, b in enumerate(bits))])
-    for d in range(max(3, *twins.values()), COLOR_CAP + 1):
-        if _distinguishing_coloring_exists(n, moving, d):
-            return d
-    raise ColorCapExceeded(COLOR_CAP)
-
-
-def _distinguishing_coloring_exists(
-    n: int, moving: Sequence, d: int
-) -> bool:
-    colors = [0] * n
-
-    def rec(v: int, used: int) -> bool:
-        if v == n:
-            return not _coloring_preserved(moving, colors)
-        top = min(used + 1, d)
-        for c in range(top):
-            colors[v] = c
-            if rec(v + 1, max(used, c + 1)):
-                return True
-        colors[v] = 0
-        return False
-
-    return rec(0, 0)
-
-
-def _coloring_preserved(moving: Sequence[Sequence[int]], colors: List[int]) -> bool:
-    """Whether an element of ``moving`` maps the coloring onto itself: the
-    colors read through it equal the coloring, compared in C up to the
-    first vertex where they differ."""
-    color = colors.__getitem__
-    for p in moving:
-        if all(map(eq, map(color, p), colors)):
-            return True
-    return False
+    if not graph.is_connected() or any(len(row) > 3 for row in graph.adj):
+        return None
+    return 4 if graph.is_cubic() and graph.n <= 6 else 3

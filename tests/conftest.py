@@ -6,6 +6,7 @@ import itertools
 import random
 from collections import deque
 from math import comb
+from operator import eq
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
@@ -15,9 +16,7 @@ from cubicsym import (EnumerationRangeError, Graph, automorphism_group,
                       build_graph, canonical_form, encode_graph6, orbits,
                       stabilizer, transitivity_profile)
 from cubicsym.autgrp import _refine_cells, _SearchResult
-from cubicsym.distinguishing import (COLOR_CAP, ColorCapExceeded,
-                                     _distinguishing_coloring_exists,
-                                     distinguishing_cost)
+from cubicsym.distinguishing import distinguishing_cost
 from cubicsym.enumeration import _insert_bits, _insert_rows, _locally_reducible
 from cubicsym.graph import edge_components, is_bridge
 from cubicsym.perm import Group, Images
@@ -840,9 +839,9 @@ def v1_canonical_form(graph: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the preservation tests of the cost search, the distinguishing-set test and
-# the coloring search as generator loops over the members, before they
-# compared image tuples; kept verbatim as the reference for the C-level test
+# the preservation tests of the cost search and the distinguishing-set test
+# as generator loops over the members, before they compared image tuples;
+# kept verbatim as the reference for the C-level test
 
 
 def reference_preserved(moves: Dict[int, List[Tuple[int, ...]]], cand: Sequence[int]) -> bool:
@@ -871,17 +870,26 @@ def reference_is_distinguishing_set(graph: Graph, members: Sequence[int]) -> boo
     return True
 
 
-def reference_preserved_by_some(n: int, moving: Sequence, colors: List[int]) -> bool:
-    """Whether an element of ``moving`` maps the coloring onto itself."""
-    for p in moving:
-        if all(colors[v] == colors[p[v]] for v in range(n)):
-            return True
-    return False
+# ---------------------------------------------------------------------------
+# the coloring search `distinguishing_number` ran past D = 2 before a
+# theorem gave D, kept verbatim (from d = 3, before it started at the
+# largest twin class) as the brute-force reference for the formula
+
+COLOR_CAP = 8  # most colors `distinguishing_number` tries
+
+
+class ColorCapExceeded(RuntimeError):
+    """No coloring with at most COLOR_CAP colors is distinguishing."""
+
+    def __init__(self, cap: int):
+        super().__init__(f"distinguishing number exceeds the color cap {cap}")
+        self.cap = cap
 
 
 def reference_distinguishing_number(graph: Graph, cost=None) -> int:
-    """The distinguishing number with the coloring search run from d = 3,
-    before it started at the largest twin class; kept verbatim."""
+    """Smallest number of colors in a coloring preserved only by the
+    identity; colorings with 3 <= d <= COLOR_CAP colors are searched as
+    set partitions (restricted-growth strings)."""
     group = automorphism_group(graph)
     if len(group) == 1:
         return 1
@@ -893,6 +901,44 @@ def reference_distinguishing_number(graph: Graph, cost=None) -> int:
         if _distinguishing_coloring_exists(n, moving, d):
             return d
     raise ColorCapExceeded(COLOR_CAP)
+
+
+def _distinguishing_coloring_exists(
+    n: int, moving: Sequence, d: int
+) -> bool:
+    colors = [0] * n
+
+    def rec(v: int, used: int) -> bool:
+        if v == n:
+            return not _coloring_preserved(moving, colors)
+        top = min(used + 1, d)
+        for c in range(top):
+            colors[v] = c
+            if rec(v + 1, max(used, c + 1)):
+                return True
+        colors[v] = 0
+        return False
+
+    return rec(0, 0)
+
+
+def _coloring_preserved(moving: Sequence[Sequence[int]], colors: List[int]) -> bool:
+    """Whether an element of ``moving`` maps the coloring onto itself: the
+    colors read through it equal the coloring, compared in C up to the
+    first vertex where they differ."""
+    color = colors.__getitem__
+    for p in moving:
+        if all(map(eq, map(color, p), colors)):
+            return True
+    return False
+
+
+def reference_preserved_by_some(n: int, moving: Sequence, colors: List[int]) -> bool:
+    """Whether an element of ``moving`` maps the coloring onto itself."""
+    for p in moving:
+        if all(colors[v] == colors[p[v]] for v in range(n)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,18 @@ def test_analyze_graph6_k4(capsys):
     assert report["distinguishing_number"] == 4
 
 
+def test_analyze_reports_a_number_past_the_theorem_as_more_than_2(capsys):
+    # nine isolated vertices: disconnected, with no distinguishing set; the
+    # text report is formatted from the JSON one, so one run (9! elements)
+    # serves both
+    rc, out, _ = run_cli(["analyze", "--graph6", "H??????", "--json"], capsys)
+    assert rc == 0
+    assert '"distinguishing_number": null' in out
+    text = cli._format_text_report(json.loads(out))
+    assert "\ndistinguishing number: more than 2\n" in text
+    assert "None" not in text
+
+
 def test_analyze_requires_exactly_one_source(capsys):
     rc, _, err = run_cli(["analyze"], capsys)
     assert rc == 2
@@ -260,13 +272,6 @@ def test_group_cap_exit_4(monkeypatch, capsys):
 
     monkeypatch.setattr(autgrp, "DEFAULT_GROUP_CAP", 10)  # |Aut| = 120
     _assert_resource_limit(["analyze", "--catalog", "petersen"], capsys)
-
-
-def test_color_cap_exit_4(monkeypatch, capsys):
-    from cubicsym import distinguishing
-
-    monkeypatch.setattr(distinguishing, "COLOR_CAP", 3)  # D(K4) = 4
-    _assert_resource_limit(["analyze", "--catalog", "k4"], capsys)
 
 
 def test_cost_budget_exit_4(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,6 @@ from cubicsym import (
 from cubicsym import autgrp, distinguishing
 from cubicsym.catalog import (complete_bipartite, complete_graph, cycle_graph,
                               edgeless_graph)
-from cubicsym.cli import main
 from cubicsym.claims import brbb_unique_path_property
 
 import conftest
@@ -224,15 +224,23 @@ def test_asymmetric_number_is_one():
 
 def test_k4_number_is_four():
     # with 3 colors some color repeats on two of the four vertices, and
-    # the transposition swapping them survives
+    # the transposition swapping them survives; the star K1,3 has the same
+    # order and maximum degree but is not K_{Δ+1}
     assert distinguishing_number(catalog_graph("k4")) == 4
+    assert distinguishing_number(complete_bipartite(1, 3)) == 3
 
 
 def test_petersen_number_is_three():
     assert distinguishing_number(catalog_graph("petersen")) == 3
+    # K3, C4 and C5 are the exceptions at Δ = 2, with D = Δ + 1 = 3; the
+    # longer cycles have a distinguishing set
+    for n in (3, 4, 5):
+        assert distinguishing_number(cycle_graph(n)) == 3
+    assert distinguishing_number(cycle_graph(6)) == 2
 
 
 def test_cube_and_k33_numbers():
+    # K3,3 is K_{Δ,Δ}, the cube is cubic with no distinguishing set
     assert distinguishing_number(catalog_graph("cube")) == 3
     assert distinguishing_number(catalog_graph("k33")) == 4
 
@@ -324,10 +332,68 @@ def test_cost_search_matches_the_member_loops(monkeypatch, preservation_graphs):
     assert kinds == {"cost", "not-two-distinguishable"}
 
 
+def test_the_formula_matches_the_coloring_search():
+    # inside the theorem, connected graphs with Δ <= 3: the census to 14,
+    # the fixed catalog graphs and F26A, C3-C8, prisms and Möbius ladders
+    # to k = 8, path ladders to k = 6, and GP(n, k) for n <= 12
+    inside = [decode_graph6(g6) for n in range(4, 15, 2)
+              for g6 in enumerate_cubic_graph6(n)]
+    inside += [catalog_graph(name) for name in FIXED_CATALOG + ("f26a",)]
+    inside += [cycle_graph(n) for n in range(3, 9)]
+    inside += [catalog_graph(family, k) for family in ("prism", "moebius")
+               for k in range(3, 9)]
+    inside += [catalog_graph("path_ladder", k) for k in range(2, 7)]
+    inside += [catalog_graph("gp", n, k) for n in range(3, 13)
+               for k in range(1, (n + 1) // 2)]
+    assert len(inside) == 690
+    numbers = Counter()
+    for g in inside:
+        cost = distinguishing_cost(g)
+        d = distinguishing_number(g, cost)
+        assert d == conftest.reference_distinguishing_number(g, cost)
+        numbers[d] += 1
+    assert numbers == {1: 108, 2: 566, 3: 11, 4: 5}
+
+
+def _largest_twin_class(g):
+    # twins, equal open or closed neighborhoods (an open one never equals a
+    # closed one), are swapped by an automorphism fixing the rest, so no
+    # two of them may share a color
+    bits = g.adj_bits
+    return max(Counter([*bits, *(b | 1 << v for v, b in enumerate(bits))]).values())
+
+
+def test_twin_start_keeps_the_distinguishing_number():
+    # the graphs the search from the largest twin class was checked on: the
+    # census to 12 and the catalog inside the theorem, and complete,
+    # complete bipartite and edgeless graphs, most outside it, where the
+    # formula gives None exactly where D > 2; the twin class stays a lower
+    # bound of the reference number
+    graphs = [decode_graph6(g6) for n in range(4, 13, 2)
+              for g6 in enumerate_cubic_graph6(n)]
+    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
+    graphs += [complete_graph(n) for n in range(2, 8)]
+    graphs += [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5)]
+    graphs += [edgeless_graph(n) for n in range(1, 8)]
+    assert len(graphs) == 150
+    unknown = []
+    for g in graphs:
+        cost = distinguishing_cost(g)
+        d = distinguishing_number(g, cost)
+        reference = conftest.reference_distinguishing_number(g, cost)
+        assert reference >= _largest_twin_class(g)
+        in_theorem = g.is_connected() and all(len(row) <= 3 for row in g.adj)
+        assert d == (reference if in_theorem or reference <= 2 else None)
+        if d is None:
+            unknown.append(reference)
+    assert sorted(unknown) == [3, 4, 4, 4, 4, 5, 5, 5, 6, 6, 7, 7]
+
+
 def test_coloring_preservation_matches_the_vertex_loop(monkeypatch):
-    # at every leaf the coloring search visits for d = 3..COLOR_CAP, and on
-    # seeded colorings with up to d colors
-    fast, answers = distinguishing._coloring_preserved, set()
+    # the reference coloring search's C-level preservation test against the
+    # vertex loop, at every leaf it visits for d = 3..COLOR_CAP and on seeded
+    # colorings with up to d colors; its first d is the formula's number
+    fast, answers = conftest._coloring_preserved, set()
 
     def checked(moving, colors):
         answer = fast(moving, colors)
@@ -336,45 +402,24 @@ def test_coloring_preservation_matches_the_vertex_loop(monkeypatch):
         answers.add(answer)
         return answer
 
-    monkeypatch.setattr(distinguishing, "_coloring_preserved", checked)
+    monkeypatch.setattr(conftest, "_coloring_preserved", checked)
     rng = random.Random(3003)
     for name in ("k4", "k33", "cube", "petersen"):
         g = catalog_graph(name)
         moving = automorphism_group(g)[1:]
-        found = [d for d in range(3, distinguishing.COLOR_CAP + 1)
-                 if distinguishing._distinguishing_coloring_exists(g.n, moving, d)]
+        found = [d for d in range(3, conftest.COLOR_CAP + 1)
+                 if conftest._distinguishing_coloring_exists(g.n, moving, d)]
         assert found[0] == distinguishing_number(g)
-        for d in range(3, distinguishing.COLOR_CAP + 1):
+        for d in range(3, conftest.COLOR_CAP + 1):
             for _ in range(20):
                 checked(moving, [rng.randrange(d) for _ in range(g.n)])
     assert answers == {True, False}
 
 
-def test_twin_start_keeps_the_distinguishing_number():
-    # the search from the largest twin class against the loop from d = 3
-    graphs = [decode_graph6(g6) for n in range(4, 13, 2)
-              for g6 in enumerate_cubic_graph6(n)]
-    graphs += [catalog_graph(name) for name in FIXED_CATALOG]
-    graphs += [complete_graph(n) for n in range(2, 8)]
-    graphs += [complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5)]
-    graphs += [edgeless_graph(n) for n in range(1, 8)]
-    assert len(graphs) == 150
-    numbers = set()
-    for g in graphs:
-        cost = distinguishing_cost(g)
-        d = distinguishing_number(g, cost)
-        assert d == conftest.reference_distinguishing_number(g, cost)
-        numbers.add(d)
-    assert numbers == set(range(1, 8))
-
-
-def test_more_twins_than_colors_skip_the_coloring_search(monkeypatch, capsys):
-    # nine vertices with equal open (edgeless) or closed (K9) neighborhoods
-    searched = []
-    monkeypatch.setattr(distinguishing, "_distinguishing_coloring_exists",
-                        lambda *args: searched.append(args))
-    assert main(["analyze", "--graph6", "H??????"]) == 4
-    assert "color cap" in capsys.readouterr().err
-    with pytest.raises(distinguishing.ColorCapExceeded):
-        distinguishing_number(decode_graph6("H~~~~~~"))
-    assert searched == []
+def test_more_twins_than_colors_skip_the_coloring_search():
+    # K9's nine twins need nine colors, past the reference search's cap;
+    # the formula answers without a search: K9 is outside the theorem
+    k9 = decode_graph6("H~~~~~~")
+    assert _largest_twin_class(k9) == 9 > conftest.COLOR_CAP
+    assert distinguishing_number(k9) is None
+    assert not hasattr(distinguishing, "_distinguishing_coloring_exists")
