@@ -287,13 +287,24 @@ def _memoized(graph: Graph) -> list:
     return _memo
 
 
+def canonical_class(graph: Graph) -> Tuple[str, Tuple[Images, ...]]:
+    """The graph's canonical string, and its search's generators moved onto
+    the canonical labeling: h[p] = label[g[posv[p]]], where posv gives the
+    vertex at canonical position p and label is its inverse.  So h is an
+    automorphism of the string's graph, and the h generate its group."""
+    g6 = canonical_form(graph).decode("ascii")
+    _, posv, generators = _memoized(graph)[1]
+    label = canonical_labeling(graph)
+    return g6, tuple(tuple([label[g[v]] for v in posv]) for g in generators)
+
+
 def adopt(graph: Graph, generators: Sequence[Images]) -> None:
-    """Memoize, with no search, a graph decoded from a canonical census
-    string and generators of its group on that labeling.  The identity is
-    the order of a minimum-code leaf, so the code is the graph's own
-    columns; the group is closed on first request.  Another such leaf may
-    come first in a search, so ``canonical_labeling`` is never asked of
-    such a graph."""
+    """Memoize, with no search, a graph decoded from a class's canonical
+    string (``canonical_class``) and generators of its group on that
+    labeling.  The identity is the order of a minimum-code leaf, so the
+    code is the graph's own columns; the group is closed on first request.
+    Another such leaf may come first in a search, so ``canonical_labeling``
+    is never asked of such a graph."""
     if _memo[0] is not graph:
         _memo[:] = [graph, _SearchResult(_columns(graph), list(range(graph.n)),
                                          list(generators)), None]

@@ -237,8 +237,10 @@ def catalog_build(name: str, *params: int) -> CatalogEntry:
     if paren:
         if not rest.endswith(")"):
             raise CatalogError(f"malformed catalog name {name!r}")
+        # `k4()` has no fields, and an empty field is no integer
+        fields = rest[:-1].split(",") if rest[:-1].strip() else []
         try:
-            params = tuple(int(x) for x in rest[:-1].split(",") if x.strip())
+            params = tuple(map(int, fields))
         except ValueError as exc:
             raise CatalogError(f"non-integer parameter in {name!r}") from exc
     if key in _PLAIN:

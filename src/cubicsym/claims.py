@@ -15,18 +15,19 @@ the hypothesis fails a census claim the same way.
 
 Hypothesis steps are keys of the predicate registry ``PREDICATES``,
 which ``filtered_enumeration`` (``cubicsym enumerate --predicate``)
-shares.  Predicates test a ``Record``: one graph whose canonical form,
-girth, transitivity profile, distinguishing cost and consistent girth
+shares.  Predicates test a ``Record``: one class, its canonical graph6
+string and generators of its group on that labeling, whose girth,
+transitivity profile, distinguishing cost and consistent girth
 cycle test are each computed at most once, on demand, by the exact
 library operations, so a failure is attributable to a single tested
 primitive.  The profile carries the edge orbits and the
 vertex-stabilizer order too: ``cor33`` reads the order from the
 record's profile, and ``brbb_unique_path_property`` (``thm34``) the
-matching and cycle orbits.  Census strings are canonical graph6
-already, so a census record never searches for its form, not even for
-a counterexample, nor for its group: ``autgrp.adopt`` memoizes the
-generators its class carries before each readout that needs the group,
-so a scan searches only catalog graphs.
+matching and cycle orbits.  A census record is a class the census
+found, a catalog graph's that of one search (``autgrp.canonical_class``).
+A record never searches again: its string is its form, a counterexample
+too, and ``autgrp.adopt`` memoizes its generators before each readout
+that needs the group.  The claims read only facts no labeling changes.
 
 A record also reads one necessary condition for vertex-transitivity:
 every vertex has the same BFS distance histogram, read as equal ball
@@ -50,11 +51,10 @@ the cycle test of the few strings that reach them.  An entry is filled
 only when a predicate or a conclusion first asks for it, so a later
 claim decodes only the strings whose asked readouts are not yet there,
 and each census graph is profiled at most once per process; the census
-memo keeps no graph or record.  Any other record has a one-slot memo of
-its own: a caller's input, or one of the fixed catalog graphs, each one
-record per process (``_catalog_record``), so ``thm34`` and ``cor33``
-share their input's profile and an allowed, named or excluded graph's
-form is searched once.
+memo keeps no graph or record.  A catalog graph's record has a one-slot
+memo of its own and is one record per process (``_catalog_record``), so
+each catalog graph is searched once, and ``thm34``, ``cor33``, the
+inputs and the allowed, named or excluded graphs share its profile.
 
 Claim ids:
 
@@ -85,8 +85,8 @@ from functools import cache, cached_property
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from .autgrp import adopt, canonical_form
-from .catalog import catalog_graph
+from .autgrp import adopt, canonical_class
+from .catalog import catalog_build, catalog_graph
 from .distinguishing import CostResult, distinguishing_cost
 from .enumeration import (MAX_ORDER, MIN_ORDER, EnumerationRangeError,
                           Generators, _level)
@@ -115,9 +115,9 @@ class ClaimReport:
     counterexample: Optional[str] = None
     notes: List[str] = field(default_factory=list)
 
-    def fail(self, form: bytes, why: str) -> None:
+    def fail(self, form: str, why: str) -> None:
         self.verdict = "Fail"
-        self.counterexample = form.decode("ascii")
+        self.counterexample = form
         self.notes.append(why)
 
     def to_dict(self) -> dict:
@@ -168,26 +168,27 @@ _FACTS: Dict[int, _Memo] = {}
 
 
 class Record:
-    """One graph under test: a census graph6 string or a named input.
+    """One class under test: a canonical graph6 string and generators of
+    its group on that labeling, from the census or a catalog graph.
 
     Each readout is computed on first use, by the library function looked
     up in this module's namespace at call time, and kept in the record's
     memo at its index: its order's memo in ``_FACTS`` for a census string
-    (given by ``_census``), else a one-slot memo.  ``histograms_agree`` is
-    the cheap necessary condition for vertex-transitivity that the
-    transitivity predicates test before ``profile``, which builds the
-    automorphism group: every vertex's ball has the same size at every
-    radius, which is every vertex having the same distance histogram,
-    unreached vertices included.  It and the girth come from one pass over
-    the balls (``girth_and_histograms``), whichever is read first.
+    (given by ``_census``), else a one-slot memo.  The group readouts adopt
+    the generators (``autgrp.adopt``), so no readout searches.
+    ``histograms_agree`` is the cheap necessary condition for
+    vertex-transitivity that the transitivity predicates test before
+    ``profile``, which builds the automorphism group: every vertex's ball
+    has the same size at every radius, which is every vertex having the
+    same distance histogram, unreached vertices included.  It and the
+    girth come from one pass over the balls (``girth_and_histograms``),
+    whichever is read first.
     ``has_consistent_girth_cycle`` is what the ``consistent-girth-cycle``
     predicate, ``lem45`` and ``lem46`` ask."""
 
-    def __init__(self, graph: Optional[Graph] = None, g6: Optional[str] = None,
+    def __init__(self, g6: str, generators: Generators,
                  name: Optional[str] = None, memo: Optional[_Memo] = None,
-                 index: int = 0, generators: Optional[Generators] = None):
-        if graph is not None:
-            self.graph = graph
+                 index: int = 0):
         self.g6 = g6
         self.generators = generators
         self.name = name
@@ -197,13 +198,6 @@ class Record:
     @cached_property
     def graph(self) -> Graph:
         return decode_graph6(self.g6)
-
-    @cached_property
-    def form(self) -> bytes:
-        # census strings are canonical forms already
-        if self.g6 is not None:
-            return self.g6.encode("ascii")
-        return canonical_form(self.graph)
 
     @property
     def ball_facts(self) -> Tuple[Optional[int], bool]:
@@ -228,8 +222,7 @@ class Record:
     def _read(self, memo: dict, compute: Callable[[Graph], object]):
         value = memo.get(self._index)
         if value is None:
-            if self.generators is not None:  # a census class: no search
-                adopt(self.graph, self.generators)
+            adopt(self.graph, self.generators)
             value = memo[self._index] = compute(self.graph)
         return value
 
@@ -317,15 +310,15 @@ def _census(orders: Iterable[int], jobs: int) -> Iterator[Record]:
             _FACTS[n] = _Memo(bytearray(len(strings)))
         memo = _FACTS[n]
         for index, (g6, gens) in enumerate(zip(strings, generators)):
-            yield Record(g6=g6, memo=memo, index=index, generators=gens)
+            yield Record(g6, gens, memo=memo, index=index)
 
 
 @cache
 def _catalog_record(name: str) -> Record:
-    """The record of a fixed catalog graph, kept for the process: a
-    claim's own input, or an allowed, named or excluded graph, whose form
-    is searched once."""
-    return Record(catalog_graph(name), name=name)
+    """The class of a catalog graph, by its normalized name, kept for the
+    process: a claim's input, or an allowed, named or excluded graph,
+    searched once."""
+    return Record(*canonical_class(catalog_graph(name)), name=name)
 
 
 def filtered_enumeration(
@@ -354,7 +347,7 @@ Verdict = Tuple[Optional[str], Optional[str]]  # (failure reason, note)
 class Claim:
     hypothesis: Tuple[str, ...]  # registry specs, tested in this order
     # (record, forms of the allowed and named graphs) -> (failure, note)
-    conclusion: Callable[[Record, Dict[str, bytes]], Verdict]
+    conclusion: Callable[[Record, Dict[str, str]], Verdict]
     allowed: Tuple[str, ...] = ()  # catalog graphs a hit must be one of
     # further catalog graphs that must be hits in range: those the
     # conclusion reads, and the claim's other census hits to n = 20
@@ -366,8 +359,8 @@ class Claim:
     skip_notes: Tuple[str, ...] = ()
 
 
-def _one_of_allowed(r: Record, forms: Dict[str, bytes]) -> Verdict:
-    if r.form in forms.values():
+def _one_of_allowed(r: Record, forms: Dict[str, str]) -> Verdict:
+    if r.g6 in forms.values():
         return None, None
     return f"hypothesis hit is not one of {sorted(forms)}", None
 
@@ -385,7 +378,7 @@ def _lem46(r: Record, _forms) -> Verdict:
     return "3-arc-transitive of girth 6 without a consistent 6-cycle", None
 
 
-def _cor49(r: Record, forms: Dict[str, bytes]) -> Verdict:
+def _cor49(r: Record, forms: Dict[str, str]) -> Verdict:
     s = r.profile.max_s
     if s > 4:
         return (f"arc-transitive girth-6 graph is {s}-arc-transitive (> 4)",
@@ -398,10 +391,10 @@ def _cor49(r: Record, forms: Dict[str, bytes]) -> Verdict:
         if cost.is_cost and cost.cost <= 3:
             return None, None
         return f"2-arc-regular: cost {cost.cost} not <= 3", None
-    if s == 3 and r.form not in (forms["desargues"], forms["pappus"]):
+    if s == 3 and r.g6 not in (forms["desargues"], forms["pappus"]):
         return ("3-arc-regular girth-6 graph is neither the Desargues nor "
                 "the Pappus graph"), None
-    if s == 4 and r.form != forms["heawood"]:
+    if s == 4 and r.g6 != forms["heawood"]:
         return "4-arc-regular girth-6 graph is not the Heawood graph", None
     expected = {1: 2, 3: 3, 4: 5}[s]
     if cost.cost != expected:
@@ -478,32 +471,32 @@ def _scan(claim: Claim, report: ClaimReport,
     or, on the census, which holds every graph of each order in range, if
     an excluded graph of such an order never meets the hypothesis."""
     steps = [_parse_predicate(spec) for spec in claim.hypothesis]
-    forms = {name: _catalog_record(name).form
+    forms = {name: _catalog_record(name).g6
              for name in claim.allowed + claim.named}
-    excluded = {_catalog_record(name).form for name in claim.excluded}
+    excluded = {_catalog_record(name).g6 for name in claim.excluded}
     met = set()  # the excluded forms that meet the hypothesis
     for record in records:
         report.graphs_scanned += 1
         failed = _failed_step(record, steps)
-        if failed is not None or record.form in excluded:
+        if failed is not None or record.g6 in excluded:
             if failed is None:
-                met.add(record.form)
+                met.add(record.g6)
             if claim.skip_notes:
                 why = ("excluded exception" if failed is None
                        else claim.skip_notes[failed])
                 report.notes.append(f"{record.name}: skipped, {why}")
             continue
-        report.hypothesis_hits.append(record.form.decode("ascii"))
+        report.hypothesis_hits.append(record.g6)
         why, note = claim.conclusion(record, forms)
         if why is not None:
-            report.fail(record.form, why)
+            report.fail(record.g6, why)
             return report
         if note is not None:
             report.notes.append(note)
     low, high = report.n_range
     for name, form in forms.items():
         order = _catalog_record(name).graph.n
-        if low <= order <= high and form.decode("ascii") not in report.hypothesis_hits:
+        if low <= order <= high and form not in report.hypothesis_hits:
             report.fail(form, f"{name}, of order {order} in the scanned range, "
                         "is not a hypothesis hit")
             return report
@@ -512,8 +505,8 @@ def _scan(claim: Claim, report: ClaimReport,
     for name in claim.excluded:
         record = _catalog_record(name)
         order = record.graph.n
-        if low <= order <= high and record.form not in met:
-            report.fail(record.form, f"{name}, of order {order} in the scanned "
+        if low <= order <= high and record.g6 not in met:
+            report.fail(record.g6, f"{name}, of order {order} in the scanned "
                         "range, does not meet the hypothesis; its exclusion is "
                         "stale")
             return report
@@ -524,7 +517,7 @@ def verify_claim(
     claim_id: str,
     n_max: int = 14,
     jobs: int = 1,
-    inputs: Optional[Sequence[Tuple[str, Graph]]] = None,
+    inputs: Optional[Sequence[str]] = None,
 ) -> ClaimReport:
     """Test one claim on its source: its inputs, or the census to n_max."""
     key = claim_id.strip().lower()
@@ -543,10 +536,9 @@ def verify_claim(
                                     f"range [{MIN_ORDER}, {MAX_ORDER}]")
     n_max -= n_max % 2
     if claim.inputs:
-        if inputs:
-            records = [Record(g, name=name) for name, g in inputs]
-        else:
-            records = list(map(_catalog_record, claim.inputs))
+        # one record per graph: `truncated-icosahedron` is `truncated_icosahedron`
+        names = [catalog_build(name).name for name in inputs or claim.inputs]
+        records = list(map(_catalog_record, names))
         orders = [record.graph.n for record in records]
         n_range = (min(orders), max(orders))
     else:

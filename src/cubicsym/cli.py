@@ -314,20 +314,14 @@ def _cmd_verify(args) -> int:
     if every and args.catalog_input:
         raise _CliError("`verify all` takes no --catalog-input; only "
                         f"{', '.join(INPUT_CLAIMS)} do", EXIT_USAGE)
-    inputs = None
-    if args.catalog_input:
-        try:
-            entries = [catalog_build(name) for name in args.catalog_input]
-        except CatalogError as exc:
-            raise _CliError(str(exc), EXIT_USAGE) from exc
-        inputs = [(e.name, e.graph) for e in entries]
     # one claim after another in this process, so each census scan after
     # the first reads the census facts the earlier ones computed
     try:
         reports = [verify_claim(claim, n_max=args.max_n, jobs=args.jobs,
-                                inputs=inputs)
+                                inputs=args.catalog_input)
                    for claim in (CLAIM_IDS if every else (args.claim,))]
-    except (UnknownClaimError, ClaimInputError, EnumerationRangeError) as exc:
+    except (UnknownClaimError, ClaimInputError, EnumerationRangeError,
+            CatalogError) as exc:
         raise _CliError(str(exc), EXIT_USAGE) from exc
     if args.json:
         payloads = [dict(report.to_dict(), schema=SCHEMA_VERSION)

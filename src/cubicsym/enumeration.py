@@ -49,16 +49,17 @@ there.
 
 A class is its canonical string and generators of its automorphism
 group.  The search that accepts a child finds them; moved onto the
-canonical labeling they act on the graph the string decodes to, and the
-level cache keeps them next to the string for the life of the process,
-for the class's expansion and for the group readers of ``claims``
-(``autgrp.adopt``).  Expanding a class walks the edge-pair action of
-them and keeps the least pair of each orbit, one child per orbit, and
-the tie test walks the target edge's orbit under the child's own search
-generators until it meets the inserted edge, so the census searches
-each class once, when it is accepted, and closes no group.  Orbits depend
-only on the group, never on which generators give it, so the children
-and the strings are those of a fresh search of each parent.
+canonical labeling (``autgrp.canonical_class``) they act on the graph
+the string decodes to, and the level cache keeps them next to the string
+for the life of the process, for the class's expansion and for the group
+readers of ``claims`` (``autgrp.adopt``).  Expanding a class walks the
+edge-pair action of them and keeps the least pair of each orbit, one
+child per orbit, and the tie test walks the target edge's orbit under
+the child's own search generators until it meets the inserted edge, so
+the census searches each class once, when it is accepted, and closes no
+group.  Orbits depend only on the group, never on which generators give
+it, so the children and the strings are those of a fresh search of each
+parent.
 
 Graphs with no reducible edge cannot be reached that way and are seeded
 directly.  They have a rigid shape: every triangle sits inside a diamond
@@ -79,7 +80,7 @@ import os
 from multiprocessing import get_context
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .autgrp import _memoized, canonical_form, canonical_labeling, search_generators
+from .autgrp import canonical_class, canonical_labeling, search_generators
 from .graph import Graph, balls, build_graph, is_bridge
 from .graph6 import decode_graph6
 from .perm import Images, edge_perms
@@ -219,17 +220,6 @@ def _edge_scores(graph: Graph, edges: Sequence[Edge]) -> Dict[Edge, tuple]:
 # ---------------------------------------------------------------------------
 # canonical construction path acceptance
 
-def _canonical_class(graph: Graph) -> Class:
-    """The graph's canonical string, and its search's generators moved onto
-    the canonical labeling: h[p] = label[g[posv[p]]], where posv gives the
-    vertex at canonical position p and label is its inverse.  So h is an
-    automorphism of the string's graph, and the h generate its group."""
-    g6 = canonical_form(graph).decode("ascii")
-    _, posv, generators = _memoized(graph)[1]
-    label = canonical_labeling(graph)
-    return g6, tuple(tuple([label[g[v]] for v in posv]) for g in generators)
-
-
 Ranked = List[Tuple[Tuple[int, int, int], Edge, bool]]
 
 
@@ -313,7 +303,7 @@ def _accept_child(graph: Graph, ranked: Ranked, e1: Edge,
             return None
         tied = [e for e in tied if scores[e] == best]
     if len(tied) == 1:
-        return _canonical_class(child)
+        return canonical_class(child)
     label = canonical_labeling(child)
 
     def image(e: Edge) -> Edge:
@@ -321,7 +311,7 @@ def _accept_child(graph: Graph, ranked: Ranked, e1: Edge,
         return (x, y) if x < y else (y, x)
 
     target = min(tied, key=image)
-    return _canonical_class(child) if _same_edge_orbit(child, target, inserted) else None
+    return canonical_class(child) if _same_edge_orbit(child, target, inserted) else None
 
 
 def _same_edge_orbit(graph: Graph, start: Edge, edge: Edge) -> bool:
@@ -484,7 +474,7 @@ def irreducible_seeds(n: int) -> Tuple[Class, ...]:
             if any(_locally_reducible(bits, u, v) and not is_bridge(bits, u, v)
                    for u, v in g.edges()):
                 continue
-            g6, gens = _canonical_class(g)
+            g6, gens = canonical_class(g)
             found.setdefault(g6, gens)
     return tuple(sorted(found.items()))
 
@@ -495,7 +485,7 @@ def irreducible_seeds(n: int) -> Tuple[Class, ...]:
 def _build_level(n: int, jobs: int) -> Level:
     if n == MIN_ORDER:
         k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
-        children = [_canonical_class(k4)]
+        children = [canonical_class(k4)]
     else:
         parents = list(zip(*_level(n - 2, jobs)))
         workers = min(jobs, len(parents), os.cpu_count() or 1)

@@ -23,6 +23,7 @@ from cubicsym import (
     verify_claim,
 )
 from cubicsym import claims, consistent_cycles, distinguishing_cost
+from cubicsym.autgrp import canonical_class
 from cubicsym.claims import CLAIMS, INPUT_CLAIMS, PREDICATES, Record
 from cubicsym.symmetry import MAX_S
 
@@ -144,7 +145,7 @@ def test_a_census_claim_fails_when_an_exclusion_is_stale(monkeypatch):
 def test_an_input_claim_keeps_an_exclusion_its_inputs_miss():
     # cor33 excludes the Petersen graph; an input of the same order that
     # is not it says nothing about the exclusion
-    report = verify_claim("cor33", inputs=[("prism5", catalog_graph("prism", 5))])
+    report = verify_claim("cor33", inputs=["prism(5)"])
     assert report.n_range == (10, 10)
     assert report.verdict == "Pass"
 
@@ -173,9 +174,7 @@ def test_thm34_default_input():
 
 
 def test_thm34_skips_non_qualifying_inputs():
-    report = verify_claim(
-        "thm34", inputs=[("petersen", catalog_graph("petersen"))]
-    )
+    report = verify_claim("thm34", inputs=["petersen"])
     assert report.verdict == "Pass"  # vacuous: hypothesis never satisfied
     assert report.hypothesis_hits == []
     assert any("skipped" in note for note in report.notes)
@@ -194,7 +193,7 @@ def test_unknown_claim_rejected():
 
 def test_census_claim_rejects_inputs():
     with pytest.raises(ValueError, match="thm34, cor33"):
-        verify_claim("lem45", n_max=6, inputs=[("k4", catalog_graph("k4"))])
+        verify_claim("lem45", n_max=6, inputs=["k4"])
 
 
 def test_report_serialization():
@@ -211,7 +210,8 @@ def test_fail_reports_carry_a_reproducible_witness():
 
     report = ClaimReport("demo", (10, 10), 1)
     g = catalog_graph("petersen")
-    report.fail(canonical_form(g), "synthetic failure for the serialization contract")
+    report.fail(canonical_form(g).decode("ascii"),
+                "synthetic failure for the serialization contract")
     assert report.verdict == "Fail"
     assert is_isomorphic(decode_graph6(report.counterexample), g)
     assert "counterexample" in report.summary()
@@ -287,13 +287,15 @@ def test_histogram_condition_is_necessary_for_vertex_transitivity(rng):
     for g in graphs:
         if transitivity_profile(g).vertex_transitive:
             transitive += 1
-            assert Record(g).histograms_agree, encode_graph6(g)
+            assert Record(*canonical_class(g)).histograms_agree, encode_graph6(g)
     assert transitive > 0
 
 
 def test_prefiltered_predicates_agree_with_the_profile():
     for g6 in _census_g6(12):
         graph = decode_graph6(g6)
+        cls = canonical_class(graph)
+        assert cls[0] == g6  # a census string is its own class's string
         profile = transitivity_profile(graph)
         g = girth(graph)
         expected = {
@@ -305,7 +307,7 @@ def test_prefiltered_predicates_agree_with_the_profile():
         for s in range(MAX_S + 2):
             expected["s-arc-transitive", s] = profile.max_s >= s
         for (name, value), truth in expected.items():
-            assert PREDICATES[name].test(Record(g6=g6), value) == truth, (
+            assert PREDICATES[name].test(Record(*cls), value) == truth, (
                 g6, name, value)
 
 
@@ -420,9 +422,19 @@ def test_census_facts_are_filled_only_on_demand(empty_memos):
                         if _histograms_agree(decode_graph6(g6))]
 
 
+def _decode_catalog_records():
+    """Build every catalog record the claims read, and decode its
+    canonical string, which a catalog record does once per process: so a
+    decoder watched after this sees census strings alone."""
+    for claim in CLAIMS.values():
+        for name in claim.allowed + claim.named + claim.excluded + claim.inputs:
+            assert claims._catalog_record(name).graph.n >= 4
+
+
 def test_a_later_claim_decodes_only_what_passes_the_memo(monkeypatch,
                                                          empty_memos):
     assert verify_claim("thm41-g4", n_max=12).verdict == "Pass"
+    _decode_catalog_records()
     decoded = []
     decode = claims.decode_graph6
 
@@ -456,6 +468,7 @@ def test_verify_all_reads_each_graph_once(monkeypatch, capsys, empty_memos):
     from cubicsym import cli, graph, graph6, symmetry
 
     census = _census_g6(14)  # built before the decoder is watched
+    _decode_catalog_records()
     decoded = _count_calls(monkeypatch, graph6, "decode_graph6", str)
     passes = _count_calls(monkeypatch, graph, "girth_and_histograms",
                           encode_graph6)
@@ -512,10 +525,26 @@ def test_verify_all_searches_only_catalog_graphs(monkeypatch, capsys,
     capsys.readouterr()
     # each census record adopts its class's generators, so only the
     # catalog graphs the claims allow, name, exclude or scan are searched,
-    # each once per process (55 searches when census graphs were searched)
+    # each once per process, into its class: thm34 and cor33 share one
+    # search of the truncated icosahedron
     assert decoded
     assert not any(g is d for g in searched for d in decoded)
-    assert len(searched) == 11
+    catalog = {encode_graph6(catalog_graph(name)) for claim in CLAIMS.values()
+               for name in claim.allowed + claim.named + claim.excluded
+               + claim.inputs}
+    assert sorted(map(encode_graph6, searched)) == sorted(catalog)
+    assert len(searched) == 10
+    # a fresh process: the inputs share their records with the claim's
+    # exclusions, and a name's two spellings share one record
+    claims._catalog_record.cache_clear()
+    searched.clear()
+    assert cli.main(["verify", "cor33", "--catalog-input", "petersen",
+                     "--catalog-input", "truncated-icosahedron",
+                     "--catalog-input", "dodecahedron"]) == 0
+    capsys.readouterr()
+    assert len(searched) == len(set(map(encode_graph6, searched))) == 3
+    assert verify_claim("cor33").verdict == "Pass"  # truncated_icosahedron
+    assert len(searched) == 3
 
 
 def test_filtered_enumeration_runs_no_search(monkeypatch, empty_memos):

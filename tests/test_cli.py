@@ -308,8 +308,9 @@ def test_catalog_get(capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["catalog", "get", "nosuch"], ["catalog", "get", "gp(5)"], ["catalog", "get"]],
-    ids=["unknown", "wrong-parameters", "no-name"],
+    [["catalog", "get", "nosuch"], ["catalog", "get", "gp(5)"], ["catalog", "get"],
+     ["catalog", "get", "gp(5,,2)"]],
+    ids=["unknown", "wrong-parameters", "no-name", "empty-parameter"],
 )
 def test_catalog_get_bad_name_exit_2(args, capsys):
     rc, out, err = run_cli(args, capsys)

@@ -78,6 +78,12 @@ def test_unknown_and_invalid_names():
         catalog_build("prism(2)")
     with pytest.raises(CatalogError):
         catalog_build("petersen(3)")
+    # an empty field is a non-integer parameter, not a dropped one; a bare
+    # `k4()` has no fields and stays accepted
+    for name in ("gp(5,,2)", "gp(,5,2)", "prism(5,)"):
+        with pytest.raises(CatalogError, match="non-integer parameter"):
+            catalog_build(name)
+    assert catalog_build("k4()") == catalog_build("k4")
 
 
 def test_negative_parameters_get_the_family_range_errors():

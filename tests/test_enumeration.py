@@ -158,7 +158,7 @@ def test_the_dodecahedron_class_carries_its_group():
     # they act on the string's graph and close to its 120 elements
     top = catalog_graph("dodecahedron")
     assert top.n == enumeration.MAX_ORDER
-    g6, gens = enumeration._canonical_class(top)
+    g6, gens = autgrp.canonical_class(top)
     assert g6 == canonical_form(top).decode("ascii")
     group = close_generators(gens, top.n)
     assert len(group) == 120

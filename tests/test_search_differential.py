@@ -244,29 +244,29 @@ def _group_readouts(g):
 
 
 def test_adopted_census_generators_read_like_a_fresh_search(monkeypatch):
-    # a graph decoded from a census string is memoized with its class's
-    # generators and no search; every readout must equal that of a fresh
-    # search of the same graph, and the adopted code must pack to the string
-    levels = [enumeration._level(n, 1) for n in (4, 6, 8, 10, 12)]
+    # a graph decoded from a class's string, the census's or a fixed catalog
+    # graph's (`canonical_class`), is memoized with the class's generators
+    # and no search; every readout must equal that of a fresh search of the
+    # same graph, and the adopted code must pack to the string
+    classes = [c for n in (4, 6, 8, 10, 12) for c in zip(*enumeration._level(n, 1))]
+    classes += [autgrp.canonical_class(catalog_graph(name))
+                for name in FIXED_CATALOG]
     searched = []
     search = autgrp._ir_search
     monkeypatch.setattr(autgrp, "_ir_search",
                         lambda g: searched.append(g) or search(g))
-    count = 0
-    for strings, generators in levels:
-        for g6, gens in zip(strings, generators):
-            adopted = decode_graph6(g6)
-            autgrp.adopt(adopted, gens)
-            code = autgrp._memo[1].code
-            readouts = _group_readouts(adopted)
-            assert searched == [], g6
-            fresh = decode_graph6(g6)
-            assert autgrp._ir_search(fresh).code == code, g6
-            assert readouts == _group_readouts(fresh), g6
-            assert readouts[0] == g6.encode("ascii")
-            searched.clear()
-            count += 1
-    assert count == 112
+    for g6, gens in classes:
+        adopted = decode_graph6(g6)
+        autgrp.adopt(adopted, gens)
+        code = autgrp._memo[1].code
+        readouts = _group_readouts(adopted)
+        assert searched == [], g6
+        fresh = decode_graph6(g6)
+        assert autgrp._ir_search(fresh).code == code, g6
+        assert readouts == _group_readouts(fresh), g6
+        assert readouts[0] == g6.encode("ascii")
+        searched.clear()
+    assert len(classes) == 112 + len(FIXED_CATALOG)
 
 
 # ---------------------------------------------------------------------------
