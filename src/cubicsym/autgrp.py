@@ -47,12 +47,13 @@ relabelled graph built.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import groupby, islice
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graph import Graph, balls
 from .graph6 import _columns, _encode_columns
-from .perm import DEFAULT_GROUP_CAP, Group, Images, close_generators, extend_closure
+from .perm import DEFAULT_GROUP_CAP, Group, Images, close_generators
 
 
 def _cell_weights(cells: List[Tuple[int, ...]], shift: int) -> List[int]:
@@ -259,18 +260,38 @@ def _ir_search(graph: Graph) -> _SearchResult:
 
 def reduced_generators(group: Group) -> Tuple[Images, ...]:
     """The greedy generating set of the sorted element tuple: each element
-    not yet generated by the earlier picks is picked; the identity alone
-    for a trivial group.  ``analyze`` prints it; orbits read the search's
-    generators (``search_generators``)."""
+    not generated by the earlier picks is picked; the identity alone for a
+    trivial group.  ``analyze`` prints it; orbits read the search's
+    generators (``search_generators``).
+
+    The sorted tuple is a stabilizer chain (Sims 1970): the elements
+    fixing 0..k-1 are its prefix G_(0..k-1), and those that also move k,
+    level k, follow G_(0..k).  So the levels are read deepest first, each
+    slice found by bisection.  At level k the picks generate an H with
+    G_(0..k) <= H <= G_(0..k-1), and an element p of the level lies in H
+    iff p[k] lies in the orbit of k under the picks; that orbit starts as
+    {k}, as the deeper picks fix k.  So p is picked iff p[k] is outside
+    it, with no closure, and the level is left at the pick that gives the
+    orbit |G_(0..k-1)| / |G_(0..k)| points, as H is then G_(0..k-1)."""
     gens: List[Images] = []
-    closed = {group[0]}
-    for p in group:
-        if p in closed:
-            continue
-        gens.append(p)
-        extend_closure(closed, [g.__getitem__ for g in gens], len(group))
-        if len(closed) == len(group):
-            break
+    ident = group[0]
+    lo = 1  # |G_(0..k)|
+    for k in reversed(range(len(ident))):
+        hi = bisect_left(group, ident[:k - 1] + (k,)) if k else len(group)
+        size = hi // lo  # the orbit of k under G_(0..k-1)
+        orbit, seen = [k], {k}
+        for p in islice(group, lo, hi):
+            if p[k] in seen:
+                continue
+            gens.append(p)
+            for x in orbit:  # grows while it is scanned
+                for g in gens:
+                    if g[x] not in seen:
+                        seen.add(g[x])
+                        orbit.append(g[x])
+            if len(orbit) == size:
+                break
+        lo = hi
     return tuple(gens) if gens else group[:1]
 
 
@@ -319,8 +340,10 @@ def search_generators(graph: Graph) -> List[Images]:
 def automorphism_group(graph: Graph) -> Group:
     """Full group of adjacency-preserving bijections, as its sorted
     element tuple; materialized, deterministic.  The group is the closure
-    of the search's generators (the cap fires during the closure);
-    ``reduced_generators`` gives the greedy set of the element tuple."""
+    of the search's generators (the cap fires during the closure).  The
+    sorted tuple is also its stabilizer chain: the elements fixing
+    0..k-1 are a prefix, so ``reduced_generators`` reads the greedy set
+    of the tuple one orbit per level, with no closure."""
     memo = _memoized(graph)
     if memo[2] is None:
         memo[2] = close_generators(memo[1].generators, graph.n, DEFAULT_GROUP_CAP)

@@ -5,8 +5,9 @@ Everything but the edge orbits is computed from the full materialized
 automorphism group and the pointwise stabilizers of its vertex tuples.
 ``transitivity_profile`` reads the edge orbits, with their structure
 tags, off the search's generators, and the rest off one chain of
-pointwise stabilizers G >= G_0 >= G_(0,v1) >= ..., each link filtered
-from the survivors of the last.  G is vertex-transitive iff
+pointwise stabilizers G >= G_0 >= G_(0,v1) >= ...: G_0 is a prefix of
+the sorted element tuple, and each later link is filtered from the
+survivors of the last.  G is vertex-transitive iff
 |G| = n |G_0|, by orbit-stabilizer.  s-arc-transitivity is decided
 locally (Tutte): G is s-arc-transitive iff it is (s-1)-arc-transitive
 and the stabilizer of one (s-1)-arc A, the current link, is transitive
@@ -23,6 +24,7 @@ not loop forever.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -118,7 +120,9 @@ def transitivity_profile(graph: Graph) -> TransitivityProfile:
     _require_connected(graph)
     group = automorphism_group(graph)
     n = graph.n
-    link = stabilizer(group, range(min(n, 1)))  # G_0; G if n = 0, trivial
+    # G_0: the elements with p[0] = 0 come first in the sorted tuple; G,
+    # trivial, if n = 0, as the empty identity sorts before (1,)
+    link = group[:bisect_left(group, (1,))]
     stab_order = len(link)
     vt = n == 0 or len(group) == n * stab_order
     edges = graph.edges()

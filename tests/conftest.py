@@ -19,7 +19,7 @@ from cubicsym.autgrp import _refine_cells, _SearchResult
 from cubicsym.distinguishing import distinguishing_cost
 from cubicsym.enumeration import _insert_bits, _insert_rows, _locally_reducible
 from cubicsym.graph import edge_components, is_bridge
-from cubicsym.perm import Group, Images
+from cubicsym.perm import Group, Images, extend_closure
 from cubicsym.symmetry import MAX_S
 from cubicsym.graph6 import _NON_PRINTABLE, _SEXTETS, Graph6Error
 
@@ -1057,3 +1057,27 @@ def insert_on_edges(graph: Graph, e1: Tuple[int, int], e2: Tuple[int, int]) -> G
     """Subdivide two distinct edges and join the two new vertices."""
     return Graph._from_rows(tuple(_insert_rows(graph, e1, e2)),
                             tuple(_insert_bits(graph, e1, e2)))
+
+
+# ---------------------------------------------------------------------------
+# the greedy generating set by closure: after every pick the group of the
+# picks is grown by coset enumeration and each later element is looked up
+# in it, kept verbatim from `autgrp` as the reference of the level walk
+# `reduced_generators` reads off the sorted tuple's stabilizer chain
+
+
+def reduced_generators(group: Group) -> Tuple[Images, ...]:
+    """The greedy generating set of the sorted element tuple: each element
+    not yet generated by the earlier picks is picked; the identity alone
+    for a trivial group.  ``analyze`` prints it; orbits read the search's
+    generators (``search_generators``)."""
+    gens: List[Images] = []
+    closed = {group[0]}
+    for p in group:
+        if p in closed:
+            continue
+        gens.append(p)
+        extend_closure(closed, [g.__getitem__ for g in gens], len(group))
+        if len(closed) == len(group):
+            break
+    return tuple(gens) if gens else group[:1]

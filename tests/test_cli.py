@@ -65,6 +65,18 @@ def test_analyze_f26a_matches_golden_bytes(capsys):
         assert out == fh.read()
 
 
+def test_analyze_tutte_coxeter_matches_golden_bytes(capsys):
+    # the reduced generators span six levels of the stabilizer chain: they
+    # pin the level walk of `reduced_generators` byte for byte
+    rc, out, _ = run_cli(["analyze", "--catalog", "tutte_coxeter", "--json"], capsys)
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["aut_order"], report["max_s"]) == (1440, 5)
+    assert len(report["aut_generators"]) == 6
+    with open(os.path.join(GOLDEN, "analyze_tutte_coxeter.json")) as fh:
+        assert out == fh.read()
+
+
 # sha256 of the `analyze --json` stdout of every fixed catalog graph, in
 # FIXED_CATALOG order: it pins generators, costs and cycle counts
 ANALYZE_CATALOG_SHA256 = (

@@ -9,7 +9,9 @@ BFS distances.  It refines with `reference_refine`, the
 dense-signature refinement that the incremental `_refine_cells`
 replaced, so the engine is compared with the old refinement end to end.
 `reference_reduce` is the greedy generator reduction of that version,
-which `reduced_generators` keeps for `analyze`.  Canonical forms,
+which `reduced_generators` keeps for `analyze`; on larger groups it is
+compared with the closure-based reduction that its level walk replaced
+(`conftest.reduced_generators`).  Canonical forms,
 labelings, sorted element tuples and reduced generators must all agree,
 and the orbits read from the search's own generators, which every orbit
 question reads, must equal those read from the reduced set and from
@@ -41,9 +43,11 @@ from cubicsym.symmetry import consistent_cycles, transitivity_profile
 from cubicsym.perm import close_generators, edge_perms, orbits
 
 from cubicsym.catalog import complete_bipartite, complete_graph
+from cubicsym.perm import cycle_notation
 
 from conftest import (FIXED_CATALOG, distance_profiles, random_graph,
                       random_relabel)
+from conftest import reduced_generators as closure_reduced_generators
 
 
 def reference_refine(
@@ -232,6 +236,31 @@ def test_orbits_of_the_search_generators_equal_those_of_the_whole_group():
             encode_graph6(g))
         symmetric += len(group) > 1
     assert len(graphs) == 42 and symmetric == 84  # every group here moves a point
+
+
+# the census to 12 (`assert_same_search`) holds no group of order above 48;
+# these reach 5,040 and span up to six levels of the stabilizer chain
+LARGE_GROUPS = (["k7", "k44", "tutte_coxeter", "desargues", "gp(12,5)"]
+                + [f"{family}({k})" for family in ("prism", "moebius")
+                   for k in range(3, 9)])
+
+
+@pytest.mark.parametrize("name", LARGE_GROUPS)
+def test_level_walk_matches_the_closure_on_large_groups(name):
+    complete = {"k7": lambda: complete_graph(7),
+                "k44": lambda: complete_bipartite(4, 4)}
+    g = complete[name]() if name in complete else catalog_graph(name)
+    for h in (g, random_relabel(g, random.Random(name))):
+        group = automorphism_group(h)
+        assert reduced_generators(group) == closure_reduced_generators(group)
+
+
+def test_reduced_generators_of_k9():
+    # 9! elements, too many for the closure reference: one transposition
+    # per level, the deepest level first
+    reduced = reduced_generators(automorphism_group(complete_graph(9)))
+    assert list(map(cycle_notation, reduced)) == [
+        f"({k} {k + 1})" for k in range(7, -1, -1)]
 
 
 def _group_readouts(g):
